@@ -396,6 +396,8 @@ class EigenChiSquareDist:
         weights = np.sort(np.asarray(weights, dtype=float))[::-1]
         if weights.size == 0:
             raise ValueError("need at least one weight")
+        if draws < 1:
+            raise ValueError(f"need at least one Monte Carlo draw, got {draws}")
         if weights[-1] < WEIGHT_CLAMP_FLOOR:
             raise NegativeWeightError(f"weight {weights[-1]:.3e} is negative")
         weights = np.clip(weights, 0.0, None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 
@@ -61,10 +62,11 @@ def read_csv_matrix(path: str) -> np.ndarray:
     """Read a numeric RFC-4180-style CSV, auto-detecting a single header row.
 
     The first row counts as a header when any of its cells fails to parse as
-    a number. Errors report 1-based file row and column.
+    a number; a leading UTF-8 byte-order mark is dropped first, so it cannot
+    turn a data row into a header. Errors report 1-based file row and column.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [row for row in csv.reader(fh) if row]
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}")
@@ -117,6 +119,10 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_fit(args) -> int:
+    if not (args.group_tol > 0 and math.isfinite(args.group_tol)):
+        raise InputError(f"--group-tol must be a positive finite number, got {args.group_tol}")
+    if not 0 < args.cond_floor < 1:
+        raise InputError(f"--cond-floor must be in (0, 1), got {args.cond_floor}")
     data = load_dataset(args.data, args.blocks)
     fit = fit_mslca(data, group_tol=args.group_tol, cond_floor=args.cond_floor)
     diagnostics = verify_constraints(fit.vhat, fit.solution)
@@ -160,6 +166,8 @@ def _cmd_test(args) -> int:
         raise InputError("--scale only applies to --method chi2")
     if not 0 < args.alpha < 1:
         raise InputError(f"--alpha must be in (0, 1), got {args.alpha}")
+    if args.mc_reps < 1:
+        raise InputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
     data = load_dataset(args.data, args.blocks)
     fit = fit_mslca(data)
     if args.method == "chi2":

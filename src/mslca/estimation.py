@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import DEFAULT_COND_FLOOR, BlockStructure, sym_power
-from .exceptions import InsufficientSampleError, NearSingularError
+from .blocks import DEFAULT_COND_FLOOR, BlockStructure
+from .exceptions import InsufficientSampleError
 from .population import (
     DEFAULT_GROUP_TOL,
     CovarianceModel,
     MslcaSolution,
-    build_t,
-    solve_mslca,
+    _block_inv_sqrts,
+    _solve,
 )
 
 
@@ -57,8 +57,10 @@ class Dataset:
 class MslcaFit:
     """Empirical analysis of one dataset.
 
-    ``statistic_ready`` records that the estimated operator has exactly zero
-    diagonal blocks, which the non-correlation statistic relies on.
+    ``that`` is the estimated operator, whose diagonal blocks are exactly
+    zero by construction. ``inv_roots`` holds the inverse square root of each
+    diagonal block of ``vhat``; with ``means`` it whitens the fitted data, so
+    the tests reuse it instead of decomposing the blocks again.
     """
 
     n: int
@@ -66,7 +68,7 @@ class MslcaFit:
     vhat: CovarianceModel
     that: np.ndarray
     solution: MslcaSolution
-    statistic_ready: bool
+    inv_roots: tuple[np.ndarray, ...]
 
     @property
     def structure(self) -> BlockStructure:
@@ -107,15 +109,14 @@ def fit_mslca(
     _require_rows(data)
     means = data.rows.mean(axis=0)
     vhat = empirical_cov(data)
-    that = build_t(vhat, cond_floor)
-    solution = solve_mslca(vhat, group_tol, cond_floor)
+    that, solution, inv_roots = _solve(vhat, group_tol, cond_floor)
     return MslcaFit(
         n=data.n,
         means=means,
         vhat=vhat,
         that=that,
         solution=solution,
-        statistic_ready=True,
+        inv_roots=tuple(inv_roots),
     )
 
 
@@ -131,6 +132,16 @@ def align_sign(bhat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -bhat if float(bhat @ b) < 0.0 else bhat.copy()
 
 
+def _whiten_with(data: Dataset, means: np.ndarray, inv_roots) -> Dataset:
+    """Center by ``means`` and map each block through its inverse root."""
+    centered = data.rows - means
+    out = np.empty_like(centered)
+    for k, root in enumerate(inv_roots):
+        sl = data.structure.block_slice(k)
+        out[:, sl] = centered[:, sl] @ root
+    return Dataset(data.structure, out)
+
+
 def whiten(data: Dataset, cond_floor: float = DEFAULT_COND_FLOOR) -> Dataset:
     """Center and transform each block by its inverse covariance square root.
 
@@ -140,14 +151,5 @@ def whiten(data: Dataset, cond_floor: float = DEFAULT_COND_FLOOR) -> Dataset:
     changes of block basis.
     """
     _require_rows(data)
-    vhat = empirical_cov(data)
-    centered = data.rows - data.rows.mean(axis=0)
-    out = np.empty_like(centered)
-    for k in range(data.structure.n_blocks):
-        sl = data.structure.block_slice(k)
-        try:
-            root = sym_power(vhat.v[sl, sl], -0.5, cond_floor)
-        except NearSingularError as err:
-            raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
-        out[:, sl] = centered[:, sl] @ root
-    return Dataset(data.structure, out)
+    inv_roots = _block_inv_sqrts(empirical_cov(data), cond_floor)
+    return _whiten_with(data, data.rows.mean(axis=0), inv_roots)

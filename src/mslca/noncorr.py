@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .blocks import BlockStructure, extract_block, frobenius_sq
-from .estimation import Dataset, MslcaFit, whiten
+from .estimation import Dataset, MslcaFit, _whiten_with
 from .asymptotics import (
     DEFAULT_MC_DRAWS,
     EigenChiSquareDist,
@@ -95,13 +95,13 @@ def degrees_of_freedom(structure: BlockStructure) -> int:
     return sum(structure.dims[k] * structure.dims[l] for k, l in structure.lower_pairs())
 
 
-def _resolve_scale(scale, data: Dataset | None) -> tuple[float, str]:
+def _resolve_scale(scale, fit: MslcaFit, data: Dataset | None) -> tuple[float, str]:
     if scale == "gaussian":
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
         if data is None:
             raise ValueError("scale='plugin' needs the dataset to estimate the kurtosis scale")
-        return elliptical_scale_plugin(whiten(data)), "plugin"
+        return elliptical_scale_plugin(_whiten_with(data, fit.means, fit.inv_roots)), "plugin"
     value = float(scale)
     if value <= 0:
         raise ValueError(f"scale must be positive, got {value}")
@@ -117,13 +117,14 @@ def chi2_test(
     """Chi-square route: refer n*S / scale to chi-square with d degrees of freedom.
 
     ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from the
-    whitened data, which must then be supplied), or an explicit positive
-    float. Exact asymptotic level requires an elliptical population with the
-    matching kurtosis scale.
+    fitted data, which must then be supplied; it is whitened with the fit's
+    means and block inverse roots), or an explicit positive float. Exact
+    asymptotic level requires an elliptical population with the matching
+    kurtosis scale.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    scale_value, provenance = _resolve_scale(scale, data)
+    scale_value, provenance = _resolve_scale(scale, fit, data)
     d = degrees_of_freedom(fit.structure)
     s = s_statistic(fit.that, fit.structure)
     ns = fit.n * s
@@ -151,10 +152,11 @@ def general_test(
 ) -> TestReport:
     """General route: weighted chi-square with weights from estimated fourth moments.
 
-    Whitens the data, estimates the covariance of the stacked off-diagonal
-    block entries without imposing the null on cross-moments (the estimate is
-    consistent either way and converges to the right object under the null),
-    and refers n*S to the weighted chi-square via seeded Monte Carlo.
+    Whitens the data with the fit's means and block inverse roots, estimates
+    the covariance of the stacked off-diagonal block entries without imposing
+    the null on cross-moments (the estimate is consistent either way and
+    converges to the right object under the null), and refers n*S to the
+    weighted chi-square via seeded Monte Carlo.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -167,7 +169,7 @@ def general_test(
             f"(recommended n >= {10 * d})",
             stacklevel=2,
         )
-    acc = MomentAccumulator.from_whitened(whiten(data))
+    acc = MomentAccumulator.from_whitened(_whiten_with(data, fit.means, fit.inv_roots))
     gamma = build_gamma(acc)
     weights = gamma.eigenvalues()
     s = s_statistic(fit.that, fit.structure)

@@ -140,20 +140,23 @@ def _block_inv_sqrts(model: CovarianceModel, cond_floor: float) -> list[np.ndarr
     return roots
 
 
-def build_t(model: CovarianceModel, cond_floor: float = DEFAULT_COND_FLOOR) -> np.ndarray:
-    """Assemble T = Phi^{-1/2} Psi Phi^{-1/2} blockwise.
-
-    Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
-    exactly zero by construction.
-    """
+def _assemble_t(model: CovarianceModel, inv_roots: list[np.ndarray]) -> np.ndarray:
     structure = model.structure
-    inv_roots = _block_inv_sqrts(model, cond_floor)
     t = np.zeros((structure.total_dim, structure.total_dim))
     for k, l in structure.lower_pairs():
         block = inv_roots[k] @ model.block(k, l) @ inv_roots[l]
         t[structure.block_slice(k), structure.block_slice(l)] = block
         t[structure.block_slice(l), structure.block_slice(k)] = block.T
     return t
+
+
+def build_t(model: CovarianceModel, cond_floor: float = DEFAULT_COND_FLOOR) -> np.ndarray:
+    """Assemble T = Phi^{-1/2} Psi Phi^{-1/2} blockwise.
+
+    Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
+    exactly zero by construction.
+    """
+    return _assemble_t(model, _block_inv_sqrts(model, cond_floor))
 
 
 def _group_indices(rho: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
@@ -169,21 +172,19 @@ def _group_indices(rho: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], 
     return tuple(tuple(g) for g in groups)
 
 
-def solve_mslca(
-    model: CovarianceModel,
-    group_tol: float = DEFAULT_GROUP_TOL,
-    cond_floor: float = DEFAULT_COND_FLOOR,
-) -> MslcaSolution:
-    """Solve the population analysis by spectral decomposition of T."""
+def _solve(
+    model: CovarianceModel, group_tol: float, cond_floor: float
+) -> tuple[np.ndarray, MslcaSolution, list[np.ndarray]]:
+    """T, its solution and the block inverse roots, each computed once."""
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
     structure = model.structure
-    t = build_t(model, cond_floor)
+    inv_roots = _block_inv_sqrts(model, cond_floor)
+    t = _assemble_t(model, inv_roots)
     eig = sym_eig(t)
     rho = eig.eigenvalues.copy()
     beta = eig.eigenvectors.copy()
 
-    inv_roots = _block_inv_sqrts(model, cond_floor)
     alpha = np.empty_like(beta)
     for k in range(structure.n_blocks):
         sl = structure.block_slice(k)
@@ -196,9 +197,9 @@ def solve_mslca(
         if abs(value) <= group_tol:
             zero_group = gi
             break
-    for arr in (rho, beta, alpha, group_values):
+    for arr in (rho, beta, alpha, group_values, *inv_roots):
         arr.flags.writeable = False
-    return MslcaSolution(
+    solution = MslcaSolution(
         structure=structure,
         rho=rho,
         beta=beta,
@@ -207,6 +208,16 @@ def solve_mslca(
         group_values=group_values,
         zero_group=zero_group,
     )
+    return t, solution, inv_roots
+
+
+def solve_mslca(
+    model: CovarianceModel,
+    group_tol: float = DEFAULT_GROUP_TOL,
+    cond_floor: float = DEFAULT_COND_FLOOR,
+) -> MslcaSolution:
+    """Solve the population analysis by spectral decomposition of T."""
+    return _solve(model, group_tol, cond_floor)[1]
 
 
 def varphi(model: CovarianceModel, a: np.ndarray) -> float:

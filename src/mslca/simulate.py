@@ -2,8 +2,12 @@
 
 Each experiment draws replications from per-(size, replication) RNG streams
 spawned off the master seed, so results are bit-reproducible and independent
-of execution order. Chi-square references come from scipy's incomplete-gamma
-CDF rather than from simulation, which keeps the checks non-circular.
+of execution order. ``run_experiment`` is the one replication loop: every
+cell samples, fits and hands the fit to its kind's record function, and
+each size's records go to the kind's summary function. A kind supplies only
+its set-up (precondition and reference quantities), record and summary.
+Chi-square references come from scipy's incomplete-gamma CDF rather than
+from simulation, which keeps the checks non-circular.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from scipy import stats
 
 from . import __version__
 from .blocks import psd_sqrt
-from .estimation import Dataset, align_sign, fit_mslca
+from .estimation import Dataset, MslcaFit, align_sign, fit_mslca
 from .exceptions import NuTooSmallError, PlanPreconditionError, RepeatedEigenvaluesError
 from .noncorr import chi2_test, degrees_of_freedom, general_test, s_statistic
 from .population import CovarianceModel, build_t, solve_mslca
@@ -124,12 +128,20 @@ class SimulationPlan:
             )
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError(f"sizes must all be >= 2, got {self.sizes}")
+        max_dim = max(self.model.structure.dims)
+        if any(s <= max_dim for s in self.sizes):
+            # a centered sample of n rows has rank at most n - 1
+            raise PlanPreconditionError(
+                f"sizes must all exceed the largest block dimension {max_dim}, got {self.sizes}"
+            )
         if self.seed < 0:
             raise PlanPreconditionError(f"seed must be nonnegative, got {self.seed}")
         if any(not 0 < a < 1 for a in self.alphas):
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
         if any(m not in ("chi2", "general") for m in self.methods):
             raise ValueError(f"methods must be chi2/general, got {self.methods}")
+        if self.mc_draws < 1:
+            raise PlanPreconditionError(f"need at least 1 Monte Carlo draw, got {self.mc_draws}")
         if self.sampler == "student-t":
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
@@ -168,13 +180,17 @@ class SimulationPlan:
         from .blocks import BlockStructure
 
         required = ("kind", "dims", "covariance", "sizes", "replications")
+        optional = ("sampler", "nu", "seed", "alphas", "methods", "mc_draws")
         missing = [key for key in required if key not in raw]
         if missing:
             raise KeyError(f"plan config is missing keys: {missing}")
+        unknown = sorted(key for key in raw if key not in required + optional)
+        if unknown:
+            raise ValueError(f"plan config has unknown keys: {unknown}")
         structure = BlockStructure(raw["dims"])
         model = CovarianceModel(structure, np.asarray(raw["covariance"], dtype=float))
         kwargs = {}
-        for key in ("sampler", "nu", "seed", "alphas", "methods", "mc_draws"):
+        for key in optional:
             if raw.get(key) is not None:
                 kwargs[key] = raw[key]
         return cls(
@@ -206,7 +222,235 @@ class ExperimentResult:
         }
 
 
-def _finish(plan: SimulationPlan, records: list[dict], summaries: dict, started: float) -> ExperimentResult:
+def _column(records: list[dict], key: str) -> np.ndarray:
+    return np.array([record[key] for record in records])
+
+
+def _rates(p_values: np.ndarray, alphas: tuple[float, ...]) -> dict[str, float]:
+    return {str(a): float(np.mean(p_values < a)) for a in alphas}
+
+
+def _general_p_value(
+    plan: SimulationPlan, rng: np.random.Generator, fit: MslcaFit, data: Dataset
+) -> float:
+    """General-route p-value, its Monte Carlo seed drawn from the cell's stream."""
+    mc_seed = int(rng.integers(2**63 - 1))
+    report = general_test(fit, data, alpha=plan.alphas[0], mc_draws=plan.mc_draws, seed=mc_seed)
+    return report.p_value
+
+
+def _consistency(plan: SimulationPlan):
+    """Estimation error of the operator, coefficients and directions vs n.
+
+    Direction errors are sign-aligned per vector; inside eigenvalue
+    multiplicity groups individual eigenvectors are not identified, so the
+    per-group error of the spanned projectors is recorded as well.
+    """
+    t_true = build_t(plan.model)
+    solution = solve_mslca(plan.model)
+    beta = solution.beta
+    projectors = [beta[:, list(g)] @ beta[:, list(g)].T for g in solution.groups]
+
+    def record(rng, data, fit):
+        est = fit.solution.beta
+        return {
+            "t_error": float(np.linalg.norm(fit.that - t_true)),
+            "rho_errors": np.abs(fit.solution.rho - solution.rho).tolist(),
+            "beta_errors": [
+                float(np.linalg.norm(align_sign(est[:, j], beta[:, j]) - beta[:, j]))
+                for j in range(beta.shape[1])
+            ],
+            "group_projector_errors": [
+                float(np.linalg.norm(est[:, list(g)] @ est[:, list(g)].T - projector))
+                for g, projector in zip(solution.groups, projectors)
+            ],
+        }
+
+    def summarize(records):
+        return {
+            "median_t_error": float(np.median(_column(records, "t_error"))),
+            "median_rho_errors": np.median(_column(records, "rho_errors"), axis=0).tolist(),
+            "median_beta_errors": np.median(_column(records, "beta_errors"), axis=0).tolist(),
+            "median_group_projector_errors": np.median(
+                _column(records, "group_projector_errors"), axis=0
+            ).tolist(),
+        }
+
+    return record, summarize
+
+
+def _offdiag_positions(model: CovarianceModel) -> list[tuple[int, int]]:
+    structure = model.structure
+    positions = []
+    for k, l, i, j in gamma_index_map(structure):
+        positions.append((structure.offset(k) + i, structure.offset(l) + j))
+    return positions
+
+
+def _clt_check(plan: SimulationPlan):
+    """Covariance of sqrt(n) * estimation error vs covariance of the limit operator.
+
+    For each replication, the off-diagonal block entries of the scaled error
+    are recorded alongside the same entries of the limit operator evaluated
+    at one fresh draw; their empirical covariances should agree.
+    """
+    _require_whitened_model(plan.model)
+    t_true = build_t(plan.model)
+    positions = _offdiag_positions(plan.model)
+    rows_idx = [p[0] for p in positions]
+    cols_idx = [p[1] for p in positions]
+
+    def record(rng, data, fit):
+        err = np.sqrt(fit.n) * (fit.that - t_true)
+        fresh = plan.sample(1, rng).rows[0]
+        return {
+            "t_entries": err[rows_idx, cols_idx].tolist(),
+            "z_entries": z_operator(fresh, plan.model)[rows_idx, cols_idx].tolist(),
+        }
+
+    def summarize(records):
+        cov_t = np.cov(_column(records, "t_entries"), rowvar=False)
+        cov_z = np.cov(_column(records, "z_entries"), rowvar=False)
+        return {
+            "entry_positions": [list(p) for p in positions],
+            "cov_scaled_error": np.atleast_2d(cov_t).tolist(),
+            "cov_limit_operator": np.atleast_2d(cov_z).tolist(),
+            "relative_discrepancy": float(np.linalg.norm(cov_t - cov_z) / np.linalg.norm(cov_z)),
+        }
+
+    return record, summarize
+
+
+def _coeff_clt(plan: SimulationPlan):
+    """Variance of sqrt(n) * coefficient errors vs the asymptotic covariance.
+
+    Requires a simple population spectrum. The reference variances come from
+    the closed-form Gaussian tensor, scaled by the sampler's kurtosis factor
+    (valid for the elliptical student-t sampler as well).
+    """
+    solution = solve_mslca(plan.model)
+    if not solution.is_simple:
+        raise RepeatedEigenvaluesError("coefficient CLT experiment needs a simple spectrum")
+    tensor = plan.true_scale * c_tensor_gaussian(plan.model, solution)
+    asymptotic = np.diag(sigma_matrix(tensor, solution))
+
+    def record(rng, data, fit):
+        return {"scaled_rho_errors": (np.sqrt(fit.n) * (fit.solution.rho - solution.rho)).tolist()}
+
+    def summarize(records):
+        variances = _column(records, "scaled_rho_errors").var(axis=0, ddof=1)
+        return {
+            "empirical_variances": variances.tolist(),
+            "asymptotic_variances": asymptotic.tolist(),
+            "variance_ratios": (variances / asymptotic).tolist(),
+        }
+
+    return record, summarize
+
+
+def _require_null_model(model: CovarianceModel) -> None:
+    for k, l in model.structure.lower_pairs():
+        if np.abs(model.block(k, l)).max() > 0:
+            raise ValueError(f"model violates the null: block ({k}, {l}) is nonzero")
+
+
+def _null_dist(plan: SimulationPlan):
+    """Null distribution of n * statistic vs its chi-square limit.
+
+    Records per replication the statistic and p-values from the chi-square
+    route at unit scale, at the sampler's true kurtosis scale, and (when
+    requested in ``methods``) from the general route. Summaries report the
+    KS distance of the scale-corrected statistic to chi-square(d), the
+    empirical sizes at the requested levels, and the KS distance of the
+    correct-route p-values from uniform.
+    """
+    _require_null_model(plan.model)
+    d = degrees_of_freedom(plan.model.structure)
+    scale = plan.true_scale
+    include_general = "general" in plan.methods
+
+    def record(rng, data, fit):
+        ns = fit.n * s_statistic(fit.that, fit.structure)
+        out = {
+            "ns": float(ns),
+            "p_chi2": float(stats.chi2.sf(ns, df=d)),
+            "p_chi2_scaled": float(stats.chi2.sf(ns / scale, df=d)),
+        }
+        if include_general:
+            out["p_general"] = _general_p_value(plan, rng, fit, data)
+        return out
+
+    def summarize(records):
+        ns = _column(records, "ns")
+        p_scaled = _column(records, "p_chi2_scaled")
+        summary = {
+            "mean_ns": float(ns.mean()),
+            "ks_to_chi2": ks_distance(ns / scale, stats.chi2(df=d).cdf),
+            "p_uniformity_ks": ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0)),
+            "size_chi2": _rates(_column(records, "p_chi2"), plan.alphas),
+            "size_chi2_scaled": _rates(p_scaled, plan.alphas),
+        }
+        if include_general:
+            summary["size_general"] = _rates(_column(records, "p_general"), plan.alphas)
+        return summary
+
+    return record, summarize
+
+
+def _power(plan: SimulationPlan):
+    """Rejection rates per size and method.
+
+    Intended for models violating the null; on a null model the rates reduce
+    to empirical sizes, which is still well defined and occasionally useful,
+    so no guard is imposed.
+    """
+    include_general = "general" in plan.methods
+
+    def record(rng, data, fit):
+        out = {"p_chi2": chi2_test(fit, scale="gaussian", alpha=plan.alphas[0]).p_value}
+        if include_general:
+            out["p_general"] = _general_p_value(plan, rng, fit, data)
+        return out
+
+    def summarize(records):
+        summary = {"rejection_chi2": _rates(_column(records, "p_chi2"), plan.alphas)}
+        if include_general:
+            summary["rejection_general"] = _rates(_column(records, "p_general"), plan.alphas)
+        return summary
+
+    return record, summarize
+
+
+# Each kind's set-up checks its precondition, computes its reference
+# quantities and returns its (record, summarize) pair.
+_KINDS = {
+    "consistency": _consistency,
+    "clt-check": _clt_check,
+    "coeff-clt": _coeff_clt,
+    "null-dist": _null_dist,
+    "power": _power,
+}
+
+
+def run_experiment(plan: SimulationPlan) -> ExperimentResult:
+    """Run a plan: sample, fit and record every (size, replication) cell.
+
+    Each cell draws its sample from its own stream, fits it, and adds the
+    kind's record to ``n`` and ``rep``. After each size, the kind summarizes
+    that size's records.
+    """
+    started = time.perf_counter()
+    record, summarize = _KINDS[plan.kind](plan)
+    records: list[dict] = []
+    summaries: dict[str, dict] = {}
+    for i_size, n in enumerate(plan.sizes):
+        cells = []
+        for rep in range(plan.replications):
+            rng = rng_stream(plan.seed, i_size, rep)
+            data = plan.sample(n, rng)
+            cells.append({"n": n, "rep": rep, **record(rng, data, fit_mslca(data))})
+        summaries[str(n)] = summarize(cells)
+        records.extend(cells)
     meta = {
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -219,276 +463,3 @@ def _finish(plan: SimulationPlan, records: list[dict], summaries: dict, started:
         summaries=summaries,
         meta=meta,
     )
-
-
-def run_consistency(plan: SimulationPlan) -> ExperimentResult:
-    """Estimation error of the operator, coefficients and directions vs n.
-
-    Direction errors are sign-aligned per vector; inside eigenvalue
-    multiplicity groups individual eigenvectors are not identified, so the
-    per-group error of the spanned projectors is recorded as well.
-    """
-    started = time.perf_counter()
-    t_true = build_t(plan.model)
-    solution = solve_mslca(plan.model)
-    group_projectors = [
-        solution.beta[:, list(g)] @ solution.beta[:, list(g)].T for g in solution.groups
-    ]
-    records = []
-    summaries: dict[str, dict] = {}
-    for i_size, n in enumerate(plan.sizes):
-        t_errors, rho_errors, beta_errors, proj_errors = [], [], [], []
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            fit = fit_mslca(plan.sample(n, rng))
-            t_err = float(np.linalg.norm(fit.that - t_true))
-            rho_err = np.abs(fit.solution.rho - solution.rho)
-            beta_err = np.array(
-                [
-                    float(
-                        np.linalg.norm(
-                            align_sign(fit.solution.beta[:, j], solution.beta[:, j])
-                            - solution.beta[:, j]
-                        )
-                    )
-                    for j in range(solution.beta.shape[1])
-                ]
-            )
-            proj_err = np.array(
-                [
-                    float(
-                        np.linalg.norm(
-                            fit.solution.beta[:, list(g)] @ fit.solution.beta[:, list(g)].T
-                            - group_projectors[gi]
-                        )
-                    )
-                    for gi, g in enumerate(solution.groups)
-                ]
-            )
-            records.append(
-                {
-                    "n": n,
-                    "rep": rep,
-                    "t_error": t_err,
-                    "rho_errors": rho_err.tolist(),
-                    "beta_errors": beta_err.tolist(),
-                    "group_projector_errors": proj_err.tolist(),
-                }
-            )
-            t_errors.append(t_err)
-            rho_errors.append(rho_err)
-            beta_errors.append(beta_err)
-            proj_errors.append(proj_err)
-        summaries[str(n)] = {
-            "median_t_error": float(np.median(t_errors)),
-            "median_rho_errors": np.median(np.array(rho_errors), axis=0).tolist(),
-            "median_beta_errors": np.median(np.array(beta_errors), axis=0).tolist(),
-            "median_group_projector_errors": np.median(np.array(proj_errors), axis=0).tolist(),
-        }
-    return _finish(plan, records, summaries, started)
-
-
-def _offdiag_positions(model: CovarianceModel) -> list[tuple[int, int]]:
-    structure = model.structure
-    positions = []
-    for k, l, i, j in gamma_index_map(structure):
-        positions.append((structure.offset(k) + i, structure.offset(l) + j))
-    return positions
-
-
-def run_clt_check(plan: SimulationPlan) -> ExperimentResult:
-    """Covariance of sqrt(n) * estimation error vs covariance of the limit operator.
-
-    For each replication, the off-diagonal block entries of the scaled error
-    are recorded alongside the same entries of the limit operator evaluated
-    at one fresh draw; their empirical covariances should agree.
-    """
-    started = time.perf_counter()
-    _require_whitened_model(plan.model)
-    t_true = build_t(plan.model)
-    positions = _offdiag_positions(plan.model)
-    rows_idx = [p[0] for p in positions]
-    cols_idx = [p[1] for p in positions]
-    records = []
-    summaries: dict[str, dict] = {}
-    for i_size, n in enumerate(plan.sizes):
-        t_entries = np.empty((plan.replications, len(positions)))
-        z_entries = np.empty((plan.replications, len(positions)))
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            fit = fit_mslca(plan.sample(n, rng))
-            err = np.sqrt(n) * (fit.that - t_true)
-            t_entries[rep] = err[rows_idx, cols_idx]
-            fresh = plan.sample(1, rng).rows[0]
-            z_entries[rep] = z_operator(fresh, plan.model)[rows_idx, cols_idx]
-            records.append(
-                {
-                    "n": n,
-                    "rep": rep,
-                    "t_entries": t_entries[rep].tolist(),
-                    "z_entries": z_entries[rep].tolist(),
-                }
-            )
-        cov_t = np.cov(t_entries, rowvar=False)
-        cov_z = np.cov(z_entries, rowvar=False)
-        rel = float(np.linalg.norm(cov_t - cov_z) / np.linalg.norm(cov_z))
-        summaries[str(n)] = {
-            "entry_positions": [list(p) for p in positions],
-            "cov_scaled_error": np.atleast_2d(cov_t).tolist(),
-            "cov_limit_operator": np.atleast_2d(cov_z).tolist(),
-            "relative_discrepancy": rel,
-        }
-    return _finish(plan, records, summaries, started)
-
-
-def run_coeff_clt(plan: SimulationPlan) -> ExperimentResult:
-    """Variance of sqrt(n) * coefficient errors vs the asymptotic covariance.
-
-    Requires a simple population spectrum. The reference variances come from
-    the closed-form Gaussian tensor, scaled by the sampler's kurtosis factor
-    (valid for the elliptical student-t sampler as well).
-    """
-    started = time.perf_counter()
-    solution = solve_mslca(plan.model)
-    if not solution.is_simple:
-        raise RepeatedEigenvaluesError("coefficient CLT experiment needs a simple spectrum")
-    tensor = plan.true_scale * c_tensor_gaussian(plan.model, solution)
-    sigma = sigma_matrix(tensor, solution)
-    records = []
-    summaries: dict[str, dict] = {}
-    for i_size, n in enumerate(plan.sizes):
-        deviations = np.empty((plan.replications, solution.rho.shape[0]))
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            fit = fit_mslca(plan.sample(n, rng))
-            deviations[rep] = np.sqrt(n) * (fit.solution.rho - solution.rho)
-            records.append({"n": n, "rep": rep, "scaled_rho_errors": deviations[rep].tolist()})
-        variances = deviations.var(axis=0, ddof=1)
-        ratios = variances / np.diag(sigma)
-        summaries[str(n)] = {
-            "empirical_variances": variances.tolist(),
-            "asymptotic_variances": np.diag(sigma).tolist(),
-            "variance_ratios": ratios.tolist(),
-        }
-    return _finish(plan, records, summaries, started)
-
-
-def _require_null_model(model: CovarianceModel) -> None:
-    for k, l in model.structure.lower_pairs():
-        if np.abs(model.block(k, l)).max() > 0:
-            raise ValueError(f"model violates the null: block ({k}, {l}) is nonzero")
-
-
-def run_null_dist(plan: SimulationPlan) -> ExperimentResult:
-    """Null distribution of n * statistic vs its chi-square limit.
-
-    Records per replication the statistic and p-values from the chi-square
-    route at unit scale, at the sampler's true kurtosis scale, and (when
-    requested in ``methods``) from the general route. Summaries report the
-    KS distance of the scale-corrected statistic to chi-square(d), the
-    empirical sizes at the requested levels, and the KS distance of the
-    correct-route p-values from uniform.
-    """
-    started = time.perf_counter()
-    _require_null_model(plan.model)
-    d = degrees_of_freedom(plan.model.structure)
-    scale = plan.true_scale
-    include_general = "general" in plan.methods
-    records = []
-    summaries: dict[str, dict] = {}
-    for i_size, n in enumerate(plan.sizes):
-        ns_values = np.empty(plan.replications)
-        p_chi2 = np.empty(plan.replications)
-        p_scaled = np.empty(plan.replications)
-        p_general = np.empty(plan.replications) if include_general else None
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            data = plan.sample(n, rng)
-            fit = fit_mslca(data)
-            ns = n * s_statistic(fit.that, fit.structure)
-            ns_values[rep] = ns
-            p_chi2[rep] = float(stats.chi2.sf(ns, df=d))
-            p_scaled[rep] = float(stats.chi2.sf(ns / scale, df=d))
-            record = {
-                "n": n,
-                "rep": rep,
-                "ns": float(ns),
-                "p_chi2": float(p_chi2[rep]),
-                "p_chi2_scaled": float(p_scaled[rep]),
-            }
-            if include_general:
-                mc_seed = int(rng.integers(2**63 - 1))
-                report = general_test(
-                    fit, data, alpha=plan.alphas[0], mc_draws=plan.mc_draws, seed=mc_seed
-                )
-                p_general[rep] = report.p_value
-                record["p_general"] = report.p_value
-            records.append(record)
-        chi2_cdf = stats.chi2(df=d).cdf
-        summary = {
-            "mean_ns": float(ns_values.mean()),
-            "ks_to_chi2": ks_distance(ns_values / scale, chi2_cdf),
-            "p_uniformity_ks": ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0)),
-            "size_chi2": {str(a): float(np.mean(p_chi2 < a)) for a in plan.alphas},
-            "size_chi2_scaled": {str(a): float(np.mean(p_scaled < a)) for a in plan.alphas},
-        }
-        if include_general:
-            summary["size_general"] = {
-                str(a): float(np.mean(p_general < a)) for a in plan.alphas
-            }
-        summaries[str(n)] = summary
-    return _finish(plan, records, summaries, started)
-
-
-def run_power(plan: SimulationPlan) -> ExperimentResult:
-    """Rejection rates per size and method.
-
-    Intended for models violating the null; on a null model the rates reduce
-    to empirical sizes, which is still well defined and occasionally useful,
-    so no guard is imposed.
-    """
-    started = time.perf_counter()
-    include_general = "general" in plan.methods
-    records = []
-    summaries: dict[str, dict] = {}
-    for i_size, n in enumerate(plan.sizes):
-        p_chi2 = np.empty(plan.replications)
-        p_general = np.empty(plan.replications) if include_general else None
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            data = plan.sample(n, rng)
-            fit = fit_mslca(data)
-            report = chi2_test(fit, scale="gaussian", alpha=plan.alphas[0])
-            p_chi2[rep] = report.p_value
-            record = {"n": n, "rep": rep, "p_chi2": report.p_value}
-            if include_general:
-                mc_seed = int(rng.integers(2**63 - 1))
-                general = general_test(
-                    fit, data, alpha=plan.alphas[0], mc_draws=plan.mc_draws, seed=mc_seed
-                )
-                p_general[rep] = general.p_value
-                record["p_general"] = general.p_value
-            records.append(record)
-        summary = {
-            "rejection_chi2": {str(a): float(np.mean(p_chi2 < a)) for a in plan.alphas}
-        }
-        if include_general:
-            summary["rejection_general"] = {
-                str(a): float(np.mean(p_general < a)) for a in plan.alphas
-            }
-        summaries[str(n)] = summary
-    return _finish(plan, records, summaries, started)
-
-
-_RUNNERS = {
-    "consistency": run_consistency,
-    "clt-check": run_clt_check,
-    "coeff-clt": run_coeff_clt,
-    "null-dist": run_null_dist,
-    "power": run_power,
-}
-
-
-def run_experiment(plan: SimulationPlan) -> ExperimentResult:
-    """Dispatch a plan to its experiment runner."""
-    return _RUNNERS[plan.kind](plan)

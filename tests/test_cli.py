@@ -59,6 +59,25 @@ def test_fit_header_autodetect(tmp_path):
     assert json.loads(out.read_text())["n"] == 3
 
 
+def test_bom_csv_without_header_keeps_first_row(tmp_path):
+    rows = sample_gaussian(CovarianceModel(BlockStructure((1, 1)), np.eye(2)), 50, 43).rows
+    path = tmp_path / "bom.csv"
+    write_csv(path, rows.tolist())
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(path), "--blocks", "1,1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 50
+
+
+def test_bom_csv_with_header_detects_header(tmp_path):
+    path = tmp_path / "bom_header.csv"
+    write_csv(path, [[0.1, 0.2], [0.3, -0.1], [-0.4, 0.5]], header=["left", "right"])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(path), "--blocks", "1,1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 3
+
+
 def test_fit_non_numeric_cell_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
@@ -156,6 +175,26 @@ def test_test_command_flag_rules(gaussian_csv, tmp_path):
     assert report["scale_provenance"] == "plugin"
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("fit", "--group-tol", "0"),
+        ("fit", "--cond-floor", "-1"),
+        ("fit", "--cond-floor", "1"),
+        ("test", "--mc-reps", "0"),
+        ("test", "--mc-reps", "-5"),
+    ],
+)
+def test_numeric_flag_out_of_range_exit_2(gaussian_csv, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "o.json"
+    argv = [command, "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)]
+    if command == "test":
+        argv += ["--method", "general"]
+    assert main(argv + [flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flags_exit_2(gaussian_csv, tmp_path):
     assert main(["fit", "--data", str(gaussian_csv), "--bogus", "1"]) == 2
     assert main(["frobnicate"]) == 2
@@ -216,3 +255,19 @@ def test_simulate_plan_preconditions_exit_4(tmp_path):
     assert main(["simulate", "--config", str(nu_bad), "--out", str(tmp_path / "o.json")]) == 4
     reps_bad = _null_plan_config(tmp_path, replications=0)
     assert main(["simulate", "--config", str(reps_bad), "--out", str(tmp_path / "o.json")]) == 4
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"method": ["general"]}, 2),
+        ({"mc_draws": 0}, 4),
+        ({"dims": [3, 3], "covariance": np.eye(6).tolist(), "sizes": [50, 3]}, 4),
+    ],
+)
+def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):
+    config = _null_plan_config(tmp_path, **overrides)
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -1,11 +1,13 @@
 """Mutual non-correlation statistic and both test routes."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import mslca.blocks
 from mslca import (
     BlockStructure,
     CovarianceModel,
@@ -13,11 +15,13 @@ from mslca import (
     build_t,
     chi2_test,
     degrees_of_freedom,
+    elliptical_scale_plugin,
     fit_mslca,
     general_test,
     s_statistic,
     sample_gaussian,
     sample_student_t,
+    whiten,
 )
 from conftest import (
     blockdiag,
@@ -196,3 +200,29 @@ def test_power_grows_with_n():
         rejections.append(rejected / reps)
     assert rejections[1] >= rejections[0]
     assert rejections[1] > 0.9
+
+
+def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
+    # K block inverse roots plus the eigensolve of T; both test routes whiten
+    # with the fit's means and roots instead of decomposing again
+    model = CovarianceModel(BlockStructure((2, 1, 3)), np.eye(6))
+    data = sample_student_t(model, 10, 400, 263)
+    calls = []
+    original = mslca.blocks.sym_eig
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mslca") and getattr(module, "sym_eig", None) is original:
+            monkeypatch.setattr(module, "sym_eig", counted)
+
+    fit = fit_mslca(data)
+    assert len(calls) == model.structure.n_blocks + 1
+    general_test(fit, data, mc_draws=1000, seed=0)
+    plugin = chi2_test(fit, scale="plugin", data=data)
+    assert len(calls) == model.structure.n_blocks + 1
+
+    monkeypatch.undo()
+    assert plugin.scale == elliptical_scale_plugin(whiten(data))

@@ -1,4 +1,4 @@
-"""Samplers, RNG streams and the Monte Carlo experiment runners."""
+"""Samplers, RNG streams, plans and the Monte Carlo experiments."""
 
 import numpy as np
 import pytest
@@ -17,13 +17,6 @@ from mslca import (
     sample_gaussian,
     sample_student_t,
     student_t_kurtosis_scale,
-)
-from mslca.simulate import (
-    run_clt_check,
-    run_coeff_clt,
-    run_consistency,
-    run_null_dist,
-    run_power,
 )
 from conftest import correlation_model, equicorrelation_model, random_spd_model
 
@@ -110,6 +103,27 @@ def test_plan_validation():
         )
 
 
+def test_plan_rejects_nonpositive_mc_draws():
+    with pytest.raises(PlanPreconditionError, match="Monte Carlo draw"):
+        SimulationPlan(kind="null-dist", model=NULL_222, sizes=(100,), replications=5, mc_draws=0)
+
+
+def test_plan_rejects_sizes_not_above_largest_block():
+    # a centered sample of n rows has rank at most n - 1, so n = 3 cannot
+    # support a 3-dimensional block; the plan fails before any cell runs
+    model = CovarianceModel(BlockStructure((3, 3)), np.eye(6))
+    with pytest.raises(PlanPreconditionError, match="largest block dimension 3"):
+        SimulationPlan(kind="null-dist", model=model, sizes=(50, 3), replications=5)
+    SimulationPlan(kind="null-dist", model=model, sizes=(50, 4), replications=5)
+
+
+def test_plan_from_dict_rejects_unknown_keys():
+    raw = SimulationPlan(kind="power", model=NULL_222, sizes=(100,), replications=5).to_dict()
+    raw["method"] = ["general"]
+    with pytest.raises(ValueError, match=r"unknown keys: \['method'\]"):
+        SimulationPlan.from_dict(raw)
+
+
 def test_plan_roundtrip():
     plan = SimulationPlan(
         kind="null-dist", model=NULL_222, sizes=(100, 200), replications=3,
@@ -125,7 +139,7 @@ def test_run_consistency_medians_decrease():
     plan = SimulationPlan(
         kind="consistency", model=WHITENED_111, sizes=(100, 1000), replications=30, seed=1
     )
-    result = run_consistency(plan)
+    result = run_experiment(plan)
     assert len(result.records) == 2 * 30
     med_small = result.summaries["100"]["median_t_error"]
     med_large = result.summaries["1000"]["median_t_error"]
@@ -138,7 +152,7 @@ def test_run_consistency_medians_decrease():
 def test_run_consistency_null_model_errors_equal_estimates():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     plan = SimulationPlan(kind="consistency", model=model, sizes=(50,), replications=5, seed=2)
-    result = run_consistency(plan)
+    result = run_experiment(plan)
     for record in result.records:
         fit_errors = np.array(record["rho_errors"])
         assert np.all(fit_errors >= 0)
@@ -157,7 +171,7 @@ def test_run_consistency_group_projectors_converge_for_degenerate_spectra():
     # but the spanned projector still converges
     model = equicorrelation_model(3, 0.5)
     plan = SimulationPlan(kind="consistency", model=model, sizes=(200, 5000), replications=30, seed=21)
-    result = run_consistency(plan)
+    result = run_experiment(plan)
     small = result.summaries["200"]["median_group_projector_errors"]
     large = result.summaries["5000"]["median_group_projector_errors"]
     assert len(small) == 2  # groups: top eigenvalue, repeated pair
@@ -168,10 +182,10 @@ def test_run_consistency_group_projectors_converge_for_degenerate_spectra():
 
 def test_run_consistency_median_stability_in_replications():
     base = dict(kind="consistency", model=WHITENED_111, sizes=(400,), seed=3)
-    med_30 = run_consistency(SimulationPlan(replications=30, **base)).summaries["400"][
+    med_30 = run_experiment(SimulationPlan(replications=30, **base)).summaries["400"][
         "median_t_error"
     ]
-    med_60 = run_consistency(SimulationPlan(replications=60, **base)).summaries["400"][
+    med_60 = run_experiment(SimulationPlan(replications=60, **base)).summaries["400"][
         "median_t_error"
     ]
     assert abs(med_60 - med_30) / med_30 < 0.2
@@ -180,7 +194,7 @@ def test_run_consistency_median_stability_in_replications():
 def test_run_clt_check_smoke():
     model = CovarianceModel(BlockStructure((1, 1, 1)), np.eye(3))
     plan = SimulationPlan(kind="clt-check", model=model, sizes=(500,), replications=400, seed=5)
-    result = run_clt_check(plan)
+    result = run_experiment(plan)
     summary = result.summaries["500"]
     cov_t = np.array(summary["cov_scaled_error"])
     # under the null each off-diagonal entry of the limit operator has unit variance
@@ -193,21 +207,21 @@ def test_run_clt_check_requires_whitened_model():
     model = CovarianceModel(BlockStructure((1, 1)), np.diag([2.0, 1.0]))
     plan = SimulationPlan(kind="clt-check", model=model, sizes=(100,), replications=3)
     with pytest.raises(ValueError):
-        run_clt_check(plan)
+        run_experiment(plan)
 
 
 def test_run_coeff_clt_smoke_and_guard():
     plan = SimulationPlan(
         kind="coeff-clt", model=WHITENED_111, sizes=(2000,), replications=300, seed=7
     )
-    result = run_coeff_clt(plan)
+    result = run_experiment(plan)
     ratios = np.array(result.summaries["2000"]["variance_ratios"])
     assert np.all(ratios > 0.5) and np.all(ratios < 1.6)
 
     degenerate = equicorrelation_model(3, 0.5)
     bad_plan = SimulationPlan(kind="coeff-clt", model=degenerate, sizes=(100,), replications=3)
     with pytest.raises(RepeatedEigenvaluesError):
-        run_coeff_clt(bad_plan)
+        run_experiment(bad_plan)
 
 
 def test_run_null_dist_smoke():
@@ -215,7 +229,7 @@ def test_run_null_dist_smoke():
         kind="null-dist", model=NULL_222, sizes=(300,), replications=200, seed=9,
         alphas=(0.05, 0.1),
     )
-    result = run_null_dist(plan)
+    result = run_experiment(plan)
     summary = result.summaries["300"]
     assert summary["ks_to_chi2"] < 0.12
     assert abs(summary["mean_ns"] - 12) < 1.5
@@ -228,7 +242,7 @@ def test_run_null_dist_rejects_alternative_model():
     model = correlation_model((1, 1), {(1, 0): 0.3})
     plan = SimulationPlan(kind="null-dist", model=model, sizes=(100,), replications=3)
     with pytest.raises(ValueError):
-        run_null_dist(plan)
+        run_experiment(plan)
 
 
 def test_run_power_smoke():
@@ -237,7 +251,7 @@ def test_run_power_smoke():
         kind="power", model=model, sizes=(500,), replications=60, seed=11,
         methods=("chi2", "general"), mc_draws=2000,
     )
-    result = run_power(plan)
+    result = run_experiment(plan)
     summary = result.summaries["500"]
     assert summary["rejection_chi2"]["0.05"] > 0.9
     assert summary["rejection_general"]["0.05"] > 0.9
@@ -246,7 +260,7 @@ def test_run_power_smoke():
 def test_run_power_null_model_reduces_to_size():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     plan = SimulationPlan(kind="power", model=model, sizes=(400,), replications=200, seed=13)
-    rate = run_power(plan).summaries["400"]["rejection_chi2"]["0.05"]
+    rate = run_experiment(plan).summaries["400"]["rejection_chi2"]["0.05"]
     assert abs(rate - 0.05) < 0.05
 
 
