@@ -18,30 +18,43 @@ Provided pieces:
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
-  of independent one-degree chi-squares, with seeded Monte Carlo tails.
+  of independent one-degree chi-squares and its upper tail, inverted
+  numerically from the Laplace transform to within ``TAIL_ATOL``.
 * ``elliptical_scale_plugin`` -- kurtosis-scale estimate for the elliptical
   chi-square route of the test.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import stats
 
 from .blocks import BlockStructure
 from .estimation import Dataset
 from .exceptions import (
     InsufficientSampleError,
+    MslcaError,
     NegativeWeightError,
     RepeatedEigenvaluesError,
 )
 from .population import CovarianceModel, MslcaSolution
 
 WEIGHT_CLAMP_FLOOR = -1e-8
-DEFAULT_MC_DRAWS = 200_000
 WHITENED_ATOL = 1e-6
+# Absolute error allowed in a weighted chi-square tail probability.
+TAIL_ATOL = 1e-10
+# Term counts the tail plan may choose, about 2**(i / 4) up to the budget of
+# 2**22 terms, and the highest summation-by-parts order of its error bound.
+_TERM_GRID = np.unique(np.ceil(2.0 ** (np.arange(89) / 4.0))).astype(np.int64)
+_MAX_ORDER = 12
+_CHUNK_ENTRIES = 1 << 18  # nodes x distinct weights evaluated at once
+# Chernoff exponents tried, as fractions of their limit 1 / (2 lam_max).
+_CHERNOFF_GRID = np.concatenate([np.geomspace(1e-3, 0.5, 12), 1.0 - np.geomspace(0.4, 1e-4, 16)])
 
 
 def _require_whitened_model(model: CovarianceModel, atol: float = 1e-8) -> None:
@@ -389,46 +402,152 @@ class EigenChiSquareDist:
     """
 
     weights: np.ndarray
-    draws: int = DEFAULT_MC_DRAWS
-    seed: int = 0
 
-    def __init__(self, weights, draws: int = DEFAULT_MC_DRAWS, seed: int = 0):
+    def __init__(self, weights):
         weights = np.sort(np.asarray(weights, dtype=float))[::-1]
         if weights.size == 0:
             raise ValueError("need at least one weight")
-        if draws < 1:
-            raise ValueError(f"need at least one Monte Carlo draw, got {draws}")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if weights[-1] < WEIGHT_CLAMP_FLOOR:
             raise NegativeWeightError(f"weight {weights[-1]:.3e} is negative")
         weights = np.clip(weights, 0.0, None)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "draws", int(draws))
-        object.__setattr__(self, "seed", int(seed))
 
 
 def quad_form_pvalue(dist: EigenChiSquareDist, observed: float) -> float:
-    """Upper-tail probability P(sum_i w_i chi2_1 >= observed), by seeded Monte Carlo.
+    """Upper-tail probability P(sum_i w_i chi2_1 >= observed), within TAIL_ATOL.
 
-    Deterministic given (weights, observed, seed, draws). Monte Carlo keeps
-    the tail estimate unbiased and dependency-free; with the default draw
-    count the standard error near p = 0.05 is about 5e-4.
+    Zero weights are dropped and equal weights merged into one scaled
+    chi-square term whose degrees of freedom are their count. A statistic of
+    0 gives exactly 1; with all weights zero a positive statistic gives
+    exactly 0, and with one distinct weight lam of count m the tail is
+    ``chi2.sf(observed / lam, m)``. Any other law is inverted from its Laplace
+    transform by ``_inversion_sf``, whose aliasing and truncation errors are
+    bounded in advance; the result is clipped to [0, 1]. Deterministic.
     """
     observed = float(observed)
-    if observed < 0:
-        raise ValueError(f"observed statistic must be nonnegative, got {observed}")
-    rng = np.random.default_rng(np.random.SeedSequence(dist.seed))
-    d = dist.weights.shape[0]
-    hits = 0
-    remaining = dist.draws
-    chunk_rows = max(1, min(dist.draws, 4_000_000 // max(d, 1)))
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        draws = rng.standard_normal((rows, d))
-        samples = (draws * draws) @ dist.weights
-        hits += int(np.count_nonzero(samples >= observed))
-        remaining -= rows
-    return hits / dist.draws
+    if not 0.0 <= observed < math.inf:
+        raise ValueError(f"observed statistic must be finite and nonnegative, got {observed}")
+    if observed == 0.0:
+        return 1.0
+    positive = dist.weights[dist.weights > 0.0]
+    if positive.size == 0:
+        return 0.0
+    lam, mult = np.unique(positive, return_counts=True)
+    if lam.size == 1:
+        return float(stats.chi2.sf(observed / lam[0], mult[0]))
+    p_value = _inversion_sf(lam[::-1], mult[::-1].astype(float), observed)
+    return min(1.0, max(0.0, p_value))
+
+
+def _log_abs_laplace(lam: np.ndarray, mult: np.ndarray, sigma, u) -> np.ndarray:
+    """log |E exp(-(sigma + iu) Q)| for Q = sum_j lam_j chi2(m_j); broadcasts sigma and u."""
+    a = 1.0 + 2.0 * np.multiply.outer(sigma, lam)
+    b = 2.0 * np.multiply.outer(u, lam)
+    with np.errstate(over="ignore"):  # an overflow stands for a modulus of 0
+        return -0.25 * (np.log(a * a + b * b) @ mult)
+
+
+def _g_hat(lam: np.ndarray, mult: np.ndarray, sigma: float, u: np.ndarray) -> np.ndarray:
+    """Fourier transform of exp(-sigma y) P(Q <= y) at each u: Lap(sigma + iu) / (sigma + iu)."""
+    arg = -0.5 * (np.arctan2(2.0 * np.outer(u, lam), 1.0 + 2.0 * sigma * lam) @ mult)
+    return np.exp(_log_abs_laplace(lam, mult, sigma, u) + 1j * arg) / (sigma + 1j * u)
+
+
+def _tail_plan(lam: np.ndarray, mult: np.ndarray, x: float, budget: float):
+    """Period L, damping sigma, term count K and order p of the inversion sum.
+
+    Aliasing and truncation get half of ``budget`` each. Two periods are
+    tried: one reaching past the Chernoff bound of the upper tail with light
+    damping (sigma L = 1), which suits x in the body or upper tail of Q, and
+    L = 8x with the damping its aliasing needs, which suits x far below the
+    mean. The one needing fewer terms wins. Raises MslcaError when neither
+    meets the budget within the largest count of ``_TERM_GRID``.
+    """
+    eps = 0.5 * budget
+    # Chernoff: log P(Q >= y) <= c(t) - t y for 0 <= t < 1 / (2 lam_max)
+    t = _CHERNOFF_GRID / (2.0 * lam[0])
+    c = -0.5 * (np.log1p(-2.0 * np.outer(t, lam)) @ mult)
+    # with sigma L = 1 the aliasing bound is S(x + L) / (e - 1)
+    reach = float(np.min((c - math.log(eps * math.expm1(1.0))) / t))
+    periods = np.array([max(2.0 * x, reach - x), 8.0 * x])
+    log_upper = np.minimum(0.0, np.min(c - np.outer(x + periods, t), axis=1))
+    damping = np.maximum(1.0, np.log1p(np.exp(log_upper) / eps))  # sigma * L
+    sigma = damping / periods
+    step = 2.0 * math.pi / periods
+    log_spin = np.log(2.0 * np.sin(math.pi * x / periods))
+    log_pref = sigma * x - math.log(math.pi)
+    orders = np.arange(1, _MAX_ORDER + 1)
+    a_coef = 1.0 + 0.5 * float(mult.sum())
+    log_rising = np.cumsum(np.log(a_coef + orders - 1.0)) - np.log(orders)
+    for lo in range(0, _TERM_GRID.size, 16):
+        terms = _TERM_GRID[lo : lo + 16]
+        log_r = _log_abs_laplace(lam, mult, sigma[:, None], np.outer(step, terms))
+        log_bound = (
+            (log_pref[:, None] + log_r)[:, :, None]
+            + log_rising
+            - orders * (log_spin[:, None] + np.log(terms))[:, :, None]
+        )
+        cost = np.where(log_bound <= math.log(eps), terms[:, None] + orders, np.inf)
+        if np.isfinite(cost).any():
+            i, k, j = np.unravel_index(np.argmin(cost), cost.shape)
+            return periods[i], sigma[i], int(terms[k]), int(orders[j])
+    raise MslcaError(
+        f"weighted chi-square tail at {x:.6g} needs more than {_TERM_GRID[-1]} terms "
+        f"for an error below {budget:.1e}"
+    )
+
+
+def _inversion_sf(lam: np.ndarray, mult: np.ndarray, x: float) -> float:
+    """P(Q >= x) for Q = sum_j lam_j chi2(m_j), distinct lam_j > 0 (at least two), x > 0.
+
+    With F the CDF of Q, Lap(s) = E exp(-sQ) = prod_j (1 + 2 lam_j s)^(-m_j/2)
+    and sigma > 0, the function exp(-sigma y) F(y) (zero for y < 0) has the
+    Fourier transform g(u) = Lap(sigma + iu) / (sigma + iu). Poisson summation
+    at step D = 2 pi / L with L > x gives exactly, with z = exp(iDx),
+
+        exp(sigma x) D / (2 pi) [g(0) + 2 Re sum_{k >= 1} g(kD) z^k]
+            = F(x) + sum_{n >= 1} exp(-sigma n L) F(x + nL).
+
+    Writing F = 1 - S in the aliased sum leaves a known part
+    1 / expm1(sigma L) less theta, 0 <= theta <= S(x + L) / expm1(sigma L).
+    The series is cut after K - 1 terms. Summing its rest by parts p times
+    gives p boundary terms, which are added, and a remainder
+    sum_k (Delta^p g)_k z^(k+p) / (1 - z)^p. Every derivative of log g obeys
+    |(log g)^(j)(u)| <= (j - 1)! A / u^j with A = 1 + sum_j m_j / 2, so
+    |g^(p)(u)| <= |Lap(sigma + iu)| (A)_p / u^(p + 1), and the remainder
+    moves F by at most
+
+        exp(sigma x) / pi * (A)_p / p * |Lap(sigma + iKD)| / (2K sin(pi x / L))^p.
+
+    ``_tail_plan`` chooses L, sigma, K and p so that theta and this bound
+    each stay below TAIL_ATOL / 4; the other half is left for rounding.
+    """
+    period, sigma, n_terms, order = _tail_plan(lam, mult, x, 0.5 * TAIL_ATOL)
+    step = 2.0 * math.pi / period
+    phase = step * x
+    series = 0.0j
+    boundary = []
+    chunk = max(1, _CHUNK_ENTRIES // lam.size)
+    for start in range(1, n_terms + order, chunk):
+        k = np.arange(start, min(start + chunk, n_terms + order))
+        values = _g_hat(lam, mult, sigma, k * step)
+        head = k < n_terms
+        series += np.sum(values[head] * np.exp(1j * np.mod(k[head] * phase, 2.0 * math.pi)))
+        boundary.append(values[~head])
+    # boundary terms sum_{j < p} z^(K + j) (Delta^j g)_K / (1 - z)^(j + 1)
+    z = cmath.exp(1j * phase)
+    factor = cmath.exp(1j * math.fmod(n_terms * phase, 2.0 * math.pi)) / (1.0 - z)
+    diffs = np.concatenate(boundary).tolist()
+    for _ in range(order):
+        series += factor * diffs[0]
+        factor *= z / (1.0 - z)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    g0 = math.exp(-0.5 * float(np.log1p(2.0 * sigma * lam) @ mult)) / sigma
+    cdf = math.exp(sigma * x) * step / (2.0 * math.pi) * (g0 + 2.0 * series.real)
+    return 1.0 + 1.0 / math.expm1(sigma * period) - cdf
 
 
 def elliptical_scale_plugin(data: Dataset) -> float:

@@ -151,7 +151,11 @@ def sym_power(
     Raises NearSingularError when lambda_min <= cond_floor * lambda_max;
     a near-singular block covariance signals collinear data and must surface
     as an error rather than silently inflate an inverse square root.
+    ``cond_floor`` must lie in [0, 1) (ValueError otherwise): a negative or
+    NaN floor would switch the guard off.
     """
+    if not 0.0 <= cond_floor < 1.0:
+        raise ValueError(f"cond_floor must lie in [0, 1), got {cond_floor}")
     eig = sym_eig(a)
     lam_min = float(eig.eigenvalues[-1])
     lam_max = float(eig.eigenvalues[0])

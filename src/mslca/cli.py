@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config),
 3 near-singular block covariance, 4 simulation-plan precondition violation.
-Every command is deterministic given its flags; omitted seeds mean 0, never
-wall clock. Floats in JSON use Python's shortest round-trip representation,
-so re-parsing an output reconstructs every value bit-for-bit.
+Every command is deterministic given its inputs; a simulation plan without
+a seed uses 0, never the wall clock. ``test --method general`` inverts the
+weighted chi-square tail numerically; the report's ``p_value_error_bound``
+(1e-10) bounds the absolute error of its p-value. Floats in JSON use
+Python's shortest round-trip representation, so re-parsing an output
+reconstructs every value bit-for-bit.
 """
 
 from __future__ import annotations
@@ -166,17 +169,13 @@ def _cmd_test(args) -> int:
         raise InputError("--scale only applies to --method chi2")
     if not 0 < args.alpha < 1:
         raise InputError(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.mc_reps < 1:
-        raise InputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
     data = load_dataset(args.data, args.blocks)
     fit = fit_mslca(data)
     if args.method == "chi2":
         scale = _parse_scale(args.scale) if args.scale is not None else "gaussian"
         report = chi2_test(fit, scale=scale, alpha=args.alpha, data=data)
     else:
-        report = general_test(
-            fit, data, alpha=args.alpha, mc_draws=args.mc_reps, seed=args.seed
-        )
+        report = general_test(fit, data, alpha=args.alpha)
     write_json(args.out, report.to_dict())
     print(report.summary_line())
     return EXIT_OK
@@ -222,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     test_p.add_argument("--method", choices=("chi2", "general"), default="chi2")
     test_p.add_argument("--scale", default=None, help="chi2 route: gaussian | plugin | positive float")
     test_p.add_argument("--alpha", type=float, default=0.05)
-    test_p.add_argument("--mc-reps", type=int, default=200_000,
-                        help="Monte Carlo draws for the general route")
-    test_p.add_argument("--seed", type=int, default=0)
     test_p.add_argument("--out", required=True)
     test_p.set_defaults(func=_cmd_test)
 

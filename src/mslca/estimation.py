@@ -30,7 +30,20 @@ class Dataset:
     rows: np.ndarray
 
     def __init__(self, structure: BlockStructure, rows: np.ndarray):
-        rows = np.asarray(rows, dtype=float)
+        self._adopt(structure, np.array(rows, dtype=float))
+
+    @classmethod
+    def _from_fresh(cls, structure: BlockStructure, rows: np.ndarray) -> "Dataset":
+        """Wrap a float array the package has just built, without copying it.
+
+        Same checks as the constructor; the array becomes read-only, so the
+        caller must hold no other use for it.
+        """
+        data = object.__new__(cls)
+        data._adopt(structure, rows)
+        return data
+
+    def _adopt(self, structure: BlockStructure, rows: np.ndarray) -> None:
         if rows.ndim != 2 or rows.shape[1] != structure.total_dim:
             raise ValueError(
                 f"rows must have shape (n, {structure.total_dim}), got {rows.shape}"
@@ -40,7 +53,6 @@ class Dataset:
         if not np.isfinite(rows).all():
             bad = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
-        rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "rows", rows)
@@ -84,7 +96,7 @@ def center(data: Dataset) -> tuple[Dataset, np.ndarray]:
     """Subtract column means; returns the centered data and the means."""
     _require_rows(data)
     means = data.rows.mean(axis=0)
-    return Dataset(data.structure, data.rows - means), means
+    return Dataset._from_fresh(data.structure, data.rows - means), means
 
 
 def empirical_cov(data: Dataset) -> CovarianceModel:
@@ -139,7 +151,7 @@ def _whiten_with(data: Dataset, means: np.ndarray, inv_roots) -> Dataset:
     for k, root in enumerate(inv_roots):
         sl = data.structure.block_slice(k)
         out[:, sl] = centered[:, sl] @ root
-    return Dataset(data.structure, out)
+    return Dataset._from_fresh(data.structure, out)
 
 
 def whiten(data: Dataset, cond_floor: float = DEFAULT_COND_FLOOR) -> Dataset:

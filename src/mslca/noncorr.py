@@ -18,7 +18,7 @@ from scipy import stats
 from .blocks import BlockStructure, extract_block, frobenius_sq
 from .estimation import Dataset, MslcaFit, _whiten_with
 from .asymptotics import (
-    DEFAULT_MC_DRAWS,
+    TAIL_ATOL,
     EigenChiSquareDist,
     MomentAccumulator,
     build_gamma,
@@ -36,7 +36,10 @@ class TestReport:
     ``scale`` and ``scale_provenance`` describe the kurtosis factor applied
     on the chi-square route (``gaussian-default`` | ``plugin`` | ``user``);
     both are None on the general route, which estimates the full weight
-    vector instead (reported in ``gamma_eigenvalues``).
+    vector instead (reported in ``gamma_eigenvalues``). ``p_value_error_bound``
+    is the guaranteed absolute error of the general route's p-value against
+    the exact tail of its weighted chi-square law, and None on the chi-square
+    route, whose p-value is the chi-square tail itself.
     """
 
     n: int
@@ -50,6 +53,7 @@ class TestReport:
     alpha: float
     reject: bool
     gamma_eigenvalues: np.ndarray | None = None
+    p_value_error_bound: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -66,6 +70,7 @@ class TestReport:
             "gamma_eigenvalues": (
                 None if self.gamma_eigenvalues is None else list(self.gamma_eigenvalues)
             ),
+            "p_value_error_bound": self.p_value_error_bound,
         }
 
     def summary_line(self) -> str:
@@ -143,20 +148,16 @@ def chi2_test(
     )
 
 
-def general_test(
-    fit: MslcaFit,
-    data: Dataset,
-    alpha: float = 0.05,
-    mc_draws: int = DEFAULT_MC_DRAWS,
-    seed: int = 0,
-) -> TestReport:
+def general_test(fit: MslcaFit, data: Dataset, alpha: float = 0.05) -> TestReport:
     """General route: weighted chi-square with weights from estimated fourth moments.
 
     Whitens the data with the fit's means and block inverse roots, estimates
     the covariance of the stacked off-diagonal block entries without imposing
     the null on cross-moments (the estimate is consistent either way and
     converges to the right object under the null), and refers n*S to the
-    weighted chi-square via seeded Monte Carlo.
+    weighted chi-square whose weights are that matrix's eigenvalues. The
+    p-value is deterministic and within ``TAIL_ATOL`` of the exact tail of
+    that law (``quad_form_pvalue``).
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -174,8 +175,7 @@ def general_test(
     weights = gamma.eigenvalues()
     s = s_statistic(fit.that, fit.structure)
     ns = fit.n * s
-    dist = EigenChiSquareDist(weights, draws=mc_draws, seed=seed)
-    p_value = quad_form_pvalue(dist, ns)
+    p_value = quad_form_pvalue(EigenChiSquareDist(weights), ns)
     return TestReport(
         n=fit.n,
         d=d,
@@ -188,4 +188,5 @@ def general_test(
         alpha=alpha,
         reject=bool(p_value < alpha),
         gamma_eigenvalues=weights,
+        p_value_error_bound=TAIL_ATOL,
     )

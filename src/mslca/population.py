@@ -11,6 +11,7 @@ directions are Phi^{-1/2} times its orthonormal eigenvectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,8 @@ def _solve(
     model: CovarianceModel, group_tol: float, cond_floor: float
 ) -> tuple[np.ndarray, MslcaSolution, list[np.ndarray]]:
     """T, its solution and the block inverse roots, each computed once."""
-    if group_tol <= 0:
-        raise ValueError("group_tol must be positive")
+    if not 0.0 < group_tol < math.inf:
+        raise ValueError(f"group_tol must be a positive finite number, got {group_tol}")
     structure = model.structure
     inv_roots = _block_inv_sqrts(model, cond_floor)
     t = _assemble_t(model, inv_roots)

@@ -20,7 +20,7 @@ from scipy import stats
 
 from . import __version__
 from .blocks import psd_sqrt
-from .estimation import Dataset, MslcaFit, align_sign, fit_mslca
+from .estimation import Dataset, align_sign, fit_mslca
 from .exceptions import NuTooSmallError, PlanPreconditionError, RepeatedEigenvaluesError
 from .noncorr import chi2_test, degrees_of_freedom, general_test, s_statistic
 from .population import CovarianceModel, build_t, solve_mslca
@@ -58,7 +58,7 @@ def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
     rng = _as_generator(seed)
     root = psd_sqrt(model.v)
     rows = rng.standard_normal((n, model.structure.total_dim)) @ root
-    return Dataset(model.structure, rows)
+    return Dataset._from_fresh(model.structure, rows)
 
 
 def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset:
@@ -77,7 +77,7 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
     gauss = rng.standard_normal((n, model.structure.total_dim)) @ root
     mixing = rng.chisquare(nu, size=n)
     rows = gauss * np.sqrt((nu - 2.0) / mixing)[:, None]
-    return Dataset(model.structure, rows)
+    return Dataset._from_fresh(model.structure, rows)
 
 
 def student_t_kurtosis_scale(nu: float) -> float:
@@ -112,7 +112,6 @@ class SimulationPlan:
     seed: int = 0
     alphas: tuple[float, ...] = (0.05,)
     methods: tuple[str, ...] = ("chi2",)
-    mc_draws: int = 20_000
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -140,8 +139,6 @@ class SimulationPlan:
             raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
         if any(m not in ("chi2", "general") for m in self.methods):
             raise ValueError(f"methods must be chi2/general, got {self.methods}")
-        if self.mc_draws < 1:
-            raise PlanPreconditionError(f"need at least 1 Monte Carlo draw, got {self.mc_draws}")
         if self.sampler == "student-t":
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
@@ -172,7 +169,6 @@ class SimulationPlan:
             "seed": self.seed,
             "alphas": list(self.alphas),
             "methods": list(self.methods),
-            "mc_draws": self.mc_draws,
         }
 
     @classmethod
@@ -180,7 +176,7 @@ class SimulationPlan:
         from .blocks import BlockStructure
 
         required = ("kind", "dims", "covariance", "sizes", "replications")
-        optional = ("sampler", "nu", "seed", "alphas", "methods", "mc_draws")
+        optional = ("sampler", "nu", "seed", "alphas", "methods")
         missing = [key for key in required if key not in raw]
         if missing:
             raise KeyError(f"plan config is missing keys: {missing}")
@@ -228,15 +224,6 @@ def _column(records: list[dict], key: str) -> np.ndarray:
 
 def _rates(p_values: np.ndarray, alphas: tuple[float, ...]) -> dict[str, float]:
     return {str(a): float(np.mean(p_values < a)) for a in alphas}
-
-
-def _general_p_value(
-    plan: SimulationPlan, rng: np.random.Generator, fit: MslcaFit, data: Dataset
-) -> float:
-    """General-route p-value, its Monte Carlo seed drawn from the cell's stream."""
-    mc_seed = int(rng.integers(2**63 - 1))
-    report = general_test(fit, data, alpha=plan.alphas[0], mc_draws=plan.mc_draws, seed=mc_seed)
-    return report.p_value
 
 
 def _consistency(plan: SimulationPlan):
@@ -377,7 +364,7 @@ def _null_dist(plan: SimulationPlan):
             "p_chi2_scaled": float(stats.chi2.sf(ns / scale, df=d)),
         }
         if include_general:
-            out["p_general"] = _general_p_value(plan, rng, fit, data)
+            out["p_general"] = general_test(fit, data, alpha=plan.alphas[0]).p_value
         return out
 
     def summarize(records):
@@ -409,7 +396,7 @@ def _power(plan: SimulationPlan):
     def record(rng, data, fit):
         out = {"p_chi2": chi2_test(fit, scale="gaussian", alpha=plan.alphas[0]).p_value}
         if include_general:
-            out["p_general"] = _general_p_value(plan, rng, fit, data)
+            out["p_general"] = general_test(fit, data, alpha=plan.alphas[0]).p_value
         return out
 
     def summarize(records):

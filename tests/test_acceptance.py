@@ -204,7 +204,7 @@ def test_criterion_08_elliptical_scale():
 
     size_plan = SimulationPlan(
         kind="null-dist", model=NULL_222, sizes=(5000,), replications=2000,
-        seed=0, sampler="student-t", nu=10, methods=("chi2", "general"), mc_draws=20_000,
+        seed=0, sampler="student-t", nu=10, methods=("chi2", "general"),
     )
     sizes = run_experiment(size_plan).summaries["5000"]
     chi2_size = sizes["size_chi2"]["0.05"]
@@ -236,9 +236,7 @@ def test_criterion_09_gaussian_gamma_identity():
         data = sample_gaussian(NULL_222, 5000, rng)
         fit = fit_mslca(data)
         p_chi2 = chi2_test(fit).p_value
-        p_general = general_test(
-            fit, data, mc_draws=200_000, seed=int(rng.integers(2**63 - 1))
-        ).p_value
+        p_general = general_test(fit, data).p_value
         diffs.append(abs(p_chi2 - p_general))
     max_diff = float(np.max(diffs))
     ok = gamma_gap < 0.1 and max_diff < 0.02

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mslca.asymptotics
 from mslca import (
     BlockStructure,
     CovarianceModel,
     EigenChiSquareDist,
     InsufficientSampleError,
     MomentAccumulator,
+    MslcaError,
     NegativeWeightError,
     RepeatedEigenvaluesError,
     build_gamma,
@@ -25,7 +27,7 @@ from mslca import (
     whiten,
     z_operator,
 )
-from mslca.asymptotics import gamma_index_map
+from mslca.asymptotics import TAIL_ATOL, gamma_index_map
 from conftest import correlation_model, equicorrelation_model
 
 WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
@@ -283,37 +285,116 @@ def test_sigma_matrix_repeated_eigenvalues_guard():
         sigma_matrix(tensor, solution)
 
 
+def _monte_carlo_tail(weights, observed, draws, seed):
+    """Seeded Monte Carlo estimate of P(sum_i w_i chi2_1 >= observed): the oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    weights = np.asarray(weights, dtype=float)
+    hits = 0
+    chunk = max(1, 4_000_000 // weights.size)
+    for start in range(0, draws, chunk):
+        normals = rng.standard_normal((min(chunk, draws - start), weights.size))
+        hits += int(np.count_nonzero((normals * normals) @ weights >= observed))
+    return hits / draws
+
+
 def test_quad_form_pvalue_zero_observed():
-    dist = EigenChiSquareDist(np.ones(3), draws=10_000, seed=0)
+    dist = EigenChiSquareDist(np.ones(3))
     assert quad_form_pvalue(dist, 0.0) == 1.0
+    assert quad_form_pvalue(EigenChiSquareDist([2.0, 0.5]), 0.0) == 1.0
+
+
+def test_quad_form_pvalue_all_zero_weights():
+    dist = EigenChiSquareDist([0.0, -1e-9, 0.0])
+    assert quad_form_pvalue(dist, 0.0) == 1.0
+    assert quad_form_pvalue(dist, 1e-300) == 0.0
+    assert quad_form_pvalue(dist, 3.0) == 0.0
 
 
 def test_quad_form_pvalue_chi2_twelve_quantile():
-    # 21.0261 is the 0.95 quantile of chi-square(12)
-    dist = EigenChiSquareDist(np.ones(12), draws=200_000, seed=5)
-    assert quad_form_pvalue(dist, 21.0261) == pytest.approx(0.05, abs=0.005)
+    # 21.0261 is the 0.95 quantile of chi-square(12), rounded to 4 decimals
+    dist = EigenChiSquareDist(np.ones(12))
+    assert quad_form_pvalue(dist, 21.0261) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_quad_form_pvalue_single_weight_scaling():
     lam, x = 2.5, 4.0
-    dist = EigenChiSquareDist([lam], draws=200_000, seed=7)
+    dist = EigenChiSquareDist([lam, 0.0])
     expected = float(stats.chi2.sf(x / lam, df=1))
-    assert quad_form_pvalue(dist, x) == pytest.approx(expected, abs=0.005)
+    assert quad_form_pvalue(dist, x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_quad_form_pvalue_grid_against_chi2_cdf():
-    d, draws = 3, 200_000
-    dist = EigenChiSquareDist(np.ones(d), draws=draws, seed=11)
+    d = 3
+    dist = EigenChiSquareDist(np.ones(d))
     for level in (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
         x = float(stats.chi2.ppf(level, df=d))
+        assert quad_form_pvalue(dist, x) == pytest.approx(1.0 - level, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 600])
+def test_quad_form_pvalue_equal_weights_match_chi2(d):
+    # alternate weights differ by 1e-13, so d >= 2 runs the inversion sum, not
+    # the single-weight shortcut; that moves the exact tail by far less than 1e-8
+    weights = 1.0 + 1e-13 * (np.arange(d) % 2)
+    dist = EigenChiSquareDist(weights)
+    for level in (1e-9, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-9):
+        x = float(stats.chi2.isf(level, df=d))
+        assert abs(quad_form_pvalue(dist, x) - stats.chi2.sf(x, df=d)) <= 1e-8
+
+
+def test_quad_form_pvalue_even_multiplicities_closed_form():
+    # each distinct weight twice: the law is a mixture of exponential tails,
+    # P(Q >= x) = sum_j prod_{i != j} lam_j / (lam_j - lam_i) exp(-x / (2 lam_j))
+    lam = np.array([2.0, 1.0, 0.5, 0.2])
+    dist = EigenChiSquareDist(np.repeat(lam, 2))
+    coef = np.array([np.prod([lj / (lj - li) for li in lam if li != lj]) for lj in lam])
+    for x in (1e-6, 1e-2, 0.5, 3.0, 7.4, 20.0, 60.0):
+        exact = float(np.sum(coef * np.exp(-x / (2.0 * lam))))
+        assert abs(quad_form_pvalue(dist, x) - exact) <= TAIL_ATOL
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.3], [2.0, 1.0, 0.5], list(np.linspace(1.6, 0.4, 12))])
+def test_quad_form_pvalue_unequal_weights_match_monte_carlo(weights):
+    draws = 1_000_000
+    dist = EigenChiSquareDist(weights)
+    mean = float(np.sum(weights))
+    for x in (0.5 * mean, mean, 2.5 * mean):
         p = quad_form_pvalue(dist, x)
-        target = 1.0 - level
-        se = np.sqrt(target * (1 - target) / draws)
-        assert abs(p - target) <= 3 * se + 1e-12
+        oracle = _monte_carlo_tail(weights, x, draws, seed=len(weights))
+        se = np.sqrt(p * (1.0 - p) / draws)
+        assert abs(p - oracle) <= 4 * se
+
+
+@pytest.mark.parametrize("d", [2, 3, 12])
+def test_quad_form_pvalue_far_tail_is_positive(d):
+    # a sampled tail would read exactly 0 here unless some draw reached x
+    weights = 1.0 + 1e-13 * (np.arange(d) % 2)
+    x = float(stats.chi2.isf(1e-9, df=d))
+    p = quad_form_pvalue(EigenChiSquareDist(weights), x)
+    assert 0.0 < p <= 1e-8
+
+
+def test_quad_form_pvalue_near_zero_weights_stay_cheap():
+    # near-zero Gamma eigenvalues must not inflate the number of terms
+    weights = np.r_[[1.5, 1.0, 0.7], np.geomspace(1e-9, 1e-14, 40)]
+    dist = EigenChiSquareDist(weights)
+    leading = EigenChiSquareDist(weights[:3])
+    lam = dist.weights
+    for x in (0.01, 3.2, 15.0):
+        n_terms = mslca.asymptotics._tail_plan(lam, np.ones(lam.size), x, TAIL_ATOL / 2)[2]
+        assert n_terms <= 1000
+        # the tiny weights move Q by about 4e-9 on average
+        assert abs(quad_form_pvalue(dist, x) - quad_form_pvalue(leading, x)) < 1e-7
+
+
+def test_quad_form_pvalue_raises_when_budget_is_too_small(monkeypatch):
+    monkeypatch.setattr(mslca.asymptotics, "_TERM_GRID", np.array([1, 2]))
+    with pytest.raises(MslcaError, match="terms"):
+        quad_form_pvalue(EigenChiSquareDist([1.0, 0.3]), 1.3)
 
 
 def test_quad_form_pvalue_deterministic():
-    dist = EigenChiSquareDist([2.0, 1.0, 0.5], draws=50_000, seed=13)
+    dist = EigenChiSquareDist([2.0, 1.0, 0.5])
     assert quad_form_pvalue(dist, 3.7) == quad_form_pvalue(dist, 3.7)
 
 
@@ -324,6 +405,11 @@ def test_eigen_chi_square_dist_validation():
     assert np.array_equal(dist.weights, [1.0, 0.5, 0.0])
     with pytest.raises(ValueError):
         quad_form_pvalue(dist, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            quad_form_pvalue(dist, bad)
+    with pytest.raises(ValueError):
+        EigenChiSquareDist([1.0, float("nan")])
 
 
 def test_elliptical_scale_plugin_two_point_design():

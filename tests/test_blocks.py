@@ -198,6 +198,14 @@ def test_sym_power_near_singular():
         sym_power(a, -0.5, cond_floor=1e-3)
 
 
+@pytest.mark.parametrize("cond_floor", [-1.0, float("nan"), 1.0, 2.0, float("inf")])
+def test_sym_power_rejects_cond_floor_outside_unit_interval(cond_floor):
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="cond_floor"):
+        sym_power(singular, -0.5, cond_floor=cond_floor)
+    sym_power(np.eye(2), -0.5, cond_floor=0.0)
+
+
 def test_psd_sqrt_accepts_singular():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     root = psd_sqrt(a)

@@ -127,6 +127,7 @@ def test_test_command_independent_blocks(gaussian_csv, tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["method"] == "chi2"
+    assert report["p_value_error_bound"] is None
     assert report["p_value"] > 0.05
     line = capsys.readouterr().out.strip()
     assert line == (
@@ -153,14 +154,14 @@ def test_test_command_general_route(tmp_path):
     write_csv(path, data.rows.tolist())
     out = tmp_path / "report.json"
     code = main([
-        "test", "--data", str(path), "--blocks", "1,1", "--method", "general",
-        "--mc-reps", "5000", "--seed", "1", "--out", str(out),
+        "test", "--data", str(path), "--blocks", "1,1", "--method", "general", "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["method"] == "general"
     assert report["scale"] is None
     assert len(report["gamma_eigenvalues"]) == 1
+    assert report["p_value_error_bound"] == 1e-10
 
 
 def test_test_command_flag_rules(gaussian_csv, tmp_path):
@@ -181,6 +182,7 @@ def test_test_command_flag_rules(gaussian_csv, tmp_path):
         ("fit", "--group-tol", "0"),
         ("fit", "--cond-floor", "-1"),
         ("fit", "--cond-floor", "1"),
+        # the general route draws no Monte Carlo samples, so the flag is unknown
         ("test", "--mc-reps", "0"),
         ("test", "--mc-reps", "-5"),
     ],
@@ -198,6 +200,11 @@ def test_numeric_flag_out_of_range_exit_2(gaussian_csv, tmp_path, capsys, comman
 def test_unknown_flags_exit_2(gaussian_csv, tmp_path):
     assert main(["fit", "--data", str(gaussian_csv), "--bogus", "1"]) == 2
     assert main(["frobnicate"]) == 2
+    # the general route's tail is deterministic: ``test`` takes no seed
+    out = tmp_path / "o.json"
+    argv = ["test", "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)]
+    assert main(argv + ["--method", "general", "--seed", "0"]) == 2
+    assert not out.exists()
 
 
 def _null_plan_config(tmp_path, **overrides):
@@ -261,7 +268,7 @@ def test_simulate_plan_preconditions_exit_4(tmp_path):
     "overrides, code",
     [
         ({"method": ["general"]}, 2),
-        ({"mc_draws": 0}, 4),
+        ({"mc_draws": 0}, 2),
         ({"dims": [3, 3], "covariance": np.eye(6).tolist(), "sizes": [50, 3]}, 4),
     ],
 )

@@ -5,14 +5,19 @@ import pytest
 
 from mslca import (
     BlockStructure,
+    CovarianceModel,
     Dataset,
     InsufficientSampleError,
     NearSingularError,
+    SimulationPlan,
     align_sign,
     center,
     empirical_cov,
     fit_mslca,
+    psd_sqrt,
+    run_experiment,
     sample_gaussian,
+    sample_student_t,
     whiten,
 )
 from conftest import (
@@ -98,6 +103,58 @@ def test_fit_collinear_block_raises_with_block_index():
     with pytest.raises(NearSingularError) as exc:
         fit_mslca(Dataset(s, rows))
     assert exc.value.block == 0
+
+
+@pytest.mark.parametrize("group_tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_fit_rejects_group_tol_not_positive_finite(group_tol):
+    # a NaN tolerance would make every eigenvalue its own group, with no zero group
+    data = sample_gaussian(random_spd_model(np.random.default_rng(71), BlockStructure((2, 1))), 40, 71)
+    with pytest.raises(ValueError, match="group_tol"):
+        fit_mslca(data, group_tol=group_tol)
+
+
+@pytest.mark.parametrize("cond_floor", [-1.0, float("nan"), 1.0, float("inf")])
+def test_fit_rejects_cond_floor_outside_unit_interval(cond_floor):
+    # a floor of -1 would switch the near-singular guard off and end in LinAlgError
+    s = BlockStructure((2, 1))
+    rng = np.random.default_rng(73)
+    base = rng.standard_normal((40, 1))
+    rows = np.hstack([base, base, rng.standard_normal((40, 1))])
+    with pytest.raises(ValueError, match="cond_floor"):
+        fit_mslca(Dataset(s, rows), cond_floor=cond_floor)
+
+
+def test_package_built_datasets_are_read_only_and_not_copied(monkeypatch):
+    structure = BlockStructure((2, 1))
+    model = random_spd_model(np.random.default_rng(75), structure)
+    gauss = sample_gaussian(model, 60, 75)
+    heavy = sample_student_t(model, 8.0, 60, 75)
+    built = [gauss, heavy, whiten(gauss), center(gauss)[0]]
+    for data in built:
+        assert not data.rows.flags.writeable
+        with pytest.raises(ValueError):
+            data.rows[0, 0] = 1.0
+    # the sample is the seeded draw itself
+    rng = np.random.default_rng(np.random.SeedSequence(75))
+    np.testing.assert_array_equal(gauss.rows, rng.standard_normal((60, 3)) @ psd_sqrt(model.v))
+    # the public constructor still copies; the private path adopts the array
+    raw = np.ones((4, 3))
+    public = Dataset(structure, raw)
+    raw[0, 0] = 7.0
+    assert public.rows[0, 0] == 1.0 and raw.flags.writeable
+    adopted = Dataset._from_fresh(structure, raw)
+    assert adopted.rows is raw and not raw.flags.writeable
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset._from_fresh(structure, np.full((2, 3), np.nan))
+    # records are the same as when every Dataset is a copy
+    plan = SimulationPlan(
+        kind="null-dist", model=CovarianceModel(structure, np.eye(3)), sizes=(60,),
+        replications=4, sampler="student-t", nu=8.0, seed=5, methods=("chi2", "general"),
+    )
+    fresh = run_experiment(plan)
+    monkeypatch.setattr(Dataset, "_from_fresh", classmethod(lambda cls, s, rows: cls(s, rows)))
+    copied = run_experiment(plan)
+    assert fresh.records == copied.records
 
 
 def test_fit_independent_blocks_shrinks_with_n():

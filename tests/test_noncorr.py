@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import mslca.blocks
+from mslca.asymptotics import TAIL_ATOL
 from mslca import (
     BlockStructure,
     CovarianceModel,
@@ -73,6 +74,7 @@ def test_chi2_route_zero_statistic():
     assert not report.reject
     assert report.scale == 1.0
     assert report.scale_provenance == "gaussian-default"
+    assert report.p_value_error_bound is None
 
 
 def test_chi2_route_quantile_oracle():
@@ -127,8 +129,9 @@ def test_chi2_route_scales():
 def test_general_route_zero_statistic():
     data = Dataset(BlockStructure((1, 1)), UNCORRELATED_ROWS)
     fit = fit_mslca(data)
-    report = general_test(fit, data, mc_draws=5000)
+    report = general_test(fit, data)
     assert report.p_value == 1.0
+    assert report.p_value_error_bound == TAIL_ATOL
     assert report.method == "general"
     assert report.scale is None and report.scale_provenance is None
     assert report.gamma_eigenvalues is not None
@@ -141,7 +144,7 @@ def test_general_route_close_to_chi2_under_gaussian_null():
     data = sample_gaussian(model, 5000, rng)
     fit = fit_mslca(data)
     chi2_report = chi2_test(fit)
-    general_report = general_test(fit, data, mc_draws=100_000, seed=3)
+    general_report = general_test(fit, data)
     assert abs(chi2_report.p_value - general_report.p_value) < 0.02
 
 
@@ -152,7 +155,7 @@ def test_general_route_warns_on_small_sample():
     data = sample_gaussian(model, 60, rng)  # below 10 * d = 120
     fit = fit_mslca(data)
     with pytest.warns(UserWarning):
-        general_test(fit, data, mc_draws=2000)
+        general_test(fit, data)
 
 
 def test_general_route_requires_consistent_n():
@@ -220,7 +223,7 @@ def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
 
     fit = fit_mslca(data)
     assert len(calls) == model.structure.n_blocks + 1
-    general_test(fit, data, mc_draws=1000, seed=0)
+    general_test(fit, data)
     plugin = chi2_test(fit, scale="plugin", data=data)
     assert len(calls) == model.structure.n_blocks + 1
 

@@ -103,9 +103,15 @@ def test_plan_validation():
         )
 
 
-def test_plan_rejects_nonpositive_mc_draws():
-    with pytest.raises(PlanPreconditionError, match="Monte Carlo draw"):
+def test_plan_rejects_removed_mc_draws_key():
+    # the general route's tail is computed, not sampled: plans take no draw count
+    with pytest.raises(TypeError):
         SimulationPlan(kind="null-dist", model=NULL_222, sizes=(100,), replications=5, mc_draws=0)
+    raw = SimulationPlan(kind="null-dist", model=NULL_222, sizes=(100,), replications=5).to_dict()
+    assert "mc_draws" not in raw
+    raw["mc_draws"] = 20_000
+    with pytest.raises(ValueError, match=r"unknown keys: \['mc_draws'\]"):
+        SimulationPlan.from_dict(raw)
 
 
 def test_plan_rejects_sizes_not_above_largest_block():
@@ -249,7 +255,7 @@ def test_run_power_smoke():
     model = correlation_model((1, 1), {(1, 0): 0.3})
     plan = SimulationPlan(
         kind="power", model=model, sizes=(500,), replications=60, seed=11,
-        methods=("chi2", "general"), mc_draws=2000,
+        methods=("chi2", "general"),
     )
     result = run_experiment(plan)
     summary = result.summaries["500"]
