@@ -12,9 +12,10 @@ Provided pieces:
   whitened coordinates and the d x d covariance of the stacked off-diagonal
   block entries (the limit covariance of the non-correlation statistic's
   Gaussian vector).
-* ``c_coefficient`` / ``c_tensor`` / ``c_tensor_gaussian`` -- second moments
-  of the limit operator expressed in the eigenbasis, estimated from data or
-  evaluated in closed form for Gaussian populations.
+* ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
+  operator expressed in the eigenbasis, estimated from data as Gram products
+  of per-observation pair sums or evaluated in closed form for Gaussian
+  populations.
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -108,10 +108,9 @@ def z_operator(x: np.ndarray, model: CovarianceModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentAccumulator:
-    """Fourth-moment evaluator over a centered, whitened sample.
+    """A centered, whitened sample, the input of every fourth-moment estimate.
 
-    All moments are computed from the same sample; coordinates are global
-    column indices of the stacked vector.
+    Columns are the global coordinates of the stacked vector.
     """
 
     structure: BlockStructure
@@ -125,19 +124,6 @@ class MomentAccumulator:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    @cached_property
-    def second_moments(self) -> np.ndarray:
-        return self.data.T @ self.data / self.n
-
-    def fourth_moment(self, a: int, b: int, c: int, d: int) -> float:
-        """Sample mean of the product of four whitened coordinates."""
-        q = self.structure.total_dim
-        for idx in (a, b, c, d):
-            if not 0 <= idx < q:
-                raise IndexError(f"coordinate {idx} out of range [0, {q})")
-        cols = self.data
-        return float(np.mean(cols[:, a] * cols[:, b] * cols[:, c] * cols[:, d]))
 
 
 def gamma_index_map(structure: BlockStructure) -> list[tuple[int, int, int, int]]:
@@ -223,99 +209,34 @@ def _linear_factors(
     return scores, weighted
 
 
-def c_coefficient(
-    acc: MomentAccumulator,
-    solution: MslcaSolution,
-    model: CovarianceModel,
-    m: int,
-    r: int,
-    s: int,
-    t: int,
-) -> float:
-    """Plug-in second moment of the limit operator in the eigenbasis.
-
-    Sums, over all ordered off-diagonal block pairs (k, l) and (j, u), four
-    quarter-weighted moments mixing eigenvector scores with their
-    cross-covariance-weighted versions, minus four half-weighted mixed
-    moments, plus one plain fourth moment of scores.
-    """
-    _require_whitened_model(model)
-    q = acc.structure.total_dim
-    for idx in (m, r, s, t):
-        if not 0 <= idx < q:
-            raise IndexError(f"eigenbasis index {idx} out of range [0, {q})")
-    scores, weighted = _linear_factors(acc, solution, model)
-    pairs = acc.structure.ordered_pairs()
-
-    def gamma_term(a, b, c, d, k, l, j, u):
-        return 0.25 * float(
-            np.mean(scores[k][:, a] * weighted[(k, l)][:, b] * scores[j][:, c] * weighted[(j, u)][:, d])
-        )
-
-    def theta_term(a, b, c, d, k, l, j, u):
-        return 0.5 * float(
-            np.mean(scores[k][:, a] * weighted[(k, l)][:, b] * scores[j][:, c] * scores[u][:, d])
-        )
-
-    def lambda_term(a, b, c, d, k, l, j, u):
-        return float(
-            np.mean(scores[k][:, a] * scores[l][:, b] * scores[j][:, c] * scores[u][:, d])
-        )
-
-    total = 0.0
-    for k, l in pairs:
-        for j, u in pairs:
-            total += (
-                gamma_term(m, r, s, t, k, l, j, u)
-                + gamma_term(m, r, t, s, k, l, j, u)
-                + gamma_term(r, m, s, t, k, l, j, u)
-                + gamma_term(r, m, t, s, k, l, j, u)
-                - theta_term(m, r, s, t, k, l, j, u)
-                - theta_term(r, m, s, t, k, l, j, u)
-                - theta_term(s, t, m, r, k, l, j, u)
-                - theta_term(t, s, m, r, k, l, j, u)
-                + lambda_term(m, r, s, t, k, l, j, u)
-            )
-    return total
-
-
 def c_tensor(
     acc: MomentAccumulator, solution: MslcaSolution, model: CovarianceModel
 ) -> np.ndarray:
-    """All plug-in coefficients at once; [m, r, s, t] equals ``c_coefficient``.
+    """Plug-in second moments of the limit operator in the eigenbasis.
 
-    Vectorized over observations with einsum; the per-index version is kept
-    as the readable reference and the two are cross-checked in the tests.
+    Entry [m, r, s, t] sums, over all ordered off-diagonal block pairs (k, l)
+    and (j, u), four quarter-weighted moments mixing eigenvector scores with
+    their cross-covariance-weighted versions, minus four half-weighted mixed
+    moments, plus one plain fourth moment of scores. The pair sums are taken
+    per observation first, G_i = sum_(k,l) s_k (x) w_kl and
+    H_i = sum_(k,l) s_k (x) s_l as (n, q^2) matrices, so the three moment
+    tensors are the Gram products G^T G, G^T H and H^T H.
     """
     _require_whitened_model(model)
     scores, weighted = _linear_factors(acc, solution, model)
-    pairs = acc.structure.ordered_pairs()
     q = acc.structure.total_dim
     n = acc.n
 
-    gamma4 = np.zeros((q, q, q, q))
-    theta4 = np.zeros((q, q, q, q))
-    lambda4 = np.zeros((q, q, q, q))
-    for k, l in pairs:
-        for j, u in pairs:
-            gamma4 += np.einsum(
-                "ia,ib,ic,id->abcd",
-                scores[k], weighted[(k, l)], scores[j], weighted[(j, u)],
-                optimize=True,
-            )
-            theta4 += np.einsum(
-                "ia,ib,ic,id->abcd",
-                scores[k], weighted[(k, l)], scores[j], scores[u],
-                optimize=True,
-            )
-            lambda4 += np.einsum(
-                "ia,ib,ic,id->abcd",
-                scores[k], scores[l], scores[j], scores[u],
-                optimize=True,
-            )
-    gamma4 *= 0.25 / n
-    theta4 *= 0.5 / n
-    lambda4 /= n
+    g = np.zeros((n, q, q))
+    h = np.zeros((n, q, q))
+    for k, l in acc.structure.ordered_pairs():
+        g += scores[k][:, :, None] * weighted[(k, l)][:, None, :]
+        h += scores[k][:, :, None] * scores[l][:, None, :]
+    g = g.reshape(n, q * q)
+    h = h.reshape(n, q * q)
+    gamma4 = (g.T @ g).reshape(q, q, q, q) * (0.25 / n)
+    theta4 = (g.T @ h).reshape(q, q, q, q) * (0.5 / n)
+    lambda4 = (h.T @ h).reshape(q, q, q, q) / n
     return (
         gamma4
         + gamma4.transpose(0, 1, 3, 2)
@@ -365,32 +286,26 @@ def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     return cov + means[:, :, None, None] * means[None, None, :, :]
 
 
-def sigma_matrix(c_provider, solution: MslcaSolution) -> np.ndarray:
+def sigma_matrix(tensor: np.ndarray, solution: MslcaSolution) -> np.ndarray:
     """Asymptotic covariance of the canonical coefficients, simple spectra only.
 
     In the eigenbasis the projection coefficients onto each one-dimensional
     eigenspace collapse to Kronecker deltas, so entry (i, j) is the
-    coefficient at indices (i, i, j, j). ``c_provider`` is either a callable
-    (m, r, s, t) -> float or a precomputed 4-d tensor.
+    coefficient ``tensor[i, i, j, j]``, read on and above the diagonal and
+    mirrored below it. ``tensor`` must have shape (q, q, q, q) for q
+    canonical coefficients; any other shape raises ValueError.
     """
+    q = solution.rho.shape[0]
+    tensor = np.asarray(tensor, dtype=float)
+    if tensor.shape != (q, q, q, q):
+        raise ValueError(f"c-tensor must have shape {(q, q, q, q)}, got {tensor.shape}")
     if not solution.is_simple:
         sizes = [len(g) for g in solution.groups]
         raise RepeatedEigenvaluesError(
             f"spectrum has repeated eigenvalues (group sizes {sizes})"
         )
-    q = solution.rho.shape[0]
-    if isinstance(c_provider, np.ndarray):
-        tensor = c_provider
-        provider = lambda m, r, s, t: float(tensor[m, r, s, t])  # noqa: E731
-    else:
-        provider = c_provider
-    sigma = np.empty((q, q))
-    for i in range(q):
-        for j in range(i, q):
-            value = provider(i, i, j, j)
-            sigma[i, j] = value
-            sigma[j, i] = value
-    return sigma
+    full = np.einsum("iijj->ij", tensor)
+    return np.where(np.triu(np.ones((q, q), dtype=bool)), full, full.T)
 
 
 @dataclass(frozen=True)

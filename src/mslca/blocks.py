@@ -82,17 +82,6 @@ def extract_block(a: np.ndarray, structure: BlockStructure, k: int, l: int) -> n
     return a[structure.block_slice(k), structure.block_slice(l)].copy()
 
 
-def embed_block(b: np.ndarray, structure: BlockStructure, k: int, l: int) -> np.ndarray:
-    """Return the (q, q) matrix that is zero except for block (k, l) = ``b``."""
-    b = np.asarray(b, dtype=float)
-    expected = (structure.dims[k], structure.dims[l])
-    if b.shape != expected:
-        raise ValueError(f"block ({k}, {l}) must have shape {expected}, got {b.shape}")
-    out = np.zeros((structure.total_dim, structure.total_dim))
-    out[structure.block_slice(k), structure.block_slice(l)] = b
-    return out
-
-
 def require_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     """Validate symmetry of ``a`` within rtol*(1+max|a|), then return (a+a.T)/2.
 

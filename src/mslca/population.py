@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .blocks import (
     DEFAULT_COND_FLOOR,
     BlockStructure,
     extract_block,
+    psd_sqrt,
     require_symmetric,
     sym_eig,
     sym_power,
@@ -51,6 +53,13 @@ class CovarianceModel:
         v.flags.writeable = False
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "v", v)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric square root of ``v``, computed once and read-only."""
+        root = psd_sqrt(self.v)
+        root.flags.writeable = False
+        return root
 
     def block(self, k: int, l: int) -> np.ndarray:
         return extract_block(self.v, self.structure, k, l)

@@ -19,7 +19,6 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .blocks import psd_sqrt
 from .estimation import Dataset, align_sign, fit_mslca
 from .exceptions import NuTooSmallError, PlanPreconditionError, RepeatedEigenvaluesError
 from .noncorr import chi2_test, degrees_of_freedom, general_test, s_statistic
@@ -56,8 +55,7 @@ def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _as_generator(seed)
-    root = psd_sqrt(model.v)
-    rows = rng.standard_normal((n, model.structure.total_dim)) @ root
+    rows = rng.standard_normal((n, model.structure.total_dim)) @ model.root
     return Dataset._from_fresh(model.structure, rows)
 
 
@@ -73,8 +71,7 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _as_generator(seed)
-    root = psd_sqrt(model.v)
-    gauss = rng.standard_normal((n, model.structure.total_dim)) @ root
+    gauss = rng.standard_normal((n, model.structure.total_dim)) @ model.root
     mixing = rng.chisquare(nu, size=n)
     rows = gauss * np.sqrt((nu - 2.0) / mixing)[:, None]
     return Dataset._from_fresh(model.structure, rows)

@@ -15,7 +15,6 @@ from mslca import (
     NegativeWeightError,
     RepeatedEigenvaluesError,
     build_gamma,
-    c_coefficient,
     c_tensor,
     c_tensor_gaussian,
     elliptical_scale_plugin,
@@ -31,6 +30,15 @@ from mslca.asymptotics import TAIL_ATOL, gamma_index_map
 from conftest import correlation_model, equicorrelation_model
 
 WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
+# Whitened model with two-column blocks and a simple spectrum.
+WHITENED_222 = correlation_model(
+    (2, 2, 2),
+    {
+        (1, 0): [[0.35, -0.1], [0.05, 0.2]],
+        (2, 0): [[0.1, 0.15], [0.0, -0.25]],
+        (2, 1): [[0.2, 0.0], [-0.1, 0.05]],
+    },
+)
 
 
 def test_z_operator_null_model_is_outer_product():
@@ -89,14 +97,23 @@ def test_accumulator_rejects_raw_data():
         MomentAccumulator.from_whitened(scaled)
 
 
-def test_accumulator_second_moments_cached():
+def _second_moments(acc):
+    return acc.data.T @ acc.data / acc.n
+
+
+def _fourth_moment(acc, a, b, c, d):
+    """Sample mean of the product of four whitened coordinates."""
+    cols = acc.data
+    return float(np.mean(cols[:, a] * cols[:, b] * cols[:, c] * cols[:, d]))
+
+
+def test_accumulator_second_moments_whitened():
     model = CovarianceModel(BlockStructure((2, 1)), np.eye(3))
     acc = _whitened_accumulator(model, 300, seed=111)
-    moments = acc.second_moments
+    moments = _second_moments(acc)
     for k in range(2):
         sl = acc.structure.block_slice(k)
         np.testing.assert_allclose(moments[sl, sl], np.eye(acc.structure.dims[k]), atol=1e-9)
-    assert acc.second_moments is moments
 
 
 def test_fourth_moment_gaussian_oracles():
@@ -104,13 +121,13 @@ def test_fourth_moment_gaussian_oracles():
     acc = _whitened_accumulator(model, 30000, seed=113)
     n = acc.n
     # same coordinate four times: Gaussian m4 = 3
-    assert acc.fourth_moment(0, 0, 0, 0) == pytest.approx(3.0, abs=4 * np.sqrt(96 / n))
+    assert _fourth_moment(acc, 0, 0, 0, 0) == pytest.approx(3.0, abs=4 * np.sqrt(96 / n))
     # two independent unit-variance pairs: product of variances = 1
-    assert acc.fourth_moment(0, 0, 3, 3) == pytest.approx(1.0, abs=4 * np.sqrt(8 / n))
+    assert _fourth_moment(acc, 0, 0, 3, 3) == pytest.approx(1.0, abs=4 * np.sqrt(8 / n))
     # four distinct coordinates: 0 by independence
-    assert acc.fourth_moment(0, 1, 2, 3) == pytest.approx(0.0, abs=4 * np.sqrt(1 / n))
+    assert _fourth_moment(acc, 0, 1, 2, 3) == pytest.approx(0.0, abs=4 * np.sqrt(1 / n))
     with pytest.raises(IndexError):
-        acc.fourth_moment(0, 0, 0, 4)
+        _fourth_moment(acc, 0, 0, 0, 4)
 
 
 def test_gamma_index_map_order():
@@ -132,7 +149,8 @@ def test_build_gamma_entries_match_fourth_moments():
         b = int(rng.integers(len(index_map)))
         k, l, i, j = index_map[a]
         r, s, p, t = index_map[b]
-        expected = acc.fourth_moment(
+        expected = _fourth_moment(
+            acc,
             structure.offset(k) + i,
             structure.offset(l) + j,
             structure.offset(r) + p,
@@ -178,6 +196,57 @@ def test_gamma_eigenvalue_clamp_and_abort():
         bad.eigenvalues()
 
 
+def _c_coefficient(acc, solution, model, m, r, s, t):
+    """Per-index reference for ``c_tensor``: entry [m, r, s, t] term by term.
+
+    Sums, over all ordered off-diagonal block pairs (k, l) and (j, u), four
+    quarter-weighted moments mixing eigenvector scores with their
+    cross-covariance-weighted versions, minus four half-weighted mixed
+    moments, plus one plain fourth moment of scores.
+    """
+    structure = acc.structure
+    beta = solution.beta
+    scores = [acc.data[:, structure.block_slice(k)] @ beta[structure.block_slice(k), :]
+              for k in range(structure.n_blocks)]
+    pairs = structure.ordered_pairs()
+    weighted = {
+        (k, l): acc.data[:, structure.block_slice(k)]
+        @ (model.block(k, l) @ beta[structure.block_slice(l), :])
+        for k, l in pairs
+    }
+
+    def gamma_term(a, b, c, d, k, l, j, u):
+        return 0.25 * float(
+            np.mean(scores[k][:, a] * weighted[(k, l)][:, b] * scores[j][:, c] * weighted[(j, u)][:, d])
+        )
+
+    def theta_term(a, b, c, d, k, l, j, u):
+        return 0.5 * float(
+            np.mean(scores[k][:, a] * weighted[(k, l)][:, b] * scores[j][:, c] * scores[u][:, d])
+        )
+
+    def lambda_term(a, b, c, d, k, l, j, u):
+        return float(
+            np.mean(scores[k][:, a] * scores[l][:, b] * scores[j][:, c] * scores[u][:, d])
+        )
+
+    total = 0.0
+    for k, l in pairs:
+        for j, u in pairs:
+            total += (
+                gamma_term(m, r, s, t, k, l, j, u)
+                + gamma_term(m, r, t, s, k, l, j, u)
+                + gamma_term(r, m, s, t, k, l, j, u)
+                + gamma_term(r, m, t, s, k, l, j, u)
+                - theta_term(m, r, s, t, k, l, j, u)
+                - theta_term(r, m, s, t, k, l, j, u)
+                - theta_term(s, t, m, r, k, l, j, u)
+                - theta_term(t, s, m, r, k, l, j, u)
+                + lambda_term(m, r, s, t, k, l, j, u)
+            )
+    return total
+
+
 def test_c_coefficient_null_model_reduces_to_plain_moments():
     model = CovarianceModel(BlockStructure((1, 1, 1)), np.eye(3))
     acc = _whitened_accumulator(model, 400, seed=149)
@@ -192,7 +261,7 @@ def test_c_coefficient_null_model_reduces_to_plain_moments():
             for j, u in pairs
             for c in [s]
         )
-        value = c_coefficient(acc, solution, model, m, r, s, t)
+        value = _c_coefficient(acc, solution, model, m, r, s, t)
         assert value == pytest.approx(lam_only, abs=1e-12)
 
 
@@ -202,9 +271,9 @@ def test_c_coefficient_symmetries():
     rng = np.random.default_rng(1)
     for _ in range(5):
         m, r, s, t = (int(i) for i in rng.integers(0, 3, size=4))
-        base = c_coefficient(acc, solution, WHITENED_111, m, r, s, t)
-        assert c_coefficient(acc, solution, WHITENED_111, r, m, s, t) == pytest.approx(base, abs=1e-9)
-        assert c_coefficient(acc, solution, WHITENED_111, m, r, t, s) == pytest.approx(base, abs=1e-9)
+        base = _c_coefficient(acc, solution, WHITENED_111, m, r, s, t)
+        assert _c_coefficient(acc, solution, WHITENED_111, r, m, s, t) == pytest.approx(base, abs=1e-9)
+        assert _c_coefficient(acc, solution, WHITENED_111, m, r, t, s) == pytest.approx(base, abs=1e-9)
 
 
 def test_c_tensor_matches_c_coefficient():
@@ -216,8 +285,27 @@ def test_c_tensor_matches_c_coefficient():
             for s in range(3):
                 for t in range(3):
                     assert tensor[m, r, s, t] == pytest.approx(
-                        c_coefficient(acc, solution, WHITENED_111, m, r, s, t), abs=1e-10
+                        _c_coefficient(acc, solution, WHITENED_111, m, r, s, t), abs=1e-10
                     )
+
+
+def test_c_tensor_matches_c_coefficient_multi_column_blocks():
+    solution = solve_mslca(WHITENED_222)
+    assert solution.is_simple
+    acc = _whitened_accumulator(WHITENED_222, 300, seed=159)
+    tensor = c_tensor(acc, solution, WHITENED_222)
+    q = WHITENED_222.structure.total_dim
+    assert tensor.shape == (q, q, q, q)
+    diagonal_pairs = [(i, i, j, j) for i in range(q) for j in range(q)]
+    rng = np.random.default_rng(2)
+    random_entries = [tuple(int(i) for i in rng.integers(0, q, size=4)) for _ in range(50)]
+    for m, r, s, t in diagonal_pairs + random_entries:
+        assert tensor[m, r, s, t] == pytest.approx(
+            _c_coefficient(acc, solution, WHITENED_222, m, r, s, t), abs=1e-10
+        )
+    top = np.abs(tensor).max()
+    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        np.testing.assert_allclose(tensor, tensor.transpose(axes), rtol=0, atol=1e-12 * top)
 
 
 def _limit_operator_products_mc(model, solution, n, seed):
@@ -272,9 +360,19 @@ def test_sigma_matrix_simple_spectrum():
     sigma = sigma_matrix(tensor, solution)
     np.testing.assert_allclose(sigma, sigma.T, atol=1e-9)
     assert np.all(np.diag(sigma) >= -1e-12)
-    # callable provider agrees with the tensor form
-    sigma_fn = sigma_matrix(lambda m, r, s, t: float(tensor[m, r, s, t]), solution)
-    np.testing.assert_allclose(sigma, sigma_fn, atol=0)
+    # read on and above the diagonal, mirrored below it
+    for i in range(3):
+        for j in range(i, 3):
+            assert sigma[i, j] == tensor[i, i, j, j]
+            assert sigma[j, i] == tensor[i, i, j, j]
+
+
+def test_sigma_matrix_rejects_wrong_tensor_shape():
+    solution = solve_mslca(WHITENED_111)
+    tensor = c_tensor_gaussian(WHITENED_111, solution)
+    for bad in (np.zeros((4, 4, 4, 4)), np.zeros((2, 2, 2, 2)), tensor[..., 0], np.zeros((3, 3, 3, 4))):
+        with pytest.raises(ValueError, match="shape"):
+            sigma_matrix(bad, solution)
 
 
 def test_sigma_matrix_repeated_eigenvalues_guard():

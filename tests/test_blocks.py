@@ -6,13 +6,23 @@ import pytest
 from mslca import (
     BlockStructure,
     NearSingularError,
-    embed_block,
     extract_block,
     frobenius_sq,
     psd_sqrt,
     sym_eig,
     sym_power,
 )
+
+
+def embed_block(b, structure, k, l):
+    """The (q, q) matrix that is zero except for block (k, l) = ``b``."""
+    b = np.asarray(b, dtype=float)
+    expected = (structure.dims[k], structure.dims[l])
+    if b.shape != expected:
+        raise ValueError(f"block ({k}, {l}) must have shape {expected}, got {b.shape}")
+    out = np.zeros((structure.total_dim, structure.total_dim))
+    out[structure.block_slice(k), structure.block_slice(l)] = b
+    return out
 
 
 def test_structure_basics():

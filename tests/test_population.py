@@ -10,6 +10,7 @@ from mslca import (
     build_psi,
     build_t,
     cca_equivalence,
+    psd_sqrt,
     solve_mslca,
     varphi,
     verify_constraints,
@@ -30,6 +31,15 @@ def test_model_validation():
         CovarianceModel(s, np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
         CovarianceModel(s, np.eye(3))
+
+
+def test_model_root_is_computed_once_and_read_only():
+    model = correlation_model((2, 1), {(1, 0): [[0.3, -0.2]]})
+    root = model.root
+    assert model.root is root
+    assert not root.flags.writeable
+    np.testing.assert_array_equal(root, psd_sqrt(model.v))
+    np.testing.assert_allclose(root @ root, model.v, atol=1e-12)
 
 
 def test_build_phi_identity_blocks():
