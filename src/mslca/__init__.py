@@ -26,23 +26,18 @@ from .exceptions import (
     RepeatedEigenvaluesError,
 )
 from .population import (
-    CcaEquivalence,
     ConstraintDiagnostics,
     CovarianceModel,
     MslcaSolution,
     build_phi,
-    build_psi,
     build_t,
-    cca_equivalence,
     solve_mslca,
-    varphi,
     verify_constraints,
 )
 from .estimation import (
     Dataset,
     MslcaFit,
     align_sign,
-    center,
     empirical_cov,
     fit_mslca,
     whiten,
@@ -95,18 +90,13 @@ __all__ = [
     "PlanPreconditionError",
     "CovarianceModel",
     "MslcaSolution",
-    "CcaEquivalence",
     "ConstraintDiagnostics",
     "build_phi",
-    "build_psi",
     "build_t",
     "solve_mslca",
-    "varphi",
     "verify_constraints",
-    "cca_equivalence",
     "Dataset",
     "MslcaFit",
-    "center",
     "empirical_cov",
     "fit_mslca",
     "align_sign",

@@ -46,6 +46,9 @@ from .population import CovarianceModel, MslcaSolution
 
 WEIGHT_CLAMP_FLOOR = -1e-8
 WHITENED_ATOL = 1e-6
+# Largest deviation of a model's diagonal block from the identity that
+# still counts as whitened-compatible.
+WHITENED_MODEL_ATOL = 1e-8
 # Absolute error allowed in a weighted chi-square tail probability.
 TAIL_ATOL = 1e-10
 # Term counts the tail plan may choose, about 2**(i / 4) up to the budget of
@@ -57,11 +60,11 @@ _CHUNK_ENTRIES = 1 << 18  # nodes x distinct weights evaluated at once
 _CHERNOFF_GRID = np.concatenate([np.geomspace(1e-3, 0.5, 12), 1.0 - np.geomspace(0.4, 1e-4, 16)])
 
 
-def _require_whitened_model(model: CovarianceModel, atol: float = 1e-8) -> None:
+def _require_whitened_model(model: CovarianceModel) -> None:
     for k in range(model.structure.n_blocks):
         block = model.diagonal_block(k)
         gap = np.abs(block - np.eye(block.shape[0])).max()
-        if gap > atol:
+        if gap > WHITENED_MODEL_ATOL:
             raise ValueError(
                 f"model is not whitened-compatible: block {k} deviates from the "
                 f"identity by {gap:.3e}"
@@ -111,6 +114,9 @@ class MomentAccumulator:
     """A centered, whitened sample, the input of every fourth-moment estimate.
 
     Columns are the global coordinates of the stacked vector.
+    ``from_whitened`` checks the whitening of a sample it is handed;
+    ``general_test`` whitens a fit's own sample with that fit's means and
+    block roots, so it builds the accumulator directly.
     """
 
     structure: BlockStructure
@@ -148,21 +154,17 @@ class GammaMatrix:
     matrix: np.ndarray
     index_map: list[tuple[int, int, int, int]] = field(repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self, clamp_floor: float = WEIGHT_CLAMP_FLOOR) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         """Nonincreasing eigenvalues with round-off negatives clamped to zero.
 
         Sample fourth-moment matrices can be marginally indefinite
-        numerically; values in [clamp_floor, 0) become 0 and anything more
-        negative raises NegativeWeightError.
+        numerically; values in [WEIGHT_CLAMP_FLOOR, 0) become 0 and anything
+        more negative raises NegativeWeightError.
         """
         values = np.linalg.eigvalsh(self.matrix)[::-1]
-        if values[-1] < clamp_floor:
+        if values[-1] < WEIGHT_CLAMP_FLOOR:
             raise NegativeWeightError(
-                f"eigenvalue {values[-1]:.3e} below the clamp floor {clamp_floor:.1e}"
+                f"eigenvalue {values[-1]:.3e} below the clamp floor {WEIGHT_CLAMP_FLOOR:.1e}"
             )
         return np.clip(values, 0.0, None)
 

@@ -17,6 +17,7 @@ from .exceptions import NearSingularError
 
 DEFAULT_COND_FLOOR = 1e-10
 SYMMETRY_RTOL = 1e-12
+PSD_NEG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,8 @@ def extract_block(a: np.ndarray, structure: BlockStructure, k: int, l: int) -> n
     return a[structure.block_slice(k), structure.block_slice(l)].copy()
 
 
-def require_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate symmetry of ``a`` within rtol*(1+max|a|), then return (a+a.T)/2.
+def require_symmetric(a: np.ndarray) -> np.ndarray:
+    """Validate symmetry of ``a`` within SYMMETRY_RTOL*(1+max|a|), then return (a+a.T)/2.
 
     Symmetrizing after the check kills round-off accumulation without masking
     genuinely asymmetric inputs.
@@ -93,7 +94,7 @@ def require_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
     gap = np.abs(a - a.T).max() if a.size else 0.0
-    if gap > rtol * scale:
+    if gap > SYMMETRY_RTOL * scale:
         raise ValueError(f"matrix is not symmetric: max|A - A^T| = {gap:.3e}")
     return 0.5 * (a + a.T)
 
@@ -154,17 +155,17 @@ def sym_power(
     return 0.5 * (powered + powered.T)
 
 
-def psd_sqrt(a: np.ndarray, neg_rtol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-neg_rtol * lambda_max, 0) are clamped to zero (round-off
+    Eigenvalues in [-PSD_NEG_RTOL * (1 + lambda_max), 0) are clamped to zero (round-off
     on a singular PSD matrix); anything more negative raises ValueError.
     Unlike ``sym_power`` this accepts singular input, as needed for sampling
     from degenerate covariance models.
     """
     eig = sym_eig(a)
     lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    floor = -neg_rtol * (1.0 + lam_max)
+    floor = -PSD_NEG_RTOL * (1.0 + lam_max)
     if float(eig.eigenvalues[-1]) < floor:
         raise ValueError(
             f"matrix is not positive semidefinite: lambda_min = {eig.eigenvalues[-1]:.3e}"

@@ -159,8 +159,8 @@ def _parse_scale(raw: str):
         raise InputError(
             f"invalid --scale {raw!r}: expected 'gaussian', 'plugin' or a positive number"
         )
-    if value <= 0:
-        raise InputError(f"--scale must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise InputError(f"--scale must be a positive finite number, got {value}")
     return value
 
 
@@ -169,13 +169,12 @@ def _cmd_test(args) -> int:
         raise InputError("--scale only applies to --method chi2")
     if not 0 < args.alpha < 1:
         raise InputError(f"--alpha must be in (0, 1), got {args.alpha}")
-    data = load_dataset(args.data, args.blocks)
-    fit = fit_mslca(data)
+    fit = fit_mslca(load_dataset(args.data, args.blocks))
     if args.method == "chi2":
         scale = _parse_scale(args.scale) if args.scale is not None else "gaussian"
-        report = chi2_test(fit, scale=scale, alpha=args.alpha, data=data)
+        report = chi2_test(fit, scale=scale, alpha=args.alpha)
     else:
-        report = general_test(fit, data, alpha=args.alpha)
+        report = general_test(fit, alpha=args.alpha)
     write_json(args.out, report.to_dict())
     print(report.summary_line())
     return EXIT_OK

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,26 +61,28 @@ class Dataset:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def block_columns(self, k: int) -> np.ndarray:
-        return self.rows[:, self.structure.block_slice(k)]
-
 
 @dataclass(frozen=True)
 class MslcaFit:
-    """Empirical analysis of one dataset.
+    """Empirical analysis of one dataset, which it keeps as ``data``.
 
     ``that`` is the estimated operator, whose diagonal blocks are exactly
     zero by construction. ``inv_roots`` holds the inverse square root of each
-    diagonal block of ``vhat``; with ``means`` it whitens the fitted data, so
-    the tests reuse it instead of decomposing the blocks again.
+    diagonal block of ``vhat``; with ``means`` it whitens ``data``. The
+    non-correlation tests therefore take only the fit: their moments come
+    from the sample it was fitted on, whitened with its own roots.
     """
 
-    n: int
+    data: Dataset = field(repr=False)
     means: np.ndarray
     vhat: CovarianceModel
     that: np.ndarray
     solution: MslcaSolution
     inv_roots: tuple[np.ndarray, ...]
+
+    @property
+    def n(self) -> int:
+        return self.data.n
 
     @property
     def structure(self) -> BlockStructure:
@@ -90,13 +92,6 @@ class MslcaFit:
 def _require_rows(data: Dataset, minimum: int = 2) -> None:
     if data.n < minimum:
         raise InsufficientSampleError(f"need at least {minimum} rows, got {data.n}")
-
-
-def center(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Subtract column means; returns the centered data and the means."""
-    _require_rows(data)
-    means = data.rows.mean(axis=0)
-    return Dataset._from_fresh(data.structure, data.rows - means), means
 
 
 def empirical_cov(data: Dataset) -> CovarianceModel:
@@ -123,7 +118,7 @@ def fit_mslca(
     vhat = empirical_cov(data)
     that, solution, inv_roots = _solve(vhat, group_tol, cond_floor)
     return MslcaFit(
-        n=data.n,
+        data=data,
         means=means,
         vhat=vhat,
         that=that,
@@ -154,7 +149,7 @@ def _whiten_with(data: Dataset, means: np.ndarray, inv_roots) -> Dataset:
     return Dataset._from_fresh(data.structure, out)
 
 
-def whiten(data: Dataset, cond_floor: float = DEFAULT_COND_FLOOR) -> Dataset:
+def whiten(data: Dataset) -> Dataset:
     """Center and transform each block by its inverse covariance square root.
 
     The output's empirical within-block covariances are the identity, which
@@ -163,5 +158,5 @@ def whiten(data: Dataset, cond_floor: float = DEFAULT_COND_FLOOR) -> Dataset:
     changes of block basis.
     """
     _require_rows(data)
-    inv_roots = _block_inv_sqrts(empirical_cov(data), cond_floor)
+    inv_roots = _block_inv_sqrts(empirical_cov(data), DEFAULT_COND_FLOOR)
     return _whiten_with(data, data.rows.mean(axis=0), inv_roots)

@@ -4,11 +4,14 @@ The statistic is the summed squared Frobenius mass of the off-diagonal
 blocks of the estimated canonical operator; it vanishes exactly when every
 cross-covariance block does. Two calibrations of n times the statistic are
 provided: a chi-square law with an elliptical kurtosis scale, and the
-general weighted chi-square law driven by estimated fourth moments.
+general weighted chi-square law driven by estimated fourth moments. Both
+are functions of one sample, so each test takes only the fit, which keeps
+the sample it was fitted on.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .blocks import BlockStructure, extract_block, frobenius_sq
-from .estimation import Dataset, MslcaFit, _whiten_with
+from .estimation import MslcaFit, _whiten_with
 from .asymptotics import (
     TAIL_ATOL,
     EigenChiSquareDist,
@@ -100,36 +103,29 @@ def degrees_of_freedom(structure: BlockStructure) -> int:
     return sum(structure.dims[k] * structure.dims[l] for k, l in structure.lower_pairs())
 
 
-def _resolve_scale(scale, fit: MslcaFit, data: Dataset | None) -> tuple[float, str]:
+def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
     if scale == "gaussian":
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
-        if data is None:
-            raise ValueError("scale='plugin' needs the dataset to estimate the kurtosis scale")
-        return elliptical_scale_plugin(_whiten_with(data, fit.means, fit.inv_roots)), "plugin"
+        whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
+        return elliptical_scale_plugin(whitened), "plugin"
     value = float(scale)
-    if value <= 0:
-        raise ValueError(f"scale must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"scale must be a positive finite number, got {value}")
     return value, "user"
 
 
-def chi2_test(
-    fit: MslcaFit,
-    scale="gaussian",
-    alpha: float = 0.05,
-    data: Dataset | None = None,
-) -> TestReport:
+def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestReport:
     """Chi-square route: refer n*S / scale to chi-square with d degrees of freedom.
 
     ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from the
-    fitted data, which must then be supplied; it is whitened with the fit's
-    means and block inverse roots), or an explicit positive float. Exact
-    asymptotic level requires an elliptical population with the matching
-    kurtosis scale.
+    fitted sample, whitened with the fit's means and block inverse roots), or
+    an explicit positive finite float. Exact asymptotic level requires an
+    elliptical population with the matching kurtosis scale.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    scale_value, provenance = _resolve_scale(scale, fit, data)
+    scale_value, provenance = _resolve_scale(scale, fit)
     d = degrees_of_freedom(fit.structure)
     s = s_statistic(fit.that, fit.structure)
     ns = fit.n * s
@@ -148,10 +144,11 @@ def chi2_test(
     )
 
 
-def general_test(fit: MslcaFit, data: Dataset, alpha: float = 0.05) -> TestReport:
+def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
     """General route: weighted chi-square with weights from estimated fourth moments.
 
-    Whitens the data with the fit's means and block inverse roots, estimates
+    Whitens the fitted sample with the fit's means and block inverse roots
+    (so its block covariances are the identity by construction), estimates
     the covariance of the stacked off-diagonal block entries without imposing
     the null on cross-moments (the estimate is consistent either way and
     converges to the right object under the null), and refers n*S to the
@@ -161,8 +158,6 @@ def general_test(fit: MslcaFit, data: Dataset, alpha: float = 0.05) -> TestRepor
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if fit.n != data.n:
-        raise ValueError(f"fit (n={fit.n}) and data (n={data.n}) are inconsistent")
     d = degrees_of_freedom(fit.structure)
     if fit.n < 10 * d:
         warnings.warn(
@@ -170,8 +165,8 @@ def general_test(fit: MslcaFit, data: Dataset, alpha: float = 0.05) -> TestRepor
             f"(recommended n >= {10 * d})",
             stacklevel=2,
         )
-    acc = MomentAccumulator.from_whitened(_whiten_with(data, fit.means, fit.inv_roots))
-    gamma = build_gamma(acc)
+    whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
+    gamma = build_gamma(MomentAccumulator(fit.structure, whitened.rows))
     weights = gamma.eigenvalues()
     s = s_statistic(fit.that, fit.structure)
     ns = fit.n * s

@@ -35,10 +35,11 @@ DEFAULT_GROUP_TOL = 1e-8
 class CovarianceModel:
     """Full covariance of the stacked vector, stored as one (q, q) matrix.
 
-    Block (k, l) is the cross-covariance of sets k and l; symmetry is
-    validated at construction. Positive definiteness of the diagonal blocks
-    is checked where it is actually needed (inverse square roots), so that
-    empirical covariances of degenerate samples remain representable.
+    Block (k, l) is the cross-covariance of sets k and l; finiteness and
+    symmetry are validated at construction. Positive definiteness of the
+    diagonal blocks is checked where it is actually needed (inverse square
+    roots), so that empirical covariances of degenerate samples remain
+    representable.
     """
 
     structure: BlockStructure
@@ -49,6 +50,8 @@ class CovarianceModel:
         v = np.asarray(v, dtype=float)
         if v.shape != (q, q):
             raise ValueError(f"covariance must have shape ({q}, {q}), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("covariance has a non-finite entry")
         v = require_symmetric(v)
         v.flags.writeable = False
         object.__setattr__(self, "structure", structure)
@@ -103,24 +106,6 @@ class ConstraintDiagnostics:
     max_orthogonality_violation: float
 
 
-@dataclass(frozen=True)
-class CcaEquivalence:
-    """K=2 reduction to classical linear canonical analysis.
-
-    ``canonical_correlations`` are the singular values of
-    S = V_1^{-1/2} V_12 V_2^{-1/2} in nonincreasing order; squared, they are
-    the nonzero eigenvalues of R = S S^T. ``directions_first``/``_second``
-    hold the unit-norm paired directions sqrt(2) * (block of beta) for every
-    strictly positive coefficient. ``spectrum_pairing_gap`` measures how far
-    the nonzero spectrum is from exact +/- pairing (should be round-off).
-    """
-
-    canonical_correlations: np.ndarray
-    directions_first: np.ndarray
-    directions_second: np.ndarray
-    spectrum_pairing_gap: float
-
-
 def build_phi(model: CovarianceModel) -> np.ndarray:
     """Block-diagonal (within-set) part of the covariance."""
     q = model.structure.total_dim
@@ -129,15 +114,6 @@ def build_phi(model: CovarianceModel) -> np.ndarray:
         sl = model.structure.block_slice(k)
         phi[sl, sl] = model.v[sl, sl]
     return phi
-
-
-def build_psi(model: CovarianceModel) -> np.ndarray:
-    """Off-block-diagonal (between-set) part; phi + psi is the covariance."""
-    psi = model.v.copy()
-    for k in range(model.structure.n_blocks):
-        sl = model.structure.block_slice(k)
-        psi[sl, sl] = 0.0
-    return psi
 
 
 def _block_inv_sqrts(model: CovarianceModel, cond_floor: float) -> list[np.ndarray]:
@@ -160,13 +136,13 @@ def _assemble_t(model: CovarianceModel, inv_roots: list[np.ndarray]) -> np.ndarr
     return t
 
 
-def build_t(model: CovarianceModel, cond_floor: float = DEFAULT_COND_FLOOR) -> np.ndarray:
+def build_t(model: CovarianceModel) -> np.ndarray:
     """Assemble T = Phi^{-1/2} Psi Phi^{-1/2} blockwise.
 
     Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
     exactly zero by construction.
     """
-    return _assemble_t(model, _block_inv_sqrts(model, cond_floor))
+    return _assemble_t(model, _block_inv_sqrts(model, DEFAULT_COND_FLOOR))
 
 
 def _group_indices(rho: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
@@ -221,26 +197,9 @@ def _solve(
     return t, solution, inv_roots
 
 
-def solve_mslca(
-    model: CovarianceModel,
-    group_tol: float = DEFAULT_GROUP_TOL,
-    cond_floor: float = DEFAULT_COND_FLOOR,
-) -> MslcaSolution:
+def solve_mslca(model: CovarianceModel) -> MslcaSolution:
     """Solve the population analysis by spectral decomposition of T."""
-    return _solve(model, group_tol, cond_floor)[1]
-
-
-def varphi(model: CovarianceModel, a: np.ndarray) -> float:
-    """Between-set quadratic form sum_{k != l} <a_k, V_kl a_l> = <a, Psi a>.
-
-    Evaluates to rho_j at the j-th canonical direction.
-    """
-    structure = model.structure
-    parts = structure.split(np.asarray(a, dtype=float))
-    total = 0.0
-    for k, l in structure.ordered_pairs():
-        total += float(parts[k] @ model.block(k, l) @ parts[l])
-    return total
+    return _solve(model, DEFAULT_GROUP_TOL, DEFAULT_COND_FLOOR)[1]
 
 
 def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> ConstraintDiagnostics:
@@ -254,40 +213,3 @@ def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> Const
     off = gram - np.diag(np.diag(gram))
     ortho = float(np.abs(off).max()) if gram.shape[0] > 1 else 0.0
     return ConstraintDiagnostics(max_unit_violation=unit, max_orthogonality_violation=ortho)
-
-
-def cca_equivalence(
-    model: CovarianceModel,
-    group_tol: float = DEFAULT_GROUP_TOL,
-    cond_floor: float = DEFAULT_COND_FLOOR,
-) -> CcaEquivalence:
-    """Reduce a two-set model to classical canonical correlation analysis.
-
-    Only defined for K = 2. The nonzero spectrum of T comes in +/- pairs and
-    the positive half matches the singular values of S.
-    """
-    structure = model.structure
-    if structure.n_blocks != 2:
-        raise ValueError(f"only defined for 2 blocks, model has {structure.n_blocks}")
-    inv_roots = _block_inv_sqrts(model, cond_floor)
-    s = inv_roots[0] @ model.block(0, 1) @ inv_roots[1]
-    correlations = np.linalg.svd(s, compute_uv=False)
-
-    solution = solve_mslca(model, group_tol, cond_floor)
-    positive = solution.rho[solution.rho > group_tol]
-    negative = -solution.rho[solution.rho < -group_tol][::-1]
-    if positive.size != negative.size:
-        pairing_gap = float("inf")
-    else:
-        pairing_gap = float(np.abs(positive - negative).max()) if positive.size else 0.0
-
-    n_dir = positive.size
-    sqrt2 = np.sqrt(2.0)
-    first = sqrt2 * solution.beta[structure.block_slice(0), :n_dir]
-    second = sqrt2 * solution.beta[structure.block_slice(1), :n_dir]
-    return CcaEquivalence(
-        canonical_correlations=correlations,
-        directions_first=first,
-        directions_second=second,
-        spectrum_pairing_gap=pairing_gap,
-    )

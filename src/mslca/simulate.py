@@ -3,15 +3,19 @@
 Each experiment draws replications from per-(size, replication) RNG streams
 spawned off the master seed, so results are bit-reproducible and independent
 of execution order. ``run_experiment`` is the one replication loop: every
-cell samples, fits and hands the fit to its kind's record function, and
-each size's records go to the kind's summary function. A kind supplies only
-its set-up (precondition and reference quantities), record and summary.
+cell samples, fits and hands the cell's stream and the fit (which keeps its
+sample) to its kind's record function, and each size's records go to the
+kind's summary function. A kind supplies only its set-up (preconditions,
+raised as PlanPreconditionError before any cell runs, and reference
+quantities), record and summary.
 Chi-square references come from scipy's incomplete-gamma CDF rather than
 from simulation, which keeps the checks non-circular.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +24,7 @@ from scipy import stats
 
 from . import __version__
 from .estimation import Dataset, align_sign, fit_mslca
-from .exceptions import NuTooSmallError, PlanPreconditionError, RepeatedEigenvaluesError
+from .exceptions import NuTooSmallError, PlanPreconditionError
 from .noncorr import chi2_test, degrees_of_freedom, general_test, s_statistic
 from .population import CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
@@ -32,6 +36,16 @@ from .asymptotics import (
 )
 
 EXPERIMENT_KINDS = ("consistency", "clt-check", "coeff-clt", "null-dist", "power")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError for a bool or anything that is not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def rng_stream(master_seed: int, size_index: int, rep_index: int) -> np.random.Generator:
@@ -98,7 +112,12 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    ``sizes``, ``replications`` and ``seed`` must be integers; a float such
+    as 3.0 is refused (ValueError) rather than truncated. The covariance must
+    be positive semidefinite, since the samplers use its square root.
+    """
 
     kind: str
     model: CovarianceModel
@@ -111,7 +130,9 @@ class SimulationPlan:
     methods: tuple[str, ...] = ("chi2",)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer(s, "sizes") for s in self.sizes))
+        object.__setattr__(self, "replications", _integer(self.replications, "replications"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.kind not in EXPERIMENT_KINDS:
@@ -132,15 +153,19 @@ class SimulationPlan:
             )
         if self.seed < 0:
             raise PlanPreconditionError(f"seed must be nonnegative, got {self.seed}")
-        if any(not 0 < a < 1 for a in self.alphas):
-            raise ValueError(f"alphas must lie in (0, 1), got {self.alphas}")
+        if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
+            raise ValueError(f"alphas must be nonempty and lie in (0, 1), got {self.alphas}")
         if any(m not in ("chi2", "general") for m in self.methods):
             raise ValueError(f"methods must be chi2/general, got {self.methods}")
+        if self.nu is not None and not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         if self.sampler == "student-t":
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
             if self.nu <= 4:
                 raise NuTooSmallError(f"student-t sampler needs nu > 4, got {self.nu}")
+        # the samplers' square root of V, computed once; raises ValueError unless V is PSD
+        self.model.root
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         if self.sampler == "gaussian":
@@ -180,7 +205,7 @@ class SimulationPlan:
         unknown = sorted(key for key in raw if key not in required + optional)
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")
-        structure = BlockStructure(raw["dims"])
+        structure = BlockStructure([_integer(p, "dims") for p in raw["dims"]])
         model = CovarianceModel(structure, np.asarray(raw["covariance"], dtype=float))
         kwargs = {}
         for key in optional:
@@ -190,7 +215,7 @@ class SimulationPlan:
             kind=raw["kind"],
             model=model,
             sizes=raw["sizes"],
-            replications=int(raw["replications"]),
+            replications=raw["replications"],
             **kwargs,
         )
 
@@ -235,7 +260,7 @@ def _consistency(plan: SimulationPlan):
     beta = solution.beta
     projectors = [beta[:, list(g)] @ beta[:, list(g)].T for g in solution.groups]
 
-    def record(rng, data, fit):
+    def record(rng, fit):
         est = fit.solution.beta
         return {
             "t_error": float(np.linalg.norm(fit.that - t_true)),
@@ -271,20 +296,34 @@ def _offdiag_positions(model: CovarianceModel) -> list[tuple[int, int]]:
     return positions
 
 
+def _require_covariance_plan(plan: SimulationPlan) -> None:
+    """A whitened-compatible model and at least two replications per size."""
+    try:
+        _require_whitened_model(plan.model)
+    except ValueError as err:
+        raise PlanPreconditionError(f"{plan.kind}: {err}") from None
+    if plan.replications < 2:
+        raise PlanPreconditionError(
+            f"{plan.kind} estimates covariances and needs at least 2 replications, "
+            f"got {plan.replications}"
+        )
+
+
 def _clt_check(plan: SimulationPlan):
     """Covariance of sqrt(n) * estimation error vs covariance of the limit operator.
 
     For each replication, the off-diagonal block entries of the scaled error
     are recorded alongside the same entries of the limit operator evaluated
-    at one fresh draw; their empirical covariances should agree.
+    at one fresh draw; their empirical covariances should agree. Needs a
+    whitened-compatible model and at least two replications.
     """
-    _require_whitened_model(plan.model)
+    _require_covariance_plan(plan)
     t_true = build_t(plan.model)
     positions = _offdiag_positions(plan.model)
     rows_idx = [p[0] for p in positions]
     cols_idx = [p[1] for p in positions]
 
-    def record(rng, data, fit):
+    def record(rng, fit):
         err = np.sqrt(fit.n) * (fit.that - t_true)
         fresh = plan.sample(1, rng).rows[0]
         return {
@@ -308,17 +347,19 @@ def _clt_check(plan: SimulationPlan):
 def _coeff_clt(plan: SimulationPlan):
     """Variance of sqrt(n) * coefficient errors vs the asymptotic covariance.
 
-    Requires a simple population spectrum. The reference variances come from
-    the closed-form Gaussian tensor, scaled by the sampler's kurtosis factor
+    Requires a simple population spectrum, a whitened-compatible model and
+    at least two replications. The reference variances come from the
+    closed-form Gaussian tensor, scaled by the sampler's kurtosis factor
     (valid for the elliptical student-t sampler as well).
     """
     solution = solve_mslca(plan.model)
     if not solution.is_simple:
-        raise RepeatedEigenvaluesError("coefficient CLT experiment needs a simple spectrum")
+        raise PlanPreconditionError("coefficient CLT experiment needs a simple spectrum")
+    _require_covariance_plan(plan)
     tensor = plan.true_scale * c_tensor_gaussian(plan.model, solution)
     asymptotic = np.diag(sigma_matrix(tensor, solution))
 
-    def record(rng, data, fit):
+    def record(rng, fit):
         return {"scaled_rho_errors": (np.sqrt(fit.n) * (fit.solution.rho - solution.rho)).tolist()}
 
     def summarize(records):
@@ -335,7 +376,7 @@ def _coeff_clt(plan: SimulationPlan):
 def _require_null_model(model: CovarianceModel) -> None:
     for k, l in model.structure.lower_pairs():
         if np.abs(model.block(k, l)).max() > 0:
-            raise ValueError(f"model violates the null: block ({k}, {l}) is nonzero")
+            raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
 
 
 def _null_dist(plan: SimulationPlan):
@@ -353,7 +394,7 @@ def _null_dist(plan: SimulationPlan):
     scale = plan.true_scale
     include_general = "general" in plan.methods
 
-    def record(rng, data, fit):
+    def record(rng, fit):
         ns = fit.n * s_statistic(fit.that, fit.structure)
         out = {
             "ns": float(ns),
@@ -361,7 +402,7 @@ def _null_dist(plan: SimulationPlan):
             "p_chi2_scaled": float(stats.chi2.sf(ns / scale, df=d)),
         }
         if include_general:
-            out["p_general"] = general_test(fit, data, alpha=plan.alphas[0]).p_value
+            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
         return out
 
     def summarize(records):
@@ -390,10 +431,10 @@ def _power(plan: SimulationPlan):
     """
     include_general = "general" in plan.methods
 
-    def record(rng, data, fit):
+    def record(rng, fit):
         out = {"p_chi2": chi2_test(fit, scale="gaussian", alpha=plan.alphas[0]).p_value}
         if include_general:
-            out["p_general"] = general_test(fit, data, alpha=plan.alphas[0]).p_value
+            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
         return out
 
     def summarize(records):
@@ -421,7 +462,8 @@ def run_experiment(plan: SimulationPlan) -> ExperimentResult:
 
     Each cell draws its sample from its own stream, fits it, and adds the
     kind's record to ``n`` and ``rep``. After each size, the kind summarizes
-    that size's records.
+    that size's records. A kind's precondition fails with
+    PlanPreconditionError before any cell runs.
     """
     started = time.perf_counter()
     record, summarize = _KINDS[plan.kind](plan)
@@ -431,8 +473,8 @@ def run_experiment(plan: SimulationPlan) -> ExperimentResult:
         cells = []
         for rep in range(plan.replications):
             rng = rng_stream(plan.seed, i_size, rep)
-            data = plan.sample(n, rng)
-            cells.append({"n": n, "rep": rep, **record(rng, data, fit_mslca(data))})
+            fit = fit_mslca(plan.sample(n, rng))
+            cells.append({"n": n, "rep": rep, **record(rng, fit)})
         summaries[str(n)] = summarize(cells)
         records.extend(cells)
     meta = {

@@ -233,10 +233,9 @@ def test_criterion_09_gaussian_gamma_identity():
     diffs = []
     for rep in range(100):
         rng = rng_stream(0, 0, rep)
-        data = sample_gaussian(NULL_222, 5000, rng)
-        fit = fit_mslca(data)
+        fit = fit_mslca(sample_gaussian(NULL_222, 5000, rng))
         p_chi2 = chi2_test(fit).p_value
-        p_general = general_test(fit, data).p_value
+        p_general = general_test(fit).p_value
         diffs.append(abs(p_chi2 - p_general))
     max_diff = float(np.max(diffs))
     ok = gamma_gap < 0.1 and max_diff < 0.02

@@ -164,7 +164,7 @@ def test_build_gamma_gaussian_null_near_identity():
     acc = _whitened_accumulator(model, 30000, seed=131)
     gamma = build_gamma(acc)
     assert np.array_equal(gamma.matrix, gamma.matrix.T)
-    assert gamma.dimension == 4
+    assert gamma.matrix.shape == (4, 4)
     assert np.abs(gamma.matrix - np.eye(4)).max() < 0.08
     assert gamma.eigenvalues().min() >= 0.0
 
@@ -173,7 +173,7 @@ def test_build_gamma_scalar_pair_gaussian():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     acc = _whitened_accumulator(model, 20000, seed=137)
     gamma = build_gamma(acc)
-    assert gamma.dimension == 1
+    assert gamma.matrix.shape == (1, 1)
     assert gamma.matrix[0, 0] == pytest.approx(1.0, abs=0.1)
 
 

@@ -168,6 +168,8 @@ def test_test_command_flag_rules(gaussian_csv, tmp_path):
     out = tmp_path / "report.json"
     base = ["test", "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)]
     assert main(base + ["--method", "chi2", "--scale", "0"]) == 2
+    assert main(base + ["--scale", "nan"]) == 2
+    assert main(base + ["--scale", "inf"]) == 2
     assert main(base + ["--method", "general", "--scale", "gaussian"]) == 2
     assert main(base + ["--scale", "bogus"]) == 2
     assert main(base + ["--alpha", "1.5"]) == 2
@@ -264,12 +266,38 @@ def test_simulate_plan_preconditions_exit_4(tmp_path):
     assert main(["simulate", "--config", str(reps_bad), "--out", str(tmp_path / "o.json")]) == 4
 
 
+WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1}).v
+# the same canonical analysis with the first variable's variance doubled
+SCALED_111 = (np.sqrt([2.0, 1.0, 1.0])[:, None] * WHITENED_111 * np.sqrt([2.0, 1.0, 1.0])).tolist()
+EQUICORRELATED_111 = (0.5 * np.eye(3) + 0.5).tolist()
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [
         ({"method": ["general"]}, 2),
         ({"mc_draws": 0}, 2),
         ({"dims": [3, 3], "covariance": np.eye(6).tolist(), "sizes": [50, 3]}, 4),
+        # malformed values: exit 2
+        ({"seed": 1.5}, 2),
+        ({"seed": 3.0}, 2),
+        ({"sizes": [200.7]}, 2),
+        ({"replications": 2.5}, 2),
+        ({"dims": [1.9, 1]}, 2),
+        ({"alphas": [], "methods": ["chi2", "general"]}, 2),
+        ({"alphas": []}, 2),
+        ({"sampler": "student-t", "nu": float("nan")}, 2),
+        ({"sampler": "student-t", "nu": float("inf")}, 2),
+        ({"covariance": [[1.0, 2.0], [2.0, 1.0]]}, 2),
+        ({"covariance": [[1.0, float("nan")], [float("nan"), 1.0]]}, 2),
+        # a kind's precondition: exit 4
+        ({"covariance": [[1.0, 0.3], [0.3, 1.0]]}, 4),
+        ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": EQUICORRELATED_111}, 4),
+        ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": SCALED_111}, 4),
+        ({"kind": "clt-check", "covariance": [[2.0, 0.0], [0.0, 1.0]]}, 4),
+        ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": WHITENED_111.tolist(),
+          "replications": 1}, 4),
+        ({"kind": "clt-check", "replications": 1}, 4),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):

@@ -11,7 +11,6 @@ from mslca import (
     NearSingularError,
     SimulationPlan,
     align_sign,
-    center,
     empirical_cov,
     fit_mslca,
     psd_sqrt,
@@ -37,29 +36,6 @@ def test_dataset_validation():
     assert "row 0" in str(exc.value) and "column 1" in str(exc.value)
     single = Dataset(s, np.array([[1.0, 2.0]]))
     assert single.n == 1
-
-
-def test_center_examples():
-    s = BlockStructure((1, 1))
-    centered, means = center(Dataset(s, [[1.0, 3.0], [3.0, 5.0]]))
-    assert np.array_equal(means, [2.0, 4.0])
-    assert np.array_equal(centered.rows, [[-1.0, -1.0], [1.0, 1.0]])
-
-    constant = Dataset(s, [[2.0, 7.0], [2.0, 7.0], [2.0, 7.0]])
-    centered, means = center(constant)
-    assert np.array_equal(means, [2.0, 7.0])
-    assert np.array_equal(centered.rows, np.zeros((3, 2)))
-
-    already = Dataset(s, [[-1.0, 2.0], [1.0, -2.0]])
-    centered, means = center(already)
-    assert np.array_equal(means, [0.0, 0.0])
-    assert np.array_equal(centered.rows, already.rows)
-
-
-def test_center_requires_two_rows():
-    s = BlockStructure((1, 1))
-    with pytest.raises(InsufficientSampleError):
-        center(Dataset(s, [[1.0, 2.0]]))
 
 
 def test_empirical_cov_examples():
@@ -91,8 +67,12 @@ def test_empirical_cov_monte_carlo_rate():
 
 def test_fit_two_point_design():
     s = BlockStructure((1, 1))
-    fit = fit_mslca(Dataset(s, [[-1.0, -1.0], [1.0, 1.0]]))
+    data = Dataset(s, [[-1.0, -1.0], [1.0, 1.0]])
+    fit = fit_mslca(data)
     np.testing.assert_allclose(fit.solution.rho, [1.0, -1.0], atol=1e-12)
+    # the fit keeps its sample, not a copy, and leaves it out of its repr
+    assert fit.data is data and fit.n == 2
+    assert "data=" not in repr(fit)
 
 
 def test_fit_collinear_block_raises_with_block_index():
@@ -129,7 +109,7 @@ def test_package_built_datasets_are_read_only_and_not_copied(monkeypatch):
     model = random_spd_model(np.random.default_rng(75), structure)
     gauss = sample_gaussian(model, 60, 75)
     heavy = sample_student_t(model, 8.0, 60, 75)
-    built = [gauss, heavy, whiten(gauss), center(gauss)[0]]
+    built = [gauss, heavy, whiten(gauss)]
     for data in built:
         assert not data.rows.flags.writeable
         with pytest.raises(ValueError):

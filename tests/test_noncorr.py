@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 import mslca.blocks
-from mslca.asymptotics import TAIL_ATOL
+import mslca.noncorr
+from mslca.asymptotics import TAIL_ATOL, _require_whitened_data
 from mslca import (
     BlockStructure,
     CovarianceModel,
@@ -111,25 +112,23 @@ def test_chi2_route_scales():
     model = correlation_model((1, 1), {(1, 0): 0.0})
     data = sample_student_t(model, 10, 4000, rng)
     fit = fit_mslca(data)
-    plugin = chi2_test(fit, scale="plugin", data=data)
+    plugin = chi2_test(fit, scale="plugin")
     assert plugin.scale_provenance == "plugin"
     assert plugin.scale == pytest.approx(4.0 / 3.0, abs=0.35)
     user = chi2_test(fit, scale=2.0)
     assert user.scale_provenance == "user"
     assert user.scale == 2.0
     assert user.p_value == pytest.approx(float(stats.chi2.sf(user.ns / 2.0, df=1)), rel=1e-12)
-    with pytest.raises(ValueError):
-        chi2_test(fit, scale=0.0)
-    with pytest.raises(ValueError):
-        chi2_test(fit, scale="plugin")  # no data supplied
+    for bad in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="positive finite"):
+            chi2_test(fit, scale=bad)
     with pytest.raises(ValueError):
         chi2_test(fit, alpha=1.5)
 
 
 def test_general_route_zero_statistic():
     data = Dataset(BlockStructure((1, 1)), UNCORRELATED_ROWS)
-    fit = fit_mslca(data)
-    report = general_test(fit, data)
+    report = general_test(fit_mslca(data))
     assert report.p_value == 1.0
     assert report.p_value_error_bound == TAIL_ATOL
     assert report.method == "general"
@@ -141,10 +140,9 @@ def test_general_route_close_to_chi2_under_gaussian_null():
     rng = np.random.default_rng(199)
     structure = BlockStructure((2, 2))
     model = CovarianceModel(structure, np.eye(4))
-    data = sample_gaussian(model, 5000, rng)
-    fit = fit_mslca(data)
+    fit = fit_mslca(sample_gaussian(model, 5000, rng))
     chi2_report = chi2_test(fit)
-    general_report = general_test(fit, data)
+    general_report = general_test(fit)
     assert abs(chi2_report.p_value - general_report.p_value) < 0.02
 
 
@@ -152,20 +150,48 @@ def test_general_route_warns_on_small_sample():
     rng = np.random.default_rng(211)
     structure = BlockStructure((2, 2, 2))
     model = CovarianceModel(structure, np.eye(6))
-    data = sample_gaussian(model, 60, rng)  # below 10 * d = 120
-    fit = fit_mslca(data)
+    fit = fit_mslca(sample_gaussian(model, 60, rng))  # below 10 * d = 120
     with pytest.warns(UserWarning):
-        general_test(fit, data)
+        general_test(fit)
 
 
-def test_general_route_requires_consistent_n():
-    rng = np.random.default_rng(223)
-    model = correlation_model((1, 1), {(1, 0): 0.0})
-    data = sample_gaussian(model, 100, rng)
-    other = sample_gaussian(model, 120, rng)
-    fit = fit_mslca(data)
-    with pytest.raises(ValueError):
-        general_test(fit, other)
+def _ill_conditioned_model():
+    # block 0 has eigenvalues 1e4 and 1e-5: condition number 1e9
+    structure = BlockStructure((2, 1, 2))
+    v = np.eye(5)
+    v[0, 0], v[1, 1] = 1e4, 1e-5
+    v[2, 0] = v[0, 2] = 30.0
+    v[3, 2] = v[2, 3] = 0.2
+    return CovarianceModel(structure, v)
+
+
+def test_general_route_whitens_its_fit_exactly(monkeypatch):
+    # general_test builds its moments from the fit's own sample and roots
+    # without re-checking them; the whitening they give must pass the check
+    # that MomentAccumulator.from_whitened applies to outside samples
+    rng = np.random.default_rng(239)
+    models = [random_spd_model(rng, random_structure(rng)) for _ in range(6)]
+    models.append(_ill_conditioned_model())
+    seen = []
+    original = mslca.noncorr.build_gamma
+
+    def recorded(acc):
+        seen.append(acc)
+        return original(acc)
+
+    monkeypatch.setattr(mslca.noncorr, "build_gamma", recorded)
+    for i, model in enumerate(models):
+        if i % 2:
+            data = sample_gaussian(model, 400, rng)
+        else:
+            data = sample_student_t(model, 9.0, 400, rng)
+        fit = fit_mslca(data)
+        assert fit.data is data and fit.n == 400
+        general_test(fit)
+        assert seen[-1].n == 400 and seen[-1].structure == model.structure
+        _require_whitened_data(seen[-1].data, model.structure)
+    assert len(seen) == len(models)
+    assert np.linalg.cond(fit.vhat.diagonal_block(0)) > 1e8
 
 
 def test_statistic_invariant_under_block_transforms():
@@ -223,8 +249,8 @@ def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
 
     fit = fit_mslca(data)
     assert len(calls) == model.structure.n_blocks + 1
-    general_test(fit, data)
-    plugin = chi2_test(fit, scale="plugin", data=data)
+    general_test(fit)
+    plugin = chi2_test(fit, scale="plugin")
     assert len(calls) == model.structure.n_blocks + 1
 
     monkeypatch.undo()

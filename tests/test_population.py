@@ -1,5 +1,7 @@
 """Population solver: construction, spectral solution, structural claims."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,13 @@ from mslca import (
     BlockStructure,
     CovarianceModel,
     build_phi,
-    build_psi,
     build_t,
-    cca_equivalence,
     psd_sqrt,
     solve_mslca,
-    varphi,
+    sym_power,
     verify_constraints,
 )
+from mslca.population import DEFAULT_GROUP_TOL
 from conftest import (
     correlation_model,
     equicorrelation_model,
@@ -23,6 +24,73 @@ from conftest import (
     transform_model,
     random_block_transforms,
 )
+
+
+def varphi(model, a):
+    """Reference between-set quadratic form sum_{k != l} <a_k, V_kl a_l> = <a, Psi a>.
+
+    Evaluates to rho_j at the j-th canonical direction.
+    """
+    structure = model.structure
+    parts = structure.split(np.asarray(a, dtype=float))
+    total = 0.0
+    for k, l in structure.ordered_pairs():
+        total += float(parts[k] @ model.block(k, l) @ parts[l])
+    return total
+
+
+@dataclass(frozen=True)
+class CcaEquivalence:
+    """K=2 reduction to classical linear canonical analysis.
+
+    ``canonical_correlations`` are the singular values of
+    S = V_1^{-1/2} V_12 V_2^{-1/2} in nonincreasing order; squared, they are
+    the nonzero eigenvalues of R = S S^T. ``directions_first``/``_second``
+    hold the unit-norm paired directions sqrt(2) * (block of beta) for every
+    strictly positive coefficient. ``spectrum_pairing_gap`` measures how far
+    the nonzero spectrum is from exact +/- pairing (should be round-off).
+    """
+
+    canonical_correlations: np.ndarray
+    directions_first: np.ndarray
+    directions_second: np.ndarray
+    spectrum_pairing_gap: float
+
+
+def cca_equivalence(model):
+    """Reference reduction of a two-set model to classical canonical correlation analysis.
+
+    Only defined for K = 2. The nonzero spectrum of T comes in +/- pairs and
+    the positive half matches the singular values of S.
+    """
+    structure = model.structure
+    if structure.n_blocks != 2:
+        raise ValueError(f"only defined for 2 blocks, model has {structure.n_blocks}")
+    s = (
+        sym_power(model.diagonal_block(0), -0.5)
+        @ model.block(0, 1)
+        @ sym_power(model.diagonal_block(1), -0.5)
+    )
+    correlations = np.linalg.svd(s, compute_uv=False)
+
+    solution = solve_mslca(model)
+    positive = solution.rho[solution.rho > DEFAULT_GROUP_TOL]
+    negative = -solution.rho[solution.rho < -DEFAULT_GROUP_TOL][::-1]
+    if positive.size != negative.size:
+        pairing_gap = float("inf")
+    else:
+        pairing_gap = float(np.abs(positive - negative).max()) if positive.size else 0.0
+
+    n_dir = positive.size
+    sqrt2 = np.sqrt(2.0)
+    first = sqrt2 * solution.beta[structure.block_slice(0), :n_dir]
+    second = sqrt2 * solution.beta[structure.block_slice(1), :n_dir]
+    return CcaEquivalence(
+        canonical_correlations=correlations,
+        directions_first=first,
+        directions_second=second,
+        spectrum_pairing_gap=pairing_gap,
+    )
 
 
 def test_model_validation():
@@ -59,21 +127,15 @@ def test_build_phi_block_assembly():
     assert np.array_equal(build_phi(model), np.diag([2.0, 3.0, 4.0]))
 
 
-def test_build_psi_uncorrelated():
-    model = CovarianceModel(BlockStructure((2, 1)), np.eye(3))
-    assert np.array_equal(build_psi(model), np.zeros((3, 3)))
-
-
-def test_build_psi_scalar_pair():
-    r = 0.6
-    model = correlation_model((1, 1), {(1, 0): r})
-    assert np.array_equal(build_psi(model), [[0.0, r], [r, 0.0]])
-
-
 def test_phi_plus_psi_is_covariance():
+    # Psi enters through its quadratic form <a, Psi a> (the reference varphi)
     rng = np.random.default_rng(23)
     model = random_spd_model(rng, random_structure(rng))
-    np.testing.assert_allclose(build_phi(model) + build_psi(model), model.v, atol=0)
+    phi = build_phi(model)
+    for a in rng.standard_normal((5, model.structure.total_dim)):
+        assert float(a @ phi @ a) + varphi(model, a) == pytest.approx(
+            float(a @ model.v @ a), rel=1e-12
+        )
 
 
 def test_build_t_uncorrelated():
@@ -148,7 +210,8 @@ def test_varphi_equals_psi_quadratic_form_and_rho():
     rng = np.random.default_rng(31)
     model = random_spd_model(rng, random_structure(rng))
     a = rng.standard_normal(model.structure.total_dim)
-    assert varphi(model, a) == pytest.approx(float(a @ build_psi(model) @ a), rel=1e-10)
+    psi = model.v - build_phi(model)
+    assert varphi(model, a) == pytest.approx(float(a @ psi @ a), rel=1e-10)
     sol = solve_mslca(model)
     for j in (0, model.structure.total_dim - 1):
         assert varphi(model, sol.alpha[:, j]) == pytest.approx(sol.rho[j], abs=1e-9)
@@ -238,8 +301,6 @@ def test_cca_equivalence_random_three_two():
         model = random_spd_model(rng, BlockStructure((3, 2)))
         eq = cca_equivalence(model)
         sol = solve_mslca(model)
-        from mslca import sym_power
-
         s_mat = (
             sym_power(model.diagonal_block(0), -0.5)
             @ model.block(0, 1)

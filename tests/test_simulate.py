@@ -9,7 +9,6 @@ from mslca import (
     CovarianceModel,
     NuTooSmallError,
     PlanPreconditionError,
-    RepeatedEigenvaluesError,
     SimulationPlan,
     ks_distance,
     rng_stream,
@@ -212,7 +211,7 @@ def test_run_clt_check_smoke():
 def test_run_clt_check_requires_whitened_model():
     model = CovarianceModel(BlockStructure((1, 1)), np.diag([2.0, 1.0]))
     plan = SimulationPlan(kind="clt-check", model=model, sizes=(100,), replications=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanPreconditionError, match="whitened"):
         run_experiment(plan)
 
 
@@ -226,7 +225,7 @@ def test_run_coeff_clt_smoke_and_guard():
 
     degenerate = equicorrelation_model(3, 0.5)
     bad_plan = SimulationPlan(kind="coeff-clt", model=degenerate, sizes=(100,), replications=3)
-    with pytest.raises(RepeatedEigenvaluesError):
+    with pytest.raises(PlanPreconditionError, match="simple spectrum"):
         run_experiment(bad_plan)
 
 
@@ -247,7 +246,7 @@ def test_run_null_dist_smoke():
 def test_run_null_dist_rejects_alternative_model():
     model = correlation_model((1, 1), {(1, 0): 0.3})
     plan = SimulationPlan(kind="null-dist", model=model, sizes=(100,), replications=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanPreconditionError, match="violates the null"):
         run_experiment(plan)
 
 
