@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .blocks import BlockStructure
 from .estimation import Dataset
@@ -354,7 +354,7 @@ def quad_form_pvalue(dist: EigenChiSquareDist, observed: float) -> float:
         return 0.0
     lam, mult = np.unique(positive, return_counts=True)
     if lam.size == 1:
-        return float(stats.chi2.sf(observed / lam[0], mult[0]))
+        return float(special.chdtrc(mult[0], observed / lam[0]))
     p_value = _inversion_sf(lam[::-1], mult[::-1].astype(float), observed)
     return min(1.0, max(0.0, p_value))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,7 +14,9 @@ from .population import (
     CovarianceModel,
     MslcaSolution,
     _block_inv_sqrts,
+    _off_block_mass,
     _solve,
+    _valid_covariances,
 )
 
 
@@ -67,10 +70,11 @@ class MslcaFit:
     """Empirical analysis of one dataset, which it keeps as ``data``.
 
     ``that`` is the estimated operator, whose diagonal blocks are exactly
-    zero by construction. ``inv_roots`` holds the inverse square root of each
-    diagonal block of ``vhat``; with ``means`` it whitens ``data``. The
-    non-correlation tests therefore take only the fit: their moments come
-    from the sample it was fitted on, whitened with its own roots.
+    zero by construction, and ``s`` its non-correlation statistic. ``inv_roots``
+    holds the inverse square root of each diagonal block of ``vhat``; with
+    ``means`` it whitens ``data``. The non-correlation tests therefore take
+    only the fit: their moments come from the sample it was fitted on,
+    whitened with its own roots.
     """
 
     data: Dataset = field(repr=False)
@@ -88,18 +92,66 @@ class MslcaFit:
     def structure(self) -> BlockStructure:
         return self.vhat.structure
 
+    @cached_property
+    def s(self) -> float:
+        """Summed squared entries of the lower off-diagonal blocks of ``that``.
+
+        A fit arrives with it computed once, over the whole stack of
+        operators fitted together; a copy with a new ``that`` computes it
+        from that operator.
+        """
+        return float(_off_block_mass(self.structure, self.that))
+
 
 def _require_rows(data: Dataset, minimum: int = 2) -> None:
     if data.n < minimum:
         raise InsufficientSampleError(f"need at least {minimum} rows, got {data.n}")
 
 
+def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples."""
+    centered = np.stack([data.rows for data in datasets])
+    means = centered.mean(axis=1)
+    centered -= means[:, None, :]
+    return means, centered.swapaxes(1, 2) @ centered / centered.shape[1]
+
+
 def empirical_cov(data: Dataset) -> CovarianceModel:
     """Covariance with divisor n (not n-1), assembled over all blocks at once."""
     _require_rows(data)
-    centered = data.rows - data.rows.mean(axis=0)
-    vhat = centered.T @ centered / data.n
-    return CovarianceModel(data.structure, vhat)
+    return CovarianceModel(data.structure, _means_and_covs([data])[1][0])
+
+
+def _fit_stack(
+    datasets: list[Dataset],
+    group_tol: float = DEFAULT_GROUP_TOL,
+    cond_floor: float = DEFAULT_COND_FLOOR,
+) -> list[MslcaFit]:
+    """Fit samples of one structure and size together, one fit per sample in order.
+
+    The samples are stacked into one (R, n, q) array: one centering, one
+    matrix product for the R covariances and one eigensolve per block and for
+    T, each over the whole stack. Every fit's arrays are read-only views into
+    the stacks, and each equals, bit for bit, the fit of its sample alone.
+    """
+    structure = datasets[0].structure
+    means, covs = _means_and_covs(datasets)
+    covs = _valid_covariances(covs)
+    that, solutions, inv_roots = _solve(structure, covs, group_tol, cond_floor)
+    means.flags.writeable = False
+    fits = []
+    for i, s in enumerate(_off_block_mass(structure, that).tolist()):
+        fit = MslcaFit(
+            data=datasets[i],
+            means=means[i],
+            vhat=CovarianceModel._of_valid(structure, covs[i]),
+            that=that[i],
+            solution=solutions[i],
+            inv_roots=tuple(root[i] for root in inv_roots),
+        )
+        fit.__dict__["s"] = s  # the cached value of MslcaFit.s
+        fits.append(fit)
+    return fits
 
 
 def fit_mslca(
@@ -114,17 +166,7 @@ def fit_mslca(
     InsufficientSampleError for n < 2.
     """
     _require_rows(data)
-    means = data.rows.mean(axis=0)
-    vhat = empirical_cov(data)
-    that, solution, inv_roots = _solve(vhat, group_tol, cond_floor)
-    return MslcaFit(
-        data=data,
-        means=means,
-        vhat=vhat,
-        that=that,
-        solution=solution,
-        inv_roots=tuple(inv_roots),
-    )
+    return _fit_stack([data], group_tol, cond_floor)[0]
 
 
 def align_sign(bhat: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,5 +200,5 @@ def whiten(data: Dataset) -> Dataset:
     changes of block basis.
     """
     _require_rows(data)
-    inv_roots = _block_inv_sqrts(empirical_cov(data), DEFAULT_COND_FLOOR)
+    inv_roots = _block_inv_sqrts(data.structure, empirical_cov(data).v, DEFAULT_COND_FLOOR)
     return _whiten_with(data, data.rows.mean(axis=0), inv_roots)

@@ -16,10 +16,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .blocks import BlockStructure, extract_block, frobenius_sq
+from .blocks import BlockStructure, extract_block
 from .estimation import MslcaFit, _whiten_with
+from .population import _off_block_mass
 from .asymptotics import (
     TAIL_ATOL,
     EigenChiSquareDist,
@@ -84,7 +85,8 @@ def s_statistic(that: np.ndarray, structure: BlockStructure) -> float:
     """Summed squared entries of the off-diagonal blocks (lower pairs only).
 
     Requires zero diagonal blocks, which the estimator guarantees by
-    construction; equals half the sum of squared eigenvalues.
+    construction; equals half the sum of squared eigenvalues. A fit carries
+    this value for its own operator as ``MslcaFit.s``.
     """
     that = np.asarray(that, dtype=float)
     scale = 1.0 + np.abs(that).max()
@@ -92,10 +94,7 @@ def s_statistic(that: np.ndarray, structure: BlockStructure) -> float:
         block = extract_block(that, structure, k, k)
         if np.abs(block).max() > 1e-10 * scale:
             raise ValueError(f"diagonal block {k} is not zero; not a canonical operator")
-    return sum(
-        frobenius_sq(extract_block(that, structure, k, l))
-        for k, l in structure.lower_pairs()
-    )
+    return float(_off_block_mass(structure, that))
 
 
 def degrees_of_freedom(structure: BlockStructure) -> int:
@@ -127,9 +126,9 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     scale_value, provenance = _resolve_scale(scale, fit)
     d = degrees_of_freedom(fit.structure)
-    s = s_statistic(fit.that, fit.structure)
+    s = fit.s
     ns = fit.n * s
-    p_value = float(stats.chi2.sf(ns / scale_value, df=d))
+    p_value = float(special.chdtrc(d, ns / scale_value))
     return TestReport(
         n=fit.n,
         d=d,
@@ -168,7 +167,7 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
     whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
     gamma = build_gamma(MomentAccumulator(fit.structure, whitened.rows))
     weights = gamma.eigenvalues()
-    s = s_statistic(fit.that, fit.structure)
+    s = fit.s
     ns = fit.n * s
     p_value = quad_form_pvalue(EigenChiSquareDist(weights), ns)
     return TestReport(

@@ -31,6 +31,15 @@ from .exceptions import NearSingularError
 DEFAULT_GROUP_TOL = 1e-8
 
 
+def _valid_covariances(v: np.ndarray) -> np.ndarray:
+    """Finite, symmetric (each matrix within its own scale), symmetrized and read-only."""
+    if not np.isfinite(v).all():
+        raise ValueError("covariance has a non-finite entry")
+    v = require_symmetric(v)
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Full covariance of the stacked vector, stored as one (q, q) matrix.
@@ -50,10 +59,16 @@ class CovarianceModel:
         v = np.asarray(v, dtype=float)
         if v.shape != (q, q):
             raise ValueError(f"covariance must have shape ({q}, {q}), got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("covariance has a non-finite entry")
-        v = require_symmetric(v)
-        v.flags.writeable = False
+        self._adopt(structure, _valid_covariances(v))
+
+    @classmethod
+    def _of_valid(cls, structure: BlockStructure, v: np.ndarray) -> "CovarianceModel":
+        """Wrap a matrix that ``_valid_covariances`` has passed, without checking it again."""
+        model = object.__new__(cls)
+        model._adopt(structure, v)
+        return model
+
+    def _adopt(self, structure: BlockStructure, v: np.ndarray) -> None:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "v", v)
 
@@ -116,24 +131,40 @@ def build_phi(model: CovarianceModel) -> np.ndarray:
     return phi
 
 
-def _block_inv_sqrts(model: CovarianceModel, cond_floor: float) -> list[np.ndarray]:
+def _block_inv_sqrts(
+    structure: BlockStructure, v: np.ndarray, cond_floor: float
+) -> list[np.ndarray]:
+    """Inverse square root of each diagonal block of ``v``, one (..., p_k, p_k) stack per block."""
     roots = []
-    for k in range(model.structure.n_blocks):
+    for k in range(structure.n_blocks):
+        sl = structure.block_slice(k)
         try:
-            roots.append(sym_power(model.diagonal_block(k), -0.5, cond_floor))
+            roots.append(sym_power(v[..., sl, sl], -0.5, cond_floor))
         except NearSingularError as err:
             raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
     return roots
 
 
-def _assemble_t(model: CovarianceModel, inv_roots: list[np.ndarray]) -> np.ndarray:
-    structure = model.structure
-    t = np.zeros((structure.total_dim, structure.total_dim))
+def _assemble_t(
+    structure: BlockStructure, v: np.ndarray, inv_roots: list[np.ndarray]
+) -> np.ndarray:
+    t = np.zeros(v.shape)
     for k, l in structure.lower_pairs():
-        block = inv_roots[k] @ model.block(k, l) @ inv_roots[l]
-        t[structure.block_slice(k), structure.block_slice(l)] = block
-        t[structure.block_slice(l), structure.block_slice(k)] = block.T
+        sk, sl = structure.block_slice(k), structure.block_slice(l)
+        block = inv_roots[k] @ v[..., sk, sl] @ inv_roots[l]
+        t[..., sk, sl] = block
+        t[..., sl, sk] = block.swapaxes(-1, -2)
     return t
+
+
+def _off_block_mass(structure: BlockStructure, t: np.ndarray) -> np.ndarray:
+    """Summed squared entries of the lower off-diagonal blocks of ``t`` (..., q, q), per matrix."""
+    total = 0.0
+    for k, l in structure.lower_pairs():
+        block = t[..., structure.block_slice(k), structure.block_slice(l)]
+        squares = block * block
+        total = total + squares.reshape(*squares.shape[:-2], -1).sum(axis=-1)
+    return total
 
 
 def build_t(model: CovarianceModel) -> np.ndarray:
@@ -142,10 +173,11 @@ def build_t(model: CovarianceModel) -> np.ndarray:
     Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
     exactly zero by construction.
     """
-    return _assemble_t(model, _block_inv_sqrts(model, DEFAULT_COND_FLOOR))
+    inv_roots = _block_inv_sqrts(model.structure, model.v, DEFAULT_COND_FLOOR)
+    return _assemble_t(model.structure, model.v, inv_roots)
 
 
-def _group_indices(rho: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], ...]:
+def _group_indices(rho: list[float], group_tol: float) -> tuple[tuple[int, ...], ...]:
     """Group nonincreasing eigenvalues by |rho_anchor - rho_j| <= tol * max(1, |rho_anchor|)."""
     groups: list[list[int]] = []
     for j, value in enumerate(rho):
@@ -158,34 +190,22 @@ def _group_indices(rho: np.ndarray, group_tol: float) -> tuple[tuple[int, ...], 
     return tuple(tuple(g) for g in groups)
 
 
-def _solve(
-    model: CovarianceModel, group_tol: float, cond_floor: float
-) -> tuple[np.ndarray, MslcaSolution, list[np.ndarray]]:
-    """T, its solution and the block inverse roots, each computed once."""
-    if not 0.0 < group_tol < math.inf:
-        raise ValueError(f"group_tol must be a positive finite number, got {group_tol}")
-    structure = model.structure
-    inv_roots = _block_inv_sqrts(model, cond_floor)
-    t = _assemble_t(model, inv_roots)
-    eig = sym_eig(t)
-    rho = eig.eigenvalues.copy()
-    beta = eig.eigenvectors.copy()
-
-    alpha = np.empty_like(beta)
-    for k in range(structure.n_blocks):
-        sl = structure.block_slice(k)
-        alpha[sl, :] = inv_roots[k] @ beta[sl, :]
-
-    groups = _group_indices(rho, group_tol)
-    group_values = np.array([rho[g[0]] for g in groups])
+def _solution(
+    structure: BlockStructure,
+    rho: np.ndarray,
+    beta: np.ndarray,
+    alpha: np.ndarray,
+    group_tol: float,
+) -> MslcaSolution:
+    groups = _group_indices(rho.tolist(), group_tol)
+    group_values = rho[[g[0] for g in groups]]
+    group_values.flags.writeable = False
     zero_group = None
-    for gi, value in enumerate(group_values):
+    for gi, value in enumerate(group_values.tolist()):
         if abs(value) <= group_tol:
             zero_group = gi
             break
-    for arr in (rho, beta, alpha, group_values, *inv_roots):
-        arr.flags.writeable = False
-    solution = MslcaSolution(
+    return MslcaSolution(
         structure=structure,
         rho=rho,
         beta=beta,
@@ -194,12 +214,39 @@ def _solve(
         group_values=group_values,
         zero_group=zero_group,
     )
-    return t, solution, inv_roots
+
+
+def _solve(
+    structure: BlockStructure, v: np.ndarray, group_tol: float, cond_floor: float
+) -> tuple[np.ndarray, list[MslcaSolution], list[np.ndarray]]:
+    """Solve each covariance of a (R, q, q) stack at once.
+
+    Returns the stack of T, one solution per matrix and the per-block stacks
+    of inverse roots, each computed once and read-only; every eigensolve is
+    one call over the whole stack.
+    """
+    if not 0.0 < group_tol < math.inf:
+        raise ValueError(f"group_tol must be a positive finite number, got {group_tol}")
+    inv_roots = _block_inv_sqrts(structure, v, cond_floor)
+    t = _assemble_t(structure, v, inv_roots)
+    eig = sym_eig(t)
+    beta = eig.eigenvectors
+    alpha = np.empty_like(beta)
+    for k in range(structure.n_blocks):
+        sl = structure.block_slice(k)
+        alpha[:, sl, :] = inv_roots[k] @ beta[:, sl, :]
+    for arr in (t, alpha, *inv_roots):
+        arr.flags.writeable = False
+    solutions = [
+        _solution(structure, eig.eigenvalues[i], beta[i], alpha[i], group_tol)
+        for i in range(v.shape[0])
+    ]
+    return t, solutions, inv_roots
 
 
 def solve_mslca(model: CovarianceModel) -> MslcaSolution:
     """Solve the population analysis by spectral decomposition of T."""
-    return _solve(model, DEFAULT_GROUP_TOL, DEFAULT_COND_FLOOR)[1]
+    return _solve(model.structure, model.v[None], DEFAULT_GROUP_TOL, DEFAULT_COND_FLOOR)[1][0]
 
 
 def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> ConstraintDiagnostics:

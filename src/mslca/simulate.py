@@ -3,8 +3,9 @@
 Each experiment draws replications from per-(size, replication) RNG streams
 spawned off the master seed, so results are bit-reproducible and independent
 of execution order. ``run_experiment`` is the one replication loop: every
-cell samples, fits and hands the cell's stream and the fit (which keeps its
-sample) to its kind's record function, and each size's records go to the
+cell samples from its own stream, the cells of a size are fitted a chunk at
+a time as one stack of matrices, each cell's stream and fit (which keeps its
+sample) go to its kind's record function, and each size's records go to the
 kind's summary function. A kind supplies only its set-up (preconditions,
 raised as PlanPreconditionError before any cell runs, and reference
 quantities), record and summary.
@@ -15,17 +16,17 @@ from simulation, which keeps the checks non-circular.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import __version__
-from .estimation import Dataset, align_sign, fit_mslca
-from .exceptions import NuTooSmallError, PlanPreconditionError
-from .noncorr import chi2_test, degrees_of_freedom, general_test, s_statistic
+from .blocks import BlockStructure, _integer
+from .estimation import Dataset, _fit_stack, align_sign
+from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
+from .noncorr import chi2_test, degrees_of_freedom, general_test
 from .population import CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
     _require_whitened_model,
@@ -36,16 +37,10 @@ from .asymptotics import (
 )
 
 EXPERIMENT_KINDS = ("consistency", "clt-check", "coeff-clt", "null-dist", "power")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError for a bool or anything that is not an integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+# Bytes of stacked sample that one chunk of cells may hold: 8 cells at
+# n=2000, q=6 and 3 at n=5000, q=6. More cells per chunk save little time
+# and add peak memory.
+_CHUNK_BYTES = 768 * 1024
 
 
 def rng_stream(master_seed: int, size_index: int, rep_index: int) -> np.random.Generator:
@@ -195,8 +190,6 @@ class SimulationPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulationPlan":
-        from .blocks import BlockStructure
-
         required = ("kind", "dims", "covariance", "sizes", "replications")
         optional = ("sampler", "nu", "seed", "alphas", "methods")
         missing = [key for key in required if key not in raw]
@@ -205,7 +198,7 @@ class SimulationPlan:
         unknown = sorted(key for key in raw if key not in required + optional)
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")
-        structure = BlockStructure([_integer(p, "dims") for p in raw["dims"]])
+        structure = BlockStructure(raw["dims"])
         model = CovarianceModel(structure, np.asarray(raw["covariance"], dtype=float))
         kwargs = {}
         for key in optional:
@@ -395,11 +388,11 @@ def _null_dist(plan: SimulationPlan):
     include_general = "general" in plan.methods
 
     def record(rng, fit):
-        ns = fit.n * s_statistic(fit.that, fit.structure)
+        ns = fit.n * fit.s
         out = {
-            "ns": float(ns),
-            "p_chi2": float(stats.chi2.sf(ns, df=d)),
-            "p_chi2_scaled": float(stats.chi2.sf(ns / scale, df=d)),
+            "ns": ns,
+            "p_chi2": float(special.chdtrc(d, ns)),
+            "p_chi2_scaled": float(special.chdtrc(d, ns / scale)),
         }
         if include_general:
             out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
@@ -457,24 +450,46 @@ _KINDS = {
 }
 
 
+def _chunk_fits(samples: list[Dataset]):
+    """The fits of a chunk's samples, in order.
+
+    The chunk is fitted as one stack. If a sample cannot be fitted, the
+    samples are refitted one by one as the caller reaches them, so the error
+    surfaces at the cell that causes it, after the records of the cells
+    before it, just as with one cell per chunk.
+    """
+    try:
+        return _fit_stack(samples)
+    except (MslcaError, ValueError):  # NearSingularError, LinAlgError, non-finite covariance
+        return (_fit_stack([sample])[0] for sample in samples)
+
+
 def run_experiment(plan: SimulationPlan) -> ExperimentResult:
     """Run a plan: sample, fit and record every (size, replication) cell.
 
-    Each cell draws its sample from its own stream, fits it, and adds the
-    kind's record to ``n`` and ``rep``. After each size, the kind summarizes
-    that size's records. A kind's precondition fails with
-    PlanPreconditionError before any cell runs.
+    Each cell draws its sample from its own stream, in (size, replication)
+    order. The cells of a size are fitted in chunks of consecutive
+    replications, each chunk as one stack (``_CHUNK_BYTES`` caps the stacked
+    sample); a stacked fit equals each cell's own fit bit for bit, so no
+    result depends on the chunk length. Each cell's stream and fit then go
+    to the kind's record, to which ``n`` and ``rep`` are added, and after
+    each size the kind summarizes that size's records. A kind's precondition
+    fails with PlanPreconditionError before any cell runs.
     """
     started = time.perf_counter()
     record, summarize = _KINDS[plan.kind](plan)
+    row_bytes = 8 * plan.model.structure.total_dim
     records: list[dict] = []
     summaries: dict[str, dict] = {}
     for i_size, n in enumerate(plan.sizes):
+        chunk = max(1, _CHUNK_BYTES // (n * row_bytes))
         cells = []
-        for rep in range(plan.replications):
-            rng = rng_stream(plan.seed, i_size, rep)
-            fit = fit_mslca(plan.sample(n, rng))
-            cells.append({"n": n, "rep": rep, **record(rng, fit)})
+        for start in range(0, plan.replications, chunk):
+            reps = range(start, min(start + chunk, plan.replications))
+            rngs = [rng_stream(plan.seed, i_size, rep) for rep in reps]
+            samples = [plan.sample(n, rng) for rng in rngs]
+            for rep, rng, fit in zip(reps, rngs, _chunk_fits(samples)):
+                cells.append({"n": n, "rep": rep, **record(rng, fit)})
         summaries[str(n)] = summarize(cells)
         records.extend(cells)
     meta = {

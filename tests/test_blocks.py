@@ -12,6 +12,7 @@ from mslca import (
     sym_eig,
     sym_power,
 )
+from mslca.blocks import require_symmetric
 
 
 def embed_block(b, structure, k, l):
@@ -39,6 +40,11 @@ def test_structure_validation():
         BlockStructure((3,))
     with pytest.raises(ValueError):
         BlockStructure((2, 0))
+    # sizes are never truncated: a fraction or a bool is refused
+    for dims in ((1.9, 1), (2.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="integer"):
+            BlockStructure(dims)
+    assert BlockStructure((np.int64(2), np.int32(1))).dims == (2, 1)
 
 
 def test_split_views():
@@ -231,3 +237,49 @@ def test_frobenius_sq():
     rng = np.random.default_rng(19)
     b = rng.standard_normal((3, 5))
     assert frobenius_sq(b) == pytest.approx(np.trace(b @ b.T), rel=1e-12)
+
+
+def _random_stack(rng, count, m):
+    factors = rng.standard_normal((count, m, m + 3))
+    return factors @ factors.swapaxes(1, 2) / (m + 3)
+
+
+def test_stacked_primitives_equal_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(23)
+    stack = _random_stack(rng, 5, 4)
+    eig = sym_eig(stack)
+    powered = sym_power(stack, -0.5)
+    assert eig.eigenvalues.shape == (5, 4) and eig.eigenvectors.shape == (5, 4, 4)
+    for i in range(5):
+        alone = sym_eig(stack[i])
+        assert np.array_equal(eig.eigenvalues[i], alone.eigenvalues)
+        assert np.array_equal(eig.eigenvectors[i], alone.eigenvectors)
+        assert np.array_equal(powered[i], sym_power(stack[i], -0.5))
+        assert np.array_equal(require_symmetric(stack)[i], require_symmetric(stack[i]))
+
+
+def test_stacked_checks_run_per_matrix():
+    rng = np.random.default_rng(29)
+    stack = _random_stack(rng, 3, 3)
+    stack[0] *= 1e6
+    # the same absolute asymmetry passes against the large matrix's scale only
+    stack[0, 0, 1] += 1e-8
+    require_symmetric(stack[:1])
+    stack[2, 0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not symmetric"):
+        require_symmetric(stack)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(stack)
+
+    singular = _random_stack(rng, 4, 2)
+    singular[1] = [[1.0, 1.0], [1.0, 1.0]]
+    singular[3] = [[4.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(NearSingularError) as exc:
+        sym_power(singular, -0.5)
+    with pytest.raises(NearSingularError) as alone:
+        sym_power(singular[1], -0.5)
+    # the first near-singular matrix of the stack is the one reported
+    assert (exc.value.lambda_min, exc.value.lambda_max) == (
+        alone.value.lambda_min,
+        alone.value.lambda_max,
+    )

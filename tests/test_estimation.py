@@ -228,3 +228,23 @@ def test_that_diagonal_blocks_exactly_zero():
     for k in range(2):
         sl = structure.block_slice(k)
         assert np.array_equal(fit.that[sl, sl], np.zeros((structure.dims[k],) * 2))
+
+
+def test_fit_carries_its_statistic_and_read_only_arrays():
+    import dataclasses
+
+    from mslca import s_statistic
+
+    rng = np.random.default_rng(107)
+    structure = BlockStructure((2, 1, 2))
+    model = random_spd_model(rng, structure)
+    fit = fit_mslca(sample_gaussian(model, 150, rng))
+    assert fit.s == s_statistic(fit.that, structure)
+    assert fit.s == pytest.approx(0.5 * float(np.sum(fit.solution.rho**2)), rel=1e-12)
+    solution = fit.solution
+    for arr in (fit.means, fit.vhat.v, fit.that, solution.rho, solution.alpha, *fit.inv_roots):
+        assert not arr.flags.writeable
+    # a copy with another operator computes the statistic of that operator
+    that = np.zeros((5, 5))
+    that[2, 0] = that[0, 2] = 0.5
+    assert dataclasses.replace(fit, that=that).s == 0.25

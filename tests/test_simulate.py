@@ -292,3 +292,109 @@ def test_result_payload_is_json_ready():
     result = run_experiment(plan)
     payload = json.dumps(result.to_dict())
     assert "rejection_chi2" in payload
+
+
+# Plans of every kind for the chunking tests: two sizes each, an uneven
+# number of replications, both samplers and both test routes.
+CHUNK_PLANS = {
+    "consistency": dict(kind="consistency", model=WHITENED_111, sizes=(30, 80), seed=31),
+    "clt-check": dict(
+        kind="clt-check", model=WHITENED_111, sizes=(30, 80), seed=37,
+        sampler="student-t", nu=9.0,
+    ),
+    "coeff-clt": dict(kind="coeff-clt", model=WHITENED_111, sizes=(50, 120), seed=41),
+    "null-dist": dict(
+        kind="null-dist", model=NULL_222, sizes=(130, 300), seed=43,
+        sampler="student-t", nu=9.0, methods=("chi2", "general"), alphas=(0.05, 0.1),
+    ),
+    "power": dict(
+        kind="power", model=correlation_model((1, 1), {(1, 0): 0.3}), sizes=(40, 90),
+        seed=47, methods=("chi2", "general"),
+    ),
+}
+
+
+def _chunk_budget(plan, cells):
+    """A byte budget under which a chunk at the plan's largest size holds ``cells`` cells."""
+    return cells * 8 * plan.model.structure.total_dim * max(plan.sizes)
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_PLANS))
+def test_records_do_not_depend_on_chunk_length(kind, monkeypatch):
+    import json
+
+    import mslca.simulate
+
+    plan = SimulationPlan(replications=7, **CHUNK_PLANS[kind])
+    outputs = []
+    # one cell per chunk, three cells at the largest size, a whole size
+    for budget in (1, _chunk_budget(plan, 3), _chunk_budget(plan, 1000)):
+        monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", budget)
+        result = run_experiment(plan)
+        assert [(r["n"], r["rep"]) for r in result.records] == [
+            (n, rep) for n in plan.sizes for rep in range(7)
+        ]
+        outputs.append(json.dumps([result.records, result.summaries], sort_keys=True))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_chunk_runs_one_eigensolve_per_block_and_one_for_t(monkeypatch):
+    import mslca.blocks
+    import mslca.population
+    import mslca.simulate
+
+    plan = SimulationPlan(
+        kind="null-dist", model=NULL_222, sizes=(130, 300), replications=7, seed=53
+    )
+    monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", _chunk_budget(plan, 3))
+    calls = []
+    original = mslca.blocks.sym_eig
+
+    def counting_sym_eig(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(mslca.blocks, "sym_eig", counting_sym_eig)
+    monkeypatch.setattr(mslca.population, "sym_eig", counting_sym_eig)
+    run_experiment(plan)
+    # K + 1 = 4 eigensolves per chunk. At n=300 a chunk holds 3 cells, so
+    # 7 replications take 3 chunks; at n=130 it holds 3 * 300 // 130 = 6
+    # cells, so they take 2.
+    assert len(calls) == 4 * (3 + 2)
+    assert sorted({shape[0] for shape in calls}) == [1, 3, 6]
+
+
+def test_near_singular_cell_raises_its_own_error(monkeypatch):
+    import mslca.simulate
+    from mslca import Dataset, NearSingularError, fit_mslca
+
+    original = mslca.simulate.sample_gaussian
+    bad_samples = {}
+
+    def collinear_sampler(model, n, rng):
+        # cell 2 gets a singular block 1, cell 4 (same chunk) a singular block 0
+        data = original(model, n, rng)
+        cell = len(bad_samples.setdefault("calls", []))
+        bad_samples["calls"].append(cell)
+        column = {2: 3, 4: 1}.get(cell)
+        if column is None:
+            return data
+        rows = data.rows.copy()
+        rows[:, column] = rows[:, column - 1]
+        bad_samples[cell] = Dataset(data.structure, rows)
+        return bad_samples[cell]
+
+    monkeypatch.setattr(mslca.simulate, "sample_gaussian", collinear_sampler)
+    plan = SimulationPlan(kind="null-dist", model=NULL_222, sizes=(200,), replications=6, seed=59)
+    errors = []
+    for budget in (1, _chunk_budget(plan, 6)):
+        monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", budget)
+        bad_samples.clear()
+        with pytest.raises(NearSingularError) as exc:
+            run_experiment(plan)
+        errors.append((exc.value.block, exc.value.lambda_min, exc.value.lambda_max))
+    with pytest.raises(NearSingularError) as alone:
+        fit_mslca(bad_samples[2])
+    assert alone.value.block == 1
+    assert errors == [(1, alone.value.lambda_min, alone.value.lambda_max)] * 2
