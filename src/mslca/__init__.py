@@ -11,7 +11,6 @@ from .blocks import (
     BlockStructure,
     SymmetricEig,
     extract_block,
-    frobenius_sq,
     psd_sqrt,
     sym_eig,
     sym_power,
@@ -77,7 +76,6 @@ __all__ = [
     "BlockStructure",
     "SymmetricEig",
     "extract_block",
-    "frobenius_sq",
     "psd_sqrt",
     "sym_eig",
     "sym_power",

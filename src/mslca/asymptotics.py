@@ -13,9 +13,10 @@ Provided pieces:
   block entries (the limit covariance of the non-correlation statistic's
   Gaussian vector).
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
-  operator expressed in the eigenbasis, estimated from data as Gram products
-  of per-observation pair sums or evaluated in closed form for Gaussian
-  populations.
+  operator expressed in the eigenbasis. Both read the operator from one set
+  of eigenbasis quadratic forms, <beta_m, Z(x) beta_r> = x^T A_mr x: the
+  plug-in averages products of the forms over a sample as one Gram product,
+  and the Gaussian version evaluates their second moments in closed form.
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -148,11 +149,13 @@ def gamma_index_map(structure: BlockStructure) -> list[tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Fourth-moment covariance of the stacked off-diagonal block entries."""
+    """Fourth-moment covariance of the stacked off-diagonal block entries.
+
+    Rows and columns run in the order of ``gamma_index_map(structure)``.
+    """
 
     structure: BlockStructure
     matrix: np.ndarray
-    index_map: list[tuple[int, int, int, int]] = field(repr=False)
 
     def eigenvalues(self) -> np.ndarray:
         """Nonincreasing eigenvalues with round-off negatives clamped to zero.
@@ -177,7 +180,6 @@ def build_gamma(acc: MomentAccumulator) -> GammaMatrix:
     symmetric positive semidefinite by construction.
     """
     structure = acc.structure
-    index_map = gamma_index_map(structure)
     columns = []
     for k, l in structure.lower_pairs():
         xk = acc.data[:, structure.block_slice(k)]
@@ -187,85 +189,26 @@ def build_gamma(acc: MomentAccumulator) -> GammaMatrix:
     stacked = np.concatenate(columns, axis=1)
     matrix = stacked.T @ stacked / acc.n
     matrix = 0.5 * (matrix + matrix.T)
-    return GammaMatrix(structure=structure, matrix=matrix, index_map=index_map)
+    return GammaMatrix(structure=structure, matrix=matrix)
 
 
-def _linear_factors(
-    acc: MomentAccumulator, solution: MslcaSolution, model: CovarianceModel
-) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
-    """Per-block eigenvector scores and their cross-covariance-weighted versions.
+def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
+    """The limit operator in the eigenbasis as quadratic forms in the observation.
 
-    ``scores[k][:, a]`` is <x_k, block k of beta_a> per observation;
-    ``weighted[(k, l)][:, b]`` is <x_k, V_kl (block l of beta_b)>.
-    """
-    structure = acc.structure
-    scores = []
-    for k in range(structure.n_blocks):
-        sl = structure.block_slice(k)
-        scores.append(acc.data[:, sl] @ solution.beta[sl, :])
-    weighted = {}
-    for k, l in structure.ordered_pairs():
-        sl_k = structure.block_slice(k)
-        sl_l = structure.block_slice(l)
-        weighted[(k, l)] = acc.data[:, sl_k] @ (model.block(k, l) @ solution.beta[sl_l, :])
-    return scores, weighted
-
-
-def c_tensor(
-    acc: MomentAccumulator, solution: MslcaSolution, model: CovarianceModel
-) -> np.ndarray:
-    """Plug-in second moments of the limit operator in the eigenbasis.
-
-    Entry [m, r, s, t] sums, over all ordered off-diagonal block pairs (k, l)
-    and (j, u), four quarter-weighted moments mixing eigenvector scores with
-    their cross-covariance-weighted versions, minus four half-weighted mixed
-    moments, plus one plain fourth moment of scores. The pair sums are taken
-    per observation first, G_i = sum_(k,l) s_k (x) w_kl and
-    H_i = sum_(k,l) s_k (x) s_l as (n, q^2) matrices, so the three moment
-    tensors are the Gram products G^T G, G^T H and H^T H.
-    """
-    _require_whitened_model(model)
-    scores, weighted = _linear_factors(acc, solution, model)
-    q = acc.structure.total_dim
-    n = acc.n
-
-    g = np.zeros((n, q, q))
-    h = np.zeros((n, q, q))
-    for k, l in acc.structure.ordered_pairs():
-        g += scores[k][:, :, None] * weighted[(k, l)][:, None, :]
-        h += scores[k][:, :, None] * scores[l][:, None, :]
-    g = g.reshape(n, q * q)
-    h = h.reshape(n, q * q)
-    gamma4 = (g.T @ g).reshape(q, q, q, q) * (0.25 / n)
-    theta4 = (g.T @ h).reshape(q, q, q, q) * (0.5 / n)
-    lambda4 = (h.T @ h).reshape(q, q, q, q) / n
-    return (
-        gamma4
-        + gamma4.transpose(0, 1, 3, 2)
-        + gamma4.transpose(1, 0, 2, 3)
-        + gamma4.transpose(1, 0, 3, 2)
-        - theta4
-        - theta4.transpose(1, 0, 2, 3)
-        - theta4.transpose(2, 3, 0, 1)
-        - theta4.transpose(2, 3, 1, 0)
-        + lambda4
-    )
-
-
-def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
-    """Population coefficients for a Gaussian model, in closed form.
-
-    Each entry is the second moment of a pair of quadratic forms in the
-    observation: writing the eigenbasis-projected limit operator entry (m, r)
-    as x^T A_mr x, Gaussian moments give
-    E[x^T A x * x^T B x] = tr(A V) tr(B V) + 2 tr(sym(A) V sym(B) V).
-
-    Under any elliptical law with the same covariance, all these fourth
-    moments scale by the common kurtosis factor, so the tensor for, say, a
-    multivariate t is this one times (nu - 2) / (nu - 4).
+    Returns A with shape (q, q, q, q) such that <beta_m, Z(x) beta_r> =
+    x^T A[m, r] x for every observation x, with Z the ``z_operator``.
+    A[m, r] holds the off-diagonal blocks of beta_m beta_r^T, less half of
+    the diagonal blocks of beta_m (Psi beta_r)^T + (Psi beta_m) beta_r^T,
+    where Psi is the model's off-diagonal part. Raises ValueError unless the
+    model is whitened-compatible and the solution has the model's block
+    structure.
     """
     _require_whitened_model(model)
     structure = model.structure
+    if solution.structure != structure:
+        raise ValueError(
+            f"solution has block dims {solution.structure.dims}, model has {structure.dims}"
+        )
     q = structure.total_dim
     beta = solution.beta
     v = model.v
@@ -277,10 +220,51 @@ def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     diag_mask = 1.0 - off_mask
 
     psi_beta = (v * off_mask) @ beta
-    a_full = np.einsum("um,vr,uv->mruv", beta, beta, off_mask) - 0.5 * (
+    return np.einsum("um,vr,uv->mruv", beta, beta, off_mask) - 0.5 * (
         np.einsum("um,vr,uv->mruv", beta, psi_beta, diag_mask)
         + np.einsum("um,vr,uv->mruv", psi_beta, beta, diag_mask)
     )
+
+
+def c_tensor(
+    acc: MomentAccumulator, solution: MslcaSolution, model: CovarianceModel
+) -> np.ndarray:
+    """Plug-in second moments of the limit operator in the eigenbasis.
+
+    Entry [m, r, s, t] is the sample mean of z_mr z_st, where
+    z_mr = x^T A[m, r] x is the observation's value of the eigenbasis forms
+    that ``c_tensor_gaussian`` also uses. With the (n, q^2) matrix of the
+    z values, the tensor is the Gram product z^T z / n. Raises ValueError
+    unless the accumulator, the solution and the model share one block
+    structure.
+    """
+    if acc.structure != model.structure:
+        raise ValueError(
+            f"accumulator has block dims {acc.structure.dims}, model has {model.structure.dims}"
+        )
+    forms = _eigenbasis_forms(model, solution)
+    q = acc.structure.total_dim
+    n = acc.n
+    outer = (acc.data[:, :, None] * acc.data[:, None, :]).reshape(n, q * q)
+    z = outer @ forms.reshape(q * q, q * q).T
+    return (z.T @ z / n).reshape(q, q, q, q)
+
+
+def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
+    """Population coefficients for a Gaussian model, in closed form.
+
+    Each entry is the second moment of a pair of quadratic forms in the
+    observation: with the eigenbasis forms x^T A_mr x of the limit operator,
+    the same forms ``c_tensor`` averages over a sample, Gaussian moments give
+    E[x^T A x * x^T B x] = tr(A V) tr(B V) + 2 tr(sym(A) V sym(B) V).
+    Raises ValueError unless the solution has the model's block structure.
+
+    Under any elliptical law with the same covariance, all these fourth
+    moments scale by the common kurtosis factor, so the tensor for, say, a
+    multivariate t is this one times (nu - 2) / (nu - 4).
+    """
+    a_full = _eigenbasis_forms(model, solution)
+    v = model.v
     a_sym = 0.5 * (a_full + a_full.transpose(0, 1, 3, 2))
     means = np.einsum("mruv,uv->mr", a_full, v)
     av = np.einsum("mruv,vw->mruw", a_sym, v)
@@ -474,8 +458,13 @@ def elliptical_scale_plugin(data: Dataset) -> float:
     three; the estimand is 1 for Gaussian data and (nu-2)/(nu-4) for a
     multivariate t with nu degrees of freedom.
     """
+    _require_whitened_data(data.rows, data.structure)
+    return _kurtosis_scale(data)
+
+
+def _kurtosis_scale(data: Dataset) -> float:
+    """The estimate of ``elliptical_scale_plugin``, for data known to be whitened."""
     if data.n < 30:
         raise InsufficientSampleError(f"need at least 30 rows, got {data.n}")
-    _require_whitened_data(data.rows, data.structure)
     fourth = np.mean(data.rows**4, axis=0)
     return float(np.mean(fourth) / 3.0)

@@ -81,15 +81,6 @@ class BlockStructure:
         """Off-diagonal block pairs (k, l) with l < k, ordered (1,0),(2,0),(2,1),..."""
         return [(k, l) for k in range(1, self.n_blocks) for l in range(k)]
 
-    def ordered_pairs(self) -> list[tuple[int, int]]:
-        """All ordered off-diagonal block pairs (k, l), k != l."""
-        return [
-            (k, l)
-            for k in range(self.n_blocks)
-            for l in range(self.n_blocks)
-            if k != l
-        ]
-
 
 def extract_block(a: np.ndarray, structure: BlockStructure, k: int, l: int) -> np.ndarray:
     """Return a copy of the (k, l) sub-block of a (q, q) matrix."""
@@ -201,9 +192,3 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     clamped = np.clip(eig.eigenvalues, 0.0, None)
     root = (eig.eigenvectors * np.sqrt(clamped)) @ eig.eigenvectors.T
     return 0.5 * (root + root.T)
-
-
-def frobenius_sq(b: np.ndarray) -> float:
-    """Sum of squared entries, i.e. trace(B B^T)."""
-    b = np.asarray(b, dtype=float)
-    return float(np.sum(b * b))

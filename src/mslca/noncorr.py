@@ -25,8 +25,8 @@ from .asymptotics import (
     TAIL_ATOL,
     EigenChiSquareDist,
     MomentAccumulator,
+    _kurtosis_scale,
     build_gamma,
-    elliptical_scale_plugin,
     quad_form_pvalue,
 )
 
@@ -107,7 +107,7 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
         whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
-        return elliptical_scale_plugin(whitened), "plugin"
+        return _kurtosis_scale(whitened), "plugin"
     value = float(scale)
     if not 0 < value < math.inf:
         raise ValueError(f"scale must be a positive finite number, got {value}")

@@ -68,15 +68,22 @@ def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
     return Dataset._from_fresh(model.structure, rows)
 
 
+def _require_nu(nu: float, what: str) -> None:
+    """ValueError for a non-finite nu, NuTooSmallError unless nu > 4."""
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
+    if nu <= 4:
+        raise NuTooSmallError(f"{what} needs nu > 4, got {nu}")
+
+
 def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset:
     """n i.i.d. rows from a multivariate t scaled to covariance equal to the model's.
 
     Draws V^{1/2} g / sqrt(w / nu) with g standard normal and w an
     independent chi-square(nu), times sqrt((nu-2)/nu) so the covariance is
-    exactly V. Requires nu > 4 so fourth moments exist.
+    exactly V. Requires a finite nu > 4 so fourth moments exist.
     """
-    if nu <= 4:
-        raise NuTooSmallError(f"student-t sampler needs nu > 4, got {nu}")
+    _require_nu(nu, "student-t sampler")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _as_generator(seed)
@@ -88,8 +95,7 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
 
 def student_t_kurtosis_scale(nu: float) -> float:
     """Elliptical kurtosis scale of the multivariate t: (nu-2)/(nu-4)."""
-    if nu <= 4:
-        raise NuTooSmallError(f"kurtosis scale needs nu > 4, got {nu}")
+    _require_nu(nu, "kurtosis scale")
     return (nu - 2.0) / (nu - 4.0)
 
 
@@ -157,8 +163,7 @@ class SimulationPlan:
         if self.sampler == "student-t":
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
-            if self.nu <= 4:
-                raise NuTooSmallError(f"student-t sampler needs nu > 4, got {self.nu}")
+            _require_nu(self.nu, "student-t sampler")
         # the samplers' square root of V, computed once; raises ValueError unless V is PSD
         self.model.root
 

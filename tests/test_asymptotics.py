@@ -39,6 +39,15 @@ WHITENED_222 = correlation_model(
         (2, 1): [[0.2, 0.0], [-0.1, 0.05]],
     },
 )
+# Whitened model with unequal block sizes and a simple spectrum.
+WHITENED_213 = correlation_model(
+    (2, 1, 3),
+    {
+        (1, 0): [[0.3, -0.15]],
+        (2, 0): [[0.1, 0.2], [-0.05, 0.0], [0.15, -0.1]],
+        (2, 1): [[0.25], [0.1], [-0.1]],
+    },
+)
 
 
 def test_z_operator_null_model_is_outer_product():
@@ -142,7 +151,7 @@ def test_build_gamma_entries_match_fourth_moments():
     acc = _whitened_accumulator(model, 500, seed=127)
     gamma = build_gamma(acc)
     structure = acc.structure
-    index_map = gamma.index_map
+    index_map = gamma_index_map(structure)
     rng = np.random.default_rng(0)
     for _ in range(10):
         a = int(rng.integers(len(index_map)))
@@ -186,12 +195,11 @@ def test_build_gamma_student_t_diagonal():
 
 def test_gamma_eigenvalue_clamp_and_abort():
     structure = BlockStructure((1, 1))
-    index_map = gamma_index_map(structure)
     from mslca import GammaMatrix
 
-    ok = GammaMatrix(structure=structure, matrix=np.array([[1.0]]) * -1e-9, index_map=index_map)
+    ok = GammaMatrix(structure=structure, matrix=np.array([[1.0]]) * -1e-9)
     assert ok.eigenvalues()[0] == 0.0
-    bad = GammaMatrix(structure=structure, matrix=np.array([[-1e-3]]), index_map=index_map)
+    bad = GammaMatrix(structure=structure, matrix=np.array([[-1e-3]]))
     with pytest.raises(NegativeWeightError):
         bad.eigenvalues()
 
@@ -208,7 +216,7 @@ def _c_coefficient(acc, solution, model, m, r, s, t):
     beta = solution.beta
     scores = [acc.data[:, structure.block_slice(k)] @ beta[structure.block_slice(k), :]
               for k in range(structure.n_blocks)]
-    pairs = structure.ordered_pairs()
+    pairs = [(k, l) for k in range(structure.n_blocks) for l in range(structure.n_blocks) if k != l]
     weighted = {
         (k, l): acc.data[:, structure.block_slice(k)]
         @ (model.block(k, l) @ beta[structure.block_slice(l), :])
@@ -290,22 +298,39 @@ def test_c_tensor_matches_c_coefficient():
 
 
 def test_c_tensor_matches_c_coefficient_multi_column_blocks():
-    solution = solve_mslca(WHITENED_222)
-    assert solution.is_simple
-    acc = _whitened_accumulator(WHITENED_222, 300, seed=159)
-    tensor = c_tensor(acc, solution, WHITENED_222)
-    q = WHITENED_222.structure.total_dim
-    assert tensor.shape == (q, q, q, q)
-    diagonal_pairs = [(i, i, j, j) for i in range(q) for j in range(q)]
-    rng = np.random.default_rng(2)
-    random_entries = [tuple(int(i) for i in rng.integers(0, q, size=4)) for _ in range(50)]
-    for m, r, s, t in diagonal_pairs + random_entries:
-        assert tensor[m, r, s, t] == pytest.approx(
-            _c_coefficient(acc, solution, WHITENED_222, m, r, s, t), abs=1e-10
-        )
-    top = np.abs(tensor).max()
-    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-        np.testing.assert_allclose(tensor, tensor.transpose(axes), rtol=0, atol=1e-12 * top)
+    for model in (WHITENED_222, WHITENED_213):
+        solution = solve_mslca(model)
+        assert solution.is_simple
+        acc = _whitened_accumulator(model, 300, seed=159)
+        tensor = c_tensor(acc, solution, model)
+        q = model.structure.total_dim
+        assert tensor.shape == (q, q, q, q)
+        diagonal_pairs = [(i, i, j, j) for i in range(q) for j in range(q)]
+        rng = np.random.default_rng(2)
+        random_entries = [tuple(int(i) for i in rng.integers(0, q, size=4)) for _ in range(50)]
+        for m, r, s, t in diagonal_pairs + random_entries:
+            assert tensor[m, r, s, t] == pytest.approx(
+                _c_coefficient(acc, solution, model, m, r, s, t), abs=1e-10
+            )
+        top = np.abs(tensor).max()
+        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            np.testing.assert_allclose(tensor, tensor.transpose(axes), rtol=0, atol=1e-12 * top)
+
+
+@pytest.mark.parametrize("dims, other", [((2, 1), (1, 2)), ((1, 1, 1), (1, 2))])
+def test_c_tensors_refuse_mismatched_structures(dims, other):
+    model = CovarianceModel(BlockStructure(dims), np.eye(sum(dims)))
+    foreign = CovarianceModel(BlockStructure(other), np.eye(sum(other)))
+    solution = solve_mslca(model)
+    acc = _whitened_accumulator(model, 50, seed=163)
+    foreign_solution = solve_mslca(foreign)
+    foreign_acc = _whitened_accumulator(foreign, 50, seed=163)
+    with pytest.raises(ValueError):
+        c_tensor_gaussian(model, foreign_solution)
+    with pytest.raises(ValueError):
+        c_tensor(acc, foreign_solution, model)
+    with pytest.raises(ValueError):
+        c_tensor(foreign_acc, solution, model)
 
 
 def _limit_operator_products_mc(model, solution, n, seed):
@@ -525,6 +550,16 @@ def test_elliptical_scale_plugin_gaussian_and_t():
     assert elliptical_scale_plugin(gauss) == pytest.approx(1.0, abs=0.08)
     heavy = whiten(sample_student_t(model, 10, 20000, rng))
     assert elliptical_scale_plugin(heavy) == pytest.approx(4.0 / 3.0, abs=0.25)
+
+
+def test_elliptical_scale_plugin_refuses_data_that_is_not_whitened():
+    from mslca import Dataset
+
+    pattern = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(ValueError, match="not whitened"):
+        elliptical_scale_plugin(Dataset(BlockStructure((1, 1)), 2.0 * np.tile(pattern, (10, 1))))
+    with pytest.raises(ValueError, match="not centered"):
+        elliptical_scale_plugin(Dataset(BlockStructure((1, 1)), 1.0 + np.tile(pattern, (10, 1))))
 
 
 def test_elliptical_scale_plugin_needs_thirty_rows():

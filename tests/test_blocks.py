@@ -7,7 +7,6 @@ from mslca import (
     BlockStructure,
     NearSingularError,
     extract_block,
-    frobenius_sq,
     psd_sqrt,
     sym_eig,
     sym_power,
@@ -228,15 +227,6 @@ def test_psd_sqrt_accepts_singular():
     np.testing.assert_allclose(root @ root, a, atol=1e-12)
     with pytest.raises(ValueError):
         psd_sqrt(-np.eye(2))
-
-
-def test_frobenius_sq():
-    assert frobenius_sq(np.zeros((3, 4))) == 0.0
-    assert frobenius_sq([[0.3]]) == pytest.approx(0.09, abs=1e-15)
-    assert frobenius_sq(np.eye(5)) == 5.0
-    rng = np.random.default_rng(19)
-    b = rng.standard_normal((3, 5))
-    assert frobenius_sq(b) == pytest.approx(np.trace(b @ b.T), rel=1e-12)
 
 
 def _random_stack(rng, count, m):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mslca.asymptotics
 import mslca.blocks
 import mslca.noncorr
 from mslca.asymptotics import TAIL_ATOL, _require_whitened_data
@@ -255,3 +256,17 @@ def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
 
     monkeypatch.undo()
     assert plugin.scale == elliptical_scale_plugin(whiten(data))
+
+
+def test_plugin_scale_does_not_recheck_the_fits_whitening(monkeypatch):
+    # the plug-in route whitens the fit's own sample with the fit's roots,
+    # so the check that guards outside samples must not run again
+    model = CovarianceModel(BlockStructure((2, 1, 3)), np.eye(6))
+    fit = fit_mslca(sample_student_t(model, 10, 400, 269))
+    expected = chi2_test(fit, scale="plugin")
+
+    def refuse(rows, structure):
+        raise AssertionError("whitening re-checked")
+
+    monkeypatch.setattr(mslca.asymptotics, "_require_whitened_data", refuse)
+    assert chi2_test(fit, scale="plugin") == expected

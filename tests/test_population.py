@@ -34,8 +34,10 @@ def varphi(model, a):
     structure = model.structure
     parts = structure.split(np.asarray(a, dtype=float))
     total = 0.0
-    for k, l in structure.ordered_pairs():
-        total += float(parts[k] @ model.block(k, l) @ parts[l])
+    for k in range(structure.n_blocks):
+        for l in range(structure.n_blocks):
+            if k != l:
+                total += float(parts[k] @ model.block(k, l) @ parts[l])
     return total
 
 

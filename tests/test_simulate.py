@@ -74,6 +74,18 @@ def test_sample_student_t_nu_guard():
     assert student_t_kurtosis_scale(10) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+def test_student_t_refuses_non_finite_nu(nu):
+    model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="nu must be finite"):
+        sample_student_t(model, nu, 10, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="nu must be finite"):
+        student_t_kurtosis_scale(nu)
+
+
 def test_ks_distance_known_values():
     # single observation at 0.5 against the uniform CDF
     assert ks_distance([0.5], lambda x: np.asarray(x)) == pytest.approx(0.5, abs=1e-12)
