@@ -43,12 +43,10 @@ from .estimation import (
 )
 from .asymptotics import (
     EigenChiSquareDist,
-    GammaMatrix,
     MomentAccumulator,
     build_gamma,
     c_tensor,
     c_tensor_gaussian,
-    elliptical_scale_plugin,
     quad_form_pvalue,
     sigma_matrix,
     z_operator,
@@ -100,7 +98,6 @@ __all__ = [
     "align_sign",
     "whiten",
     "MomentAccumulator",
-    "GammaMatrix",
     "EigenChiSquareDist",
     "z_operator",
     "build_gamma",
@@ -108,7 +105,6 @@ __all__ = [
     "c_tensor_gaussian",
     "sigma_matrix",
     "quad_form_pvalue",
-    "elliptical_scale_plugin",
     "TestReport",
     "s_statistic",
     "degrees_of_freedom",

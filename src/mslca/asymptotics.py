@@ -8,10 +8,11 @@ Provided pieces:
 
 * ``z_operator`` -- the random operator whose covariance is the limit law of
   sqrt(n) times the estimation error of the canonical operator.
-* ``MomentAccumulator`` / ``build_gamma`` -- empirical fourth moments of the
-  whitened coordinates and the d x d covariance of the stacked off-diagonal
+* ``MomentAccumulator`` / ``build_gamma`` -- a whitened sample and the d x d
+  matrix of its fourth moments: the covariance of the stacked off-diagonal
   block entries (the limit covariance of the non-correlation statistic's
-  Gaussian vector).
+  Gaussian vector), returned as a plain array whose eigenvalues are the
+  weights of the general route's weighted chi-square law.
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
   operator expressed in the eigenbasis. Both read the operator from one set
   of eigenbasis quadratic forms, <beta_m, Z(x) beta_r> = x^T A_mr x: the
@@ -21,9 +22,9 @@ Provided pieces:
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
   of independent one-degree chi-squares and its upper tail, inverted
-  numerically from the Laplace transform to within ``TAIL_ATOL``.
-* ``elliptical_scale_plugin`` -- kurtosis-scale estimate for the elliptical
-  chi-square route of the test.
+  numerically from the Laplace transform to within ``TAIL_ATOL``. The law
+  is the one place that checks weights: round-off negatives down to
+  ``WEIGHT_CLAMP_FLOOR`` become zero, anything lower is refused.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class MomentAccumulator:
 
     Columns are the global coordinates of the stacked vector.
     ``from_whitened`` checks the whitening of a sample it is handed;
-    ``general_test`` whitens a fit's own sample with that fit's means and
-    block roots, so it builds the accumulator directly.
+    ``general_test`` reads ``MslcaFit.whitened``, whitened by construction,
+    so it builds the accumulator directly.
     """
 
     structure: BlockStructure
@@ -147,37 +148,13 @@ def gamma_index_map(structure: BlockStructure) -> list[tuple[int, int, int, int]
     return index_map
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Fourth-moment covariance of the stacked off-diagonal block entries.
-
-    Rows and columns run in the order of ``gamma_index_map(structure)``.
-    """
-
-    structure: BlockStructure
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        """Nonincreasing eigenvalues with round-off negatives clamped to zero.
-
-        Sample fourth-moment matrices can be marginally indefinite
-        numerically; values in [WEIGHT_CLAMP_FLOOR, 0) become 0 and anything
-        more negative raises NegativeWeightError.
-        """
-        values = np.linalg.eigvalsh(self.matrix)[::-1]
-        if values[-1] < WEIGHT_CLAMP_FLOOR:
-            raise NegativeWeightError(
-                f"eigenvalue {values[-1]:.3e} below the clamp floor {WEIGHT_CLAMP_FLOOR:.1e}"
-            )
-        return np.clip(values, 0.0, None)
-
-
-def build_gamma(acc: MomentAccumulator) -> GammaMatrix:
+def build_gamma(acc: MomentAccumulator) -> np.ndarray:
     """Assemble the d x d matrix of fourth moments of paired coordinates.
 
-    Entry [(k,l,i,j), (r,s,p,t)] is the sample mean of
+    Rows and columns run in the order of ``gamma_index_map``. Entry
+    [(k,l,i,j), (r,s,p,t)] is the sample mean of
     x_{k,i} x_{l,j} x_{r,p} x_{s,t}; as a Gram matrix of pair products it is
-    symmetric positive semidefinite by construction.
+    symmetric positive semidefinite up to round-off.
     """
     structure = acc.structure
     columns = []
@@ -188,8 +165,7 @@ def build_gamma(acc: MomentAccumulator) -> GammaMatrix:
         columns.append(pair.reshape(acc.n, -1, order="F"))
     stacked = np.concatenate(columns, axis=1)
     matrix = stacked.T @ stacked / acc.n
-    matrix = 0.5 * (matrix + matrix.T)
-    return GammaMatrix(structure=structure, matrix=matrix)
+    return 0.5 * (matrix + matrix.T)
 
 
 def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
@@ -298,8 +274,10 @@ def sigma_matrix(tensor: np.ndarray, solution: MslcaSolution) -> np.ndarray:
 class EigenChiSquareDist:
     """Law of a nonnegatively weighted sum of independent chi-square(1) terms.
 
-    Weights are stored nonincreasing. Values in [-1e-8, 0) are clamped to
-    zero at construction; anything more negative raises NegativeWeightError.
+    Weights are stored nonincreasing and read-only. Sample fourth-moment
+    matrices can be marginally indefinite numerically, so values in
+    [WEIGHT_CLAMP_FLOOR, 0) are clamped to zero at construction; anything
+    more negative raises NegativeWeightError.
     """
 
     weights: np.ndarray
@@ -451,19 +429,14 @@ def _inversion_sf(lam: np.ndarray, mult: np.ndarray, x: float) -> float:
     return 1.0 + 1.0 / math.expm1(sigma * period) - cdf
 
 
-def elliptical_scale_plugin(data: Dataset) -> float:
-    """Kurtosis-scale estimate from whitened data.
+def _kurtosis_scale(data: Dataset) -> float:
+    """Kurtosis-scale estimate of the elliptical chi-square route, from whitened data.
 
     Averages, over whitened coordinates, the sample fourth moment divided by
     three; the estimand is 1 for Gaussian data and (nu-2)/(nu-4) for a
-    multivariate t with nu degrees of freedom.
+    multivariate t with nu degrees of freedom. Needs at least 30 rows. The
+    whitening is not checked: the caller passes ``MslcaFit.whitened``.
     """
-    _require_whitened_data(data.rows, data.structure)
-    return _kurtosis_scale(data)
-
-
-def _kurtosis_scale(data: Dataset) -> float:
-    """The estimate of ``elliptical_scale_plugin``, for data known to be whitened."""
     if data.n < 30:
         raise InsufficientSampleError(f"need at least 30 rows, got {data.n}")
     fourth = np.mean(data.rows**4, axis=0)

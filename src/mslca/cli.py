@@ -1,7 +1,8 @@
 """Command-line front end: fit, test and simulate with JSON reports.
 
-Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config),
-3 near-singular block covariance, 4 simulation-plan precondition violation.
+Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config, or
+a sample whose covariance overflows), 3 near-singular block covariance,
+4 simulation-plan precondition violation.
 Every command is deterministic given its inputs; a simulation plan without
 a seed uses 0, never the wall clock. ``test --method general`` inverts the
 weighted chi-square tail numerically; the report's ``p_value_error_bound``
@@ -24,6 +25,7 @@ import numpy as np
 from .blocks import DEFAULT_COND_FLOOR, BlockStructure
 from .estimation import Dataset, fit_mslca
 from .exceptions import (
+    CovarianceOverflowError,
     InsufficientSampleError,
     NearSingularError,
     NuTooSmallError,
@@ -238,7 +240,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if err.code else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, InsufficientSampleError) as err:
+    except (InputError, InsufficientSampleError, CovarianceOverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NearSingularError as err:

@@ -8,12 +8,11 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import DEFAULT_COND_FLOOR, BlockStructure
-from .exceptions import InsufficientSampleError
+from .exceptions import CovarianceOverflowError, InsufficientSampleError
 from .population import (
     DEFAULT_GROUP_TOL,
     CovarianceModel,
     MslcaSolution,
-    _block_inv_sqrts,
     _off_block_mass,
     _solve,
     _valid_covariances,
@@ -70,11 +69,12 @@ class MslcaFit:
     """Empirical analysis of one dataset, which it keeps as ``data``.
 
     ``that`` is the estimated operator, whose diagonal blocks are exactly
-    zero by construction, and ``s`` its non-correlation statistic. ``inv_roots``
-    holds the inverse square root of each diagonal block of ``vhat``; with
-    ``means`` it whitens ``data``. The non-correlation tests therefore take
-    only the fit: their moments come from the sample it was fitted on,
-    whitened with its own roots.
+    zero by construction, and ``s`` its non-correlation statistic, the summed
+    squared entries of the lower off-diagonal blocks of ``that``. ``inv_roots``
+    holds the inverse square root of each diagonal block of ``vhat``;
+    ``whitened`` is ``data`` centred by ``means``, each block mapped through
+    its root. The non-correlation tests therefore take only the fit: their
+    moments come from its ``whitened`` sample.
     """
 
     data: Dataset = field(repr=False)
@@ -83,6 +83,7 @@ class MslcaFit:
     that: np.ndarray
     solution: MslcaSolution
     inv_roots: tuple[np.ndarray, ...]
+    s: float
 
     @property
     def n(self) -> int:
@@ -93,14 +94,18 @@ class MslcaFit:
         return self.vhat.structure
 
     @cached_property
-    def s(self) -> float:
-        """Summed squared entries of the lower off-diagonal blocks of ``that``.
+    def whitened(self) -> Dataset:
+        """The fitted sample centred by ``means``, each block mapped through its inverse root.
 
-        A fit arrives with it computed once, over the whole stack of
-        operators fitted together; a copy with a new ``that`` computes it
-        from that operator.
+        Built on first use and kept, read-only. Its within-block covariances
+        are the identity, the standing normalization of the asymptotic theory.
         """
-        return float(_off_block_mass(self.structure, self.that))
+        centered = self.data.rows - self.means
+        out = np.empty_like(centered)
+        for k, root in enumerate(self.inv_roots):
+            sl = self.structure.block_slice(k)
+            out[:, sl] = centered[:, sl] @ root
+        return Dataset._from_fresh(self.structure, out)
 
 
 def _require_rows(data: Dataset, minimum: int = 2) -> None:
@@ -109,11 +114,21 @@ def _require_rows(data: Dataset, minimum: int = 2) -> None:
 
 
 def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples."""
+    """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
+
+    Raises CovarianceOverflowError when a covariance leaves the float range,
+    which finite entries of a large enough scale do.
+    """
     centered = np.stack([data.rows for data in datasets])
-    means = centered.mean(axis=1)
-    centered -= means[:, None, :]
-    return means, centered.swapaxes(1, 2) @ centered / centered.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = centered.mean(axis=1)
+        centered -= means[:, None, :]
+        covs = centered.swapaxes(1, 2) @ centered / centered.shape[1]
+    if not np.isfinite(covs).all():
+        raise CovarianceOverflowError(
+            "the sample covariance overflows the float range; rescale the data"
+        )
+    return means, covs
 
 
 def empirical_cov(data: Dataset) -> CovarianceModel:
@@ -139,19 +154,18 @@ def _fit_stack(
     covs = _valid_covariances(covs)
     that, solutions, inv_roots = _solve(structure, covs, group_tol, cond_floor)
     means.flags.writeable = False
-    fits = []
-    for i, s in enumerate(_off_block_mass(structure, that).tolist()):
-        fit = MslcaFit(
+    return [
+        MslcaFit(
             data=datasets[i],
             means=means[i],
             vhat=CovarianceModel._of_valid(structure, covs[i]),
             that=that[i],
             solution=solutions[i],
             inv_roots=tuple(root[i] for root in inv_roots),
+            s=s,
         )
-        fit.__dict__["s"] = s  # the cached value of MslcaFit.s
-        fits.append(fit)
-    return fits
+        for i, s in enumerate(_off_block_mass(structure, that).tolist())
+    ]
 
 
 def fit_mslca(
@@ -181,24 +195,12 @@ def align_sign(bhat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -bhat if float(bhat @ b) < 0.0 else bhat.copy()
 
 
-def _whiten_with(data: Dataset, means: np.ndarray, inv_roots) -> Dataset:
-    """Center by ``means`` and map each block through its inverse root."""
-    centered = data.rows - means
-    out = np.empty_like(centered)
-    for k, root in enumerate(inv_roots):
-        sl = data.structure.block_slice(k)
-        out[:, sl] = centered[:, sl] @ root
-    return Dataset._from_fresh(data.structure, out)
-
-
 def whiten(data: Dataset) -> Dataset:
     """Center and transform each block by its inverse covariance square root.
 
     The output's empirical within-block covariances are the identity, which
     is the standing normalization of the asymptotic theory. Uses the
     symmetric inverse square root so the transform commutes with orthogonal
-    changes of block basis.
+    changes of block basis. This is ``fit_mslca(data).whitened``.
     """
-    _require_rows(data)
-    inv_roots = _block_inv_sqrts(data.structure, empirical_cov(data).v, DEFAULT_COND_FLOOR)
-    return _whiten_with(data, data.rows.mean(axis=0), inv_roots)
+    return fit_mslca(data).whitened

@@ -41,5 +41,9 @@ class InsufficientSampleError(MslcaError):
     """Sample size below the minimum required by the requested operation."""
 
 
+class CovarianceOverflowError(MslcaError):
+    """A sample of finite entries whose covariance exceeds the float range."""
+
+
 class PlanPreconditionError(MslcaError):
     """A simulation plan parsed correctly but violates a precondition."""

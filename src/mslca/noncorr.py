@@ -5,8 +5,9 @@ blocks of the estimated canonical operator; it vanishes exactly when every
 cross-covariance block does. Two calibrations of n times the statistic are
 provided: a chi-square law with an elliptical kurtosis scale, and the
 general weighted chi-square law driven by estimated fourth moments. Both
-are functions of one sample, so each test takes only the fit, which keeps
-the sample it was fitted on.
+read fourth moments of one sample, whitened with the fit's own means and
+block roots, so each test takes only the fit and reads its ``whitened``
+sample, which the fit builds once and keeps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .blocks import BlockStructure, extract_block
-from .estimation import MslcaFit, _whiten_with
+from .estimation import MslcaFit
 from .population import _off_block_mass
 from .asymptotics import (
     TAIL_ATOL,
@@ -106,8 +107,7 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
     if scale == "gaussian":
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
-        whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
-        return _kurtosis_scale(whitened), "plugin"
+        return _kurtosis_scale(fit.whitened), "plugin"
     value = float(scale)
     if not 0 < value < math.inf:
         raise ValueError(f"scale must be a positive finite number, got {value}")
@@ -117,10 +117,10 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
 def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestReport:
     """Chi-square route: refer n*S / scale to chi-square with d degrees of freedom.
 
-    ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from the
-    fitted sample, whitened with the fit's means and block inverse roots), or
-    an explicit positive finite float. Exact asymptotic level requires an
-    elliptical population with the matching kurtosis scale.
+    ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from
+    ``fit.whitened``, which needs at least 30 rows), or an explicit positive
+    finite float. Exact asymptotic level requires an elliptical population
+    with the matching kurtosis scale.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -146,12 +146,12 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
 def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
     """General route: weighted chi-square with weights from estimated fourth moments.
 
-    Whitens the fitted sample with the fit's means and block inverse roots
-    (so its block covariances are the identity by construction), estimates
-    the covariance of the stacked off-diagonal block entries without imposing
-    the null on cross-moments (the estimate is consistent either way and
-    converges to the right object under the null), and refers n*S to the
-    weighted chi-square whose weights are that matrix's eigenvalues. The
+    Reads ``fit.whitened`` (block covariances the identity by construction),
+    estimates the covariance of the stacked off-diagonal block entries
+    without imposing the null on cross-moments (the estimate is consistent
+    either way and converges to the right object under the null), and refers
+    n*S to the weighted chi-square whose weights are that matrix's
+    eigenvalues; ``EigenChiSquareDist`` clamps their round-off negatives. The
     p-value is deterministic and within ``TAIL_ATOL`` of the exact tail of
     that law (``quad_form_pvalue``).
     """
@@ -164,12 +164,11 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
             f"(recommended n >= {10 * d})",
             stacklevel=2,
         )
-    whitened = _whiten_with(fit.data, fit.means, fit.inv_roots)
-    gamma = build_gamma(MomentAccumulator(fit.structure, whitened.rows))
-    weights = gamma.eigenvalues()
+    gamma = build_gamma(MomentAccumulator(fit.structure, fit.whitened.rows))
+    dist = EigenChiSquareDist(np.linalg.eigvalsh(gamma))
     s = fit.s
     ns = fit.n * s
-    p_value = quad_form_pvalue(EigenChiSquareDist(weights), ns)
+    p_value = quad_form_pvalue(dist, ns)
     return TestReport(
         n=fit.n,
         d=d,
@@ -181,6 +180,6 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
         p_value=p_value,
         alpha=alpha,
         reject=bool(p_value < alpha),
-        gamma_eigenvalues=weights,
+        gamma_eigenvalues=dist.weights,
         p_value_error_bound=TAIL_ATOL,
     )

@@ -465,7 +465,7 @@ def _chunk_fits(samples: list[Dataset]):
     """
     try:
         return _fit_stack(samples)
-    except (MslcaError, ValueError):  # NearSingularError, LinAlgError, non-finite covariance
+    except (MslcaError, ValueError):  # NearSingularError, CovarianceOverflowError, LinAlgError
         return (_fit_stack([sample])[0] for sample in samples)
 
 

@@ -1,4 +1,6 @@
-"""Shared generators for randomized model and data checks."""
+"""Shared generators for randomized model and data checks, and the golden-file comparator."""
+
+import math
 
 import numpy as np
 
@@ -86,3 +88,28 @@ def transform_model(model, mats):
     """Apply per-block invertible maps: block (k, l) becomes A_k V_kl A_l^T."""
     big = blockdiag(model.structure, mats)
     return CovarianceModel(model.structure, big @ model.v @ big.T)
+
+
+def assert_matches_golden(actual, expected, where="result"):
+    """Compare a JSON-shaped value with its stored golden counterpart.
+
+    Floats must agree within rtol 1e-9 and atol 1e-12; integers, strings,
+    booleans and None exactly; dicts and lists in keys, length and order.
+    """
+    if isinstance(expected, float):
+        assert isinstance(actual, float), f"{where}: {actual!r} is not a float"
+        assert math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12), (
+            f"{where}: {actual!r} != {expected!r}"
+        )
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
+        for key in expected:
+            assert_matches_golden(actual[key], expected[key], f"{where}[{key!r}]")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches_golden(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            f"{where}: {actual!r} != {expected!r}"
+        )

@@ -17,7 +17,8 @@ from mslca import (
     build_gamma,
     c_tensor,
     c_tensor_gaussian,
-    elliptical_scale_plugin,
+    chi2_test,
+    fit_mslca,
     quad_form_pvalue,
     sample_gaussian,
     sample_student_t,
@@ -165,43 +166,32 @@ def test_build_gamma_entries_match_fourth_moments():
             structure.offset(r) + p,
             structure.offset(s) + t,
         )
-        assert gamma.matrix[a, b] == pytest.approx(expected, rel=1e-12)
+        assert gamma[a, b] == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_gamma_gaussian_null_near_identity():
     model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
     acc = _whitened_accumulator(model, 30000, seed=131)
     gamma = build_gamma(acc)
-    assert np.array_equal(gamma.matrix, gamma.matrix.T)
-    assert gamma.matrix.shape == (4, 4)
-    assert np.abs(gamma.matrix - np.eye(4)).max() < 0.08
-    assert gamma.eigenvalues().min() >= 0.0
+    assert np.array_equal(gamma, gamma.T)
+    assert gamma.shape == (4, 4)
+    assert np.abs(gamma - np.eye(4)).max() < 0.08
+    assert np.linalg.eigvalsh(gamma).min() > 0.0
 
 
 def test_build_gamma_scalar_pair_gaussian():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     acc = _whitened_accumulator(model, 20000, seed=137)
     gamma = build_gamma(acc)
-    assert gamma.matrix.shape == (1, 1)
-    assert gamma.matrix[0, 0] == pytest.approx(1.0, abs=0.1)
+    assert gamma.shape == (1, 1)
+    assert gamma[0, 0] == pytest.approx(1.0, abs=0.1)
 
 
 def test_build_gamma_student_t_diagonal():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     acc = _whitened_accumulator(model, 60000, seed=139, sampler="t", nu=10)
     gamma = build_gamma(acc)
-    assert gamma.matrix[0, 0] == pytest.approx(4.0 / 3.0, abs=0.15)
-
-
-def test_gamma_eigenvalue_clamp_and_abort():
-    structure = BlockStructure((1, 1))
-    from mslca import GammaMatrix
-
-    ok = GammaMatrix(structure=structure, matrix=np.array([[1.0]]) * -1e-9)
-    assert ok.eigenvalues()[0] == 0.0
-    bad = GammaMatrix(structure=structure, matrix=np.array([[-1e-3]]))
-    with pytest.raises(NegativeWeightError):
-        bad.eigenvalues()
+    assert gamma[0, 0] == pytest.approx(4.0 / 3.0, abs=0.15)
 
 
 def _c_coefficient(acc, solution, model, m, r, s, t):
@@ -522,10 +512,16 @@ def test_quad_form_pvalue_deterministic():
 
 
 def test_eigen_chi_square_dist_validation():
-    with pytest.raises(NegativeWeightError):
-        EigenChiSquareDist([1.0, -1e-3])
+    # the one weight check: round-off negatives down to the clamp floor
+    # become zero, anything lower is refused, alone or among other weights
+    for weights in ([1.0, -1e-3], [-1e-3], np.linalg.eigvalsh(np.array([[-1e-3]]))):
+        with pytest.raises(NegativeWeightError):
+            EigenChiSquareDist(weights)
     dist = EigenChiSquareDist([0.5, 1.0, -1e-9])
     assert np.array_equal(dist.weights, [1.0, 0.5, 0.0])
+    assert not dist.weights.flags.writeable
+    assert EigenChiSquareDist(np.linalg.eigvalsh(np.array([[-1e-9]]))).weights[0] == 0.0
+    assert EigenChiSquareDist([mslca.asymptotics.WEIGHT_CLAMP_FLOOR]).weights[0] == 0.0
     with pytest.raises(ValueError):
         quad_form_pvalue(dist, -1.0)
     for bad in (float("nan"), float("inf")):
@@ -535,37 +531,43 @@ def test_eigen_chi_square_dist_validation():
         EigenChiSquareDist([1.0, float("nan")])
 
 
+def _plugin_scale(data):
+    """The elliptical scale the chi-square route estimates from a sample."""
+    return chi2_test(fit_mslca(data), scale="plugin").scale
+
+
+TWO_POINT = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
 def test_elliptical_scale_plugin_two_point_design():
     from mslca import Dataset
 
-    pattern = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    data = Dataset(BlockStructure((1, 1)), np.tile(pattern, (10, 1)))
-    assert elliptical_scale_plugin(data) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    data = Dataset(BlockStructure((1, 1)), np.tile(TWO_POINT, (10, 1)))
+    assert _plugin_scale(data) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_elliptical_scale_plugin_gaussian_and_t():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
     rng = np.random.default_rng(179)
-    gauss = whiten(sample_gaussian(model, 20000, rng))
-    assert elliptical_scale_plugin(gauss) == pytest.approx(1.0, abs=0.08)
-    heavy = whiten(sample_student_t(model, 10, 20000, rng))
-    assert elliptical_scale_plugin(heavy) == pytest.approx(4.0 / 3.0, abs=0.25)
+    gauss = sample_gaussian(model, 20000, rng)
+    assert _plugin_scale(gauss) == pytest.approx(1.0, abs=0.08)
+    heavy = sample_student_t(model, 10, 20000, rng)
+    assert _plugin_scale(heavy) == pytest.approx(4.0 / 3.0, abs=0.25)
 
 
-def test_elliptical_scale_plugin_refuses_data_that_is_not_whitened():
+def test_elliptical_scale_plugin_whitens_the_sample_first():
     from mslca import Dataset
 
-    pattern = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    with pytest.raises(ValueError, match="not whitened"):
-        elliptical_scale_plugin(Dataset(BlockStructure((1, 1)), 2.0 * np.tile(pattern, (10, 1))))
-    with pytest.raises(ValueError, match="not centered"):
-        elliptical_scale_plugin(Dataset(BlockStructure((1, 1)), 1.0 + np.tile(pattern, (10, 1))))
+    # a scaled or shifted two-point design whitens back to the design itself
+    for rows in (2.0 * np.tile(TWO_POINT, (10, 1)), 1.0 + np.tile(TWO_POINT, (10, 1))):
+        assert _plugin_scale(Dataset(BlockStructure((1, 1)), rows)) == pytest.approx(
+            1.0 / 3.0, abs=1e-12
+        )
 
 
 def test_elliptical_scale_plugin_needs_thirty_rows():
     from mslca import Dataset
 
-    pattern = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    data = Dataset(BlockStructure((1, 1)), np.tile(pattern, (2, 1)))
+    data = Dataset(BlockStructure((1, 1)), np.tile(TWO_POINT, (2, 1)))
     with pytest.raises(InsufficientSampleError):
-        elliptical_scale_plugin(data)
+        _plugin_scale(data)

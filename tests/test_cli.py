@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, CSV handling, JSON reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslca import BlockStructure, CovarianceModel, sample_gaussian
+from mslca import BlockStructure, CovarianceModel, sample_gaussian, sample_student_t
 from mslca.cli import main
-from conftest import correlation_model
+from conftest import assert_matches_golden, correlation_model
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 
 
 def write_csv(path, rows, header=None):
@@ -305,4 +308,61 @@ def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, cod
     out = tmp_path / "o.json"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _summary_fields(line):
+    """The key=value fields of a ``test`` summary line, each value read as JSON."""
+    pairs = (field.split("=", 1) for field in line.split())
+    return [[key, json.loads(value.lower())] for key, value in pairs]
+
+
+def test_fit_and_test_outputs_match_golden(tmp_path, capsys):
+    # data/golden_cli.json, written by data/write_golden.py: the fit JSON and
+    # every test route's JSON and stdout line for one seeded student-t sample
+    sample = GOLDEN_CLI["sample"]
+    model = CovarianceModel(BlockStructure(sample["dims"]), sample["covariance"])
+    path = tmp_path / "sample.csv"
+    write_csv(path, sample_student_t(model, sample["nu"], sample["n"], sample["seed"]).rows.tolist())
+    data = ["--data", str(path), "--blocks", ",".join(str(p) for p in sample["dims"])]
+    out = tmp_path / "out.json"
+    assert main(["fit", *data, "--out", str(out)]) == 0
+    assert_matches_golden(json.loads(out.read_text()), GOLDEN_CLI["fit"], "fit")
+    capsys.readouterr()
+    for entry in GOLDEN_CLI["test"]:
+        where = " ".join(entry["args"])
+        assert main(["test", *data, *entry["args"], "--out", str(out)]) == 0
+        assert_matches_golden(json.loads(out.read_text()), entry["report"], where)
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") == 1 and stdout.endswith("\n"), where
+        assert_matches_golden(
+            _summary_fields(stdout), _summary_fields(entry["stdout"]), f"{where} stdout"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["test"],
+        ["test", "--scale", "plugin"],
+        ["test", "--method", "general"],
+        ["simulate"],
+    ],
+    ids=["fit", "chi2", "chi2-plugin", "general", "simulate"],
+)
+def test_covariance_overflow_exit_2(tmp_path, capsys, argv):
+    # finite entries whose covariance exceeds the float range are bad input
+    out = tmp_path / "o.json"
+    if argv[0] == "simulate":
+        config = _null_plan_config(tmp_path, covariance=(1e307 * np.eye(2)).tolist(), sizes=[100])
+        source = ["--config", str(config)]
+    else:
+        path = tmp_path / "huge.csv"
+        write_csv(path, (1e200 * np.random.default_rng(0).standard_normal((50, 4))).tolist())
+        source = ["--data", str(path), "--blocks", "2,2"]
+    assert main([argv[0], *source, *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "covariance overflows" in err
+    assert "Traceback" not in err
     assert not out.exists()

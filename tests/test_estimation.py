@@ -19,6 +19,8 @@ from mslca import (
     sample_student_t,
     whiten,
 )
+from mslca.asymptotics import _require_whitened_data
+from mslca.exceptions import CovarianceOverflowError
 from conftest import (
     blockdiag,
     random_block_transforms,
@@ -231,8 +233,6 @@ def test_that_diagonal_blocks_exactly_zero():
 
 
 def test_fit_carries_its_statistic_and_read_only_arrays():
-    import dataclasses
-
     from mslca import s_statistic
 
     rng = np.random.default_rng(107)
@@ -244,7 +244,40 @@ def test_fit_carries_its_statistic_and_read_only_arrays():
     solution = fit.solution
     for arr in (fit.means, fit.vhat.v, fit.that, solution.rho, solution.alpha, *fit.inv_roots):
         assert not arr.flags.writeable
-    # a copy with another operator computes the statistic of that operator
-    that = np.zeros((5, 5))
-    that[2, 0] = that[0, 2] = 0.5
-    assert dataclasses.replace(fit, that=that).s == 0.25
+
+
+def test_fit_whitened_is_its_sample_whitened_read_only():
+    rng = np.random.default_rng(109)
+    model = random_spd_model(rng, BlockStructure((2, 1, 3)))
+    data = sample_student_t(model, 9.0, 200, rng)
+    fit = fit_mslca(data)
+    white = fit.whitened
+    assert white is fit.whitened and white.structure == data.structure
+    assert not white.rows.flags.writeable
+    with pytest.raises(ValueError):
+        white.rows[0, 0] = 1.0
+    _require_whitened_data(white.rows, white.structure)
+    expected = np.hstack([
+        (data.rows - fit.means)[:, data.structure.block_slice(k)] @ root
+        for k, root in enumerate(fit.inv_roots)
+    ])
+    np.testing.assert_allclose(white.rows, expected, rtol=0, atol=1e-12)
+
+
+def test_whiten_is_the_fits_whitened_sample():
+    rng = np.random.default_rng(111)
+    for i in range(20):
+        model = random_spd_model(rng, random_structure(rng))
+        if i % 2:
+            data = sample_gaussian(model, int(rng.integers(50, 400)), rng)
+        else:
+            data = sample_student_t(model, 9.0, int(rng.integers(50, 400)), rng)
+        assert np.array_equal(whiten(data).rows, fit_mslca(data).whitened.rows)
+
+
+def test_covariance_overflow_is_named():
+    # finite entries whose squares leave the float range
+    data = Dataset(BlockStructure((2, 2)), 1e200 * np.random.default_rng(113).standard_normal((50, 4)))
+    for step in (empirical_cov, fit_mslca, whiten):
+        with pytest.raises(CovarianceOverflowError, match="covariance overflows"):
+            step(data)

@@ -10,7 +10,7 @@ from scipy import stats
 import mslca.asymptotics
 import mslca.blocks
 import mslca.noncorr
-from mslca.asymptotics import TAIL_ATOL, _require_whitened_data
+from mslca.asymptotics import TAIL_ATOL, _kurtosis_scale, _require_whitened_data
 from mslca import (
     BlockStructure,
     CovarianceModel,
@@ -18,7 +18,6 @@ from mslca import (
     build_t,
     chi2_test,
     degrees_of_freedom,
-    elliptical_scale_plugin,
     fit_mslca,
     general_test,
     s_statistic,
@@ -88,7 +87,7 @@ def test_chi2_route_quantile_oracle():
     value = np.sqrt(21.0261 / fit.n)
     that = np.zeros((6, 6))
     that[2, 0] = that[0, 2] = value
-    fit = dataclasses.replace(fit, that=that)
+    fit = dataclasses.replace(fit, that=that, s=s_statistic(that, structure))
     report = chi2_test(fit)
     assert report.d == 12
     assert report.ns == pytest.approx(21.0261, rel=1e-12)
@@ -255,18 +254,42 @@ def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
     assert len(calls) == model.structure.n_blocks + 1
 
     monkeypatch.undo()
-    assert plugin.scale == elliptical_scale_plugin(whiten(data))
+    assert plugin.scale == _kurtosis_scale(whiten(data))
+
+
+def test_both_routes_share_one_whitened_sample(monkeypatch):
+    model = CovarianceModel(BlockStructure((2, 1, 3)), np.eye(6))
+    data = sample_student_t(model, 10, 400, 267)
+    built = []
+    original = Dataset._from_fresh.__func__
+
+    def counted(cls, structure, rows):
+        built.append(rows.shape)
+        return original(cls, structure, rows)
+
+    monkeypatch.setattr(Dataset, "_from_fresh", classmethod(counted))
+    fit = fit_mslca(data)
+    assert built == []
+    chi2_test(fit, scale="plugin")
+    general_test(fit)
+    chi2_test(fit, scale="plugin")
+    assert built == [(400, 6)]
+    assert fit.whitened.rows.shape == (400, 6) and len(built) == 1
 
 
 def test_plugin_scale_does_not_recheck_the_fits_whitening(monkeypatch):
-    # the plug-in route whitens the fit's own sample with the fit's roots,
-    # so the check that guards outside samples must not run again
+    # both routes read the fit's own whitened sample, so the check that
+    # guards outside samples must not run again
     model = CovarianceModel(BlockStructure((2, 1, 3)), np.eye(6))
     fit = fit_mslca(sample_student_t(model, 10, 400, 269))
-    expected = chi2_test(fit, scale="plugin")
+    expected = [chi2_test(fit, scale="plugin"), general_test(fit)]
 
     def refuse(rows, structure):
         raise AssertionError("whitening re-checked")
 
     monkeypatch.setattr(mslca.asymptotics, "_require_whitened_data", refuse)
-    assert chi2_test(fit, scale="plugin") == expected
+    fresh = fit_mslca(fit.data)
+    assert chi2_test(fresh, scale="plugin") == expected[0]
+    general = general_test(fresh)
+    assert np.array_equal(general.gamma_eigenvalues, expected[1].gamma_eigenvalues)
+    assert general.p_value == expected[1].p_value
