@@ -511,16 +511,25 @@ def test_quad_form_pvalue_deterministic():
     assert quad_form_pvalue(dist, 3.7) == quad_form_pvalue(dist, 3.7)
 
 
+def test_gamma_eigenvalue_clamp_and_abort():
+    # Gamma's weights reach the distribution as eigvalsh of the plain matrix:
+    # a round-off negative eigenvalue is clamped to zero, a real one aborts
+    ok = np.linalg.eigvalsh(np.array([[1.0]]) * -1e-9)
+    assert EigenChiSquareDist(ok).weights[0] == 0.0
+    bad = np.linalg.eigvalsh(np.array([[-1e-3]]))
+    with pytest.raises(NegativeWeightError):
+        EigenChiSquareDist(bad)
+
+
 def test_eigen_chi_square_dist_validation():
     # the one weight check: round-off negatives down to the clamp floor
     # become zero, anything lower is refused, alone or among other weights
-    for weights in ([1.0, -1e-3], [-1e-3], np.linalg.eigvalsh(np.array([[-1e-3]]))):
+    for weights in ([1.0, -1e-3], [-1e-3]):
         with pytest.raises(NegativeWeightError):
             EigenChiSquareDist(weights)
     dist = EigenChiSquareDist([0.5, 1.0, -1e-9])
     assert np.array_equal(dist.weights, [1.0, 0.5, 0.0])
     assert not dist.weights.flags.writeable
-    assert EigenChiSquareDist(np.linalg.eigvalsh(np.array([[-1e-9]]))).weights[0] == 0.0
     assert EigenChiSquareDist([mslca.asymptotics.WEIGHT_CLAMP_FLOOR]).weights[0] == 0.0
     with pytest.raises(ValueError):
         quad_form_pvalue(dist, -1.0)
