@@ -1,8 +1,9 @@
 """Command-line front end: fit, test and simulate with JSON reports.
 
-Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config, or
-a sample whose covariance overflows), 3 near-singular block covariance,
-4 simulation-plan precondition violation.
+Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config, an
+unreadable or non-UTF-8 input, an unwritable --out, or a sample whose
+covariance overflows), 3 near-singular block covariance, 4 simulation-plan
+precondition violation. CSV errors name the 1-based file line and column.
 Every command is deterministic given its inputs; a simulation plan without
 a seed uses 0, never the wall clock. ``test --method general`` inverts the
 weighted chi-square tail numerically; the report's ``p_value_error_bound``
@@ -68,53 +69,52 @@ def read_csv_matrix(path: str) -> np.ndarray:
 
     The first row counts as a header when any of its cells fails to parse as
     a number; a leading UTF-8 byte-order mark is dropped first, so it cannot
-    turn a data row into a header. Errors report 1-based file row and column.
+    turn a data row into a header. A ragged row and a non-numeric or
+    non-finite cell raise InputError naming the path, the 1-based file line
+    (blank lines count) and the column.
     """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [row for row in csv.reader(fh) if row]
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}")
-    if not raw:
-        raise InputError(f"{path} contains no data")
-
-    def parse_row(row: list[str]) -> list[float] | None:
-        try:
-            return [float(cell) for cell in row]
-        except ValueError:
-            return None
-
-    start = 0
-    if parse_row(raw[0]) is None:
-        start = 1
-    if start >= len(raw):
-        raise InputError(f"{path} has a header but no data rows")
-    width = len(raw[start])
-    values = []
-    for file_row, row in enumerate(raw[start:], start=start + 1):
-        if len(row) != width:
-            raise InputError(
-                f"{path}: row {file_row} has {len(row)} cells, expected {width}"
-            )
-        parsed = []
-        for file_col, cell in enumerate(row, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
+        np.array(rows[:1], dtype=float)
+    except ValueError:
+        del rows[0], lines[0]
+    if not rows:
+        raise InputError(f"{path} has no data rows")
+    try:
+        matrix = np.array(rows, dtype=float)
+    except ValueError:
+        # numpy parses each cell as float() does; find the first cell it refused
+        for row, line in zip(rows, lines):
+            if len(row) != len(rows[0]):
                 raise InputError(
-                    f"{path}: non-numeric cell at row {file_row}, column {file_col}: {cell!r}"
+                    f"{path}: row {line} has {len(row)} cells, expected {len(rows[0])}"
                 )
-        values.append(parsed)
-    return np.asarray(values, dtype=float)
+            for col, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise InputError(
+                        f"{path}: non-numeric cell at row {line}, column {col}: {cell!r}"
+                    ) from None
+        raise
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        i, j = bad[0]
+        raise InputError(
+            f"{path}: non-finite cell at row {lines[i]}, column {j + 1}: {rows[i][j]!r}"
+        )
+    return matrix
 
 
 def load_dataset(data_path: str, blocks_spec: str) -> Dataset:
     matrix = read_csv_matrix(data_path)
-    structure = parse_blocks(blocks_spec, matrix.shape[1])
-    try:
-        return Dataset(structure, matrix)
-    except ValueError as err:
-        raise InputError(str(err))
+    return Dataset(parse_blocks(blocks_spec, matrix.shape[1]), matrix)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -183,13 +183,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot read {args.config}: {err}")
-    except json.JSONDecodeError as err:
-        raise InputError(f"malformed config {args.config}: {err}")
+    with open(args.config, encoding="utf-8") as fh:
+        raw = json.load(fh)
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
     try:
@@ -240,8 +235,12 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if err.code else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, InsufficientSampleError, CovarianceOverflowError) as err:
+    except (InputError, InsufficientSampleError, CovarianceOverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as err:
+        source = args.config if args.command == "simulate" else args.data
+        print(f"error: cannot parse {source}: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NearSingularError as err:
         print(f"error: {err}", file=sys.stderr)

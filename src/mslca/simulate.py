@@ -116,8 +116,9 @@ class SimulationPlan:
     """Everything needed to reproduce one experiment.
 
     ``sizes``, ``replications`` and ``seed`` must be integers; a float such
-    as 3.0 is refused (ValueError) rather than truncated. The covariance must
-    be positive semidefinite, since the samplers use its square root.
+    as 3.0 is refused (ValueError) rather than truncated. Sizes must be
+    distinct, since summaries are keyed by size. The covariance must be
+    positive semidefinite, since the samplers use its square root.
     """
 
     kind: str
@@ -146,6 +147,8 @@ class SimulationPlan:
             )
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError(f"sizes must all be >= 2, got {self.sizes}")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sizes must not repeat, got {self.sizes}")
         max_dim = max(self.model.structure.dims)
         if any(s <= max_dim for s in self.sizes):
             # a centered sample of n rows has rank at most n - 1

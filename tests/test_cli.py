@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, CSV handling, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,15 @@ def write_csv(path, rows, header=None):
         lines.append(",".join(header))
     lines.extend(",".join(repr(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _assert_one_error_line(capsys, *fragments):
+    """stderr is one ``error:`` line holding every fragment, with no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
 
 
 @pytest.fixture
@@ -118,6 +130,44 @@ def test_fit_single_row_exit_2(tmp_path):
     write_csv(path, [[1.0, 2.0]])
     assert main(["fit", "--data", str(path), "--blocks", "1,1",
                  "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "content, fragments",
+    [
+        (b"1.0,2.0\n3.0,\xff\n", ["can't decode byte 0xff"]),
+        (b"1.0,2.0\n3.0," + b"1" * 131073 + b"\n", ["field limit"]),
+        # file lines count the header and the blank lines
+        (b"x,y\n\n1.0,2.0\n\n3.0,oops\n", ["non-numeric cell at row 5, column 2: 'oops'"]),
+        (b"x,y\n\n1.0,2.0\n\n3.0\n", ["row 5 has 1 cells, expected 2"]),
+        (b"x,y\n1.0,2.0\n3.0,nan\n", ["non-finite cell at row 3, column 2: 'nan'"]),
+        (b"x,y\n1e999,2.0\n3.0,4.0\n", ["non-finite cell at row 2, column 1: '1e999'"]),
+        (b"", ["has no data rows"]),
+        (b"x,y\n\n", ["has no data rows"]),
+    ],
+    ids=["non-utf8", "over-long-field", "non-numeric", "ragged", "nan", "overflow", "empty",
+         "header-only"],
+)
+@pytest.mark.parametrize("command", ["fit", "test"])
+def test_bad_csv_exit_2_names_path_and_position(tmp_path, capsys, command, content, fragments):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    out = tmp_path / "o.json"
+    assert main([command, "--data", str(path), "--blocks", "1,1", "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, str(path), *fragments)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "test", "simulate"])
+def test_out_in_missing_directory_exit_2(gaussian_csv, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "o.json"
+    if command == "simulate":
+        source = ["--config", str(_null_plan_config(tmp_path))]
+    else:
+        source = ["--data", str(gaussian_csv), "--blocks", "1,1,1"]
+    assert main([command, *source, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, str(out), "No such file or directory")
+    assert capsys.readouterr().out == ""
 
 
 def test_test_command_independent_blocks(gaussian_csv, tmp_path, capsys):
@@ -251,7 +301,7 @@ def test_simulate_rerun_identical_modulo_wall_time(tmp_path):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_simulate_malformed_config_exit_2(tmp_path):
+def test_simulate_malformed_config_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.json")]) == 2
@@ -260,6 +310,11 @@ def test_simulate_malformed_config_exit_2(tmp_path):
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o.json")]) == 2
     bad_kind = _null_plan_config(tmp_path, kind="bogus")
     assert main(["simulate", "--config", str(bad_kind), "--out", str(tmp_path / "o.json")]) == 2
+    capsys.readouterr()
+    non_utf8 = tmp_path / "non_utf8.json"
+    non_utf8.write_bytes(b'{"kind": "null-dist\xff"}')
+    assert main(["simulate", "--config", str(non_utf8), "--out", str(tmp_path / "o.json")]) == 2
+    _assert_one_error_line(capsys, str(non_utf8), "can't decode byte 0xff")
 
 
 def test_simulate_plan_preconditions_exit_4(tmp_path):
@@ -301,6 +356,8 @@ EQUICORRELATED_111 = (0.5 * np.eye(3) + 0.5).tolist()
         ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": WHITENED_111.tolist(),
           "replications": 1}, 4),
         ({"kind": "clt-check", "replications": 1}, 4),
+        # summaries are keyed by size, so a repeated size is bad input: exit 2
+        ({"sizes": [200, 200]}, 2),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):
@@ -366,3 +423,25 @@ def test_covariance_overflow_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "covariance overflows" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _run_module(*argv):
+    """Run ``python -m mslca.cli`` in a fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mslca.cli", *argv],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point_sets_the_process_exit_status(gaussian_csv, tmp_path):
+    data = ["--data", str(gaussian_csv), "--blocks", "1,1,1"]
+    bad = _run_module("fit", *data, "--out", str(tmp_path / "missing" / "o.json"))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
+    out = tmp_path / "report.json"
+    good = _run_module("test", *data, "--out", str(out))
+    assert good.returncode == 0, good.stderr
+    assert "Traceback" not in good.stderr
+    assert good.stdout.startswith("nS=") and json.loads(out.read_text())["method"] == "chi2"

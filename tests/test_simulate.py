@@ -112,6 +112,9 @@ def test_plan_validation():
         SimulationPlan(
             kind="null-dist", model=NULL_222, sizes=(100,), replications=5, sampler="student-t"
         )
+    with pytest.raises(ValueError, match="must not repeat"):
+        # summaries are keyed by size, so the first size's would be lost
+        SimulationPlan(kind="null-dist", model=NULL_222, sizes=(200, 200), replications=20)
 
 
 def test_plan_rejects_removed_mc_draws_key():
