@@ -90,25 +90,22 @@ def _require_whitened_data(rows: np.ndarray, structure: BlockStructure) -> None:
 def z_operator(x: np.ndarray, model: CovarianceModel) -> np.ndarray:
     """Evaluate the limit-law random operator at one observation.
 
-    For a whitened-compatible model, block (k, l), k != l, is
-    x_k x_l^T - (x_k x_k^T V_kl + V_kl x_l x_l^T) / 2 and diagonal blocks
+    For a whitened-compatible model with off-diagonal part Psi, Z(x) is
+    off(x x^T) - (D Psi + Psi D) / 2, where off(.) keeps the off-diagonal
+    blocks and D is the block-diagonal part of x x^T: block (k, l), k != l,
+    is x_k x_l^T - (x_k x_k^T V_kl + V_kl x_l x_l^T) / 2 and diagonal blocks
     vanish; the result is symmetric. Averaged over draws from the model its
-    expectation is zero.
+    expectation is zero. Raises ValueError unless x has length q.
     """
     _require_whitened_model(model)
-    structure = model.structure
+    q = model.structure.total_dim
     x = np.asarray(x, dtype=float)
-    parts = structure.split(x)
-    z = np.zeros((structure.total_dim, structure.total_dim))
-    for k, l in structure.lower_pairs():
-        vkl = model.block(k, l)
-        block = (
-            np.outer(parts[k], parts[l])
-            - 0.5 * (np.outer(parts[k], parts[k]) @ vkl + vkl @ np.outer(parts[l], parts[l]))
-        )
-        z[structure.block_slice(k), structure.block_slice(l)] = block
-        z[structure.block_slice(l), structure.block_slice(k)] = block.T
-    return z
+    if x.shape != (q,):
+        raise ValueError(f"expected vector of length {q}, got shape {x.shape}")
+    mask = model.structure.diagonal_mask
+    outer = np.outer(x, x)
+    d_psi = np.where(mask, outer, 0.0) @ np.where(mask, 0.0, model.v)
+    return np.where(mask, 0.0, outer) - 0.5 * (d_psi + d_psi.T)
 
 
 @dataclass(frozen=True)
@@ -134,36 +131,17 @@ class MomentAccumulator:
         return self.data.shape[0]
 
 
-def gamma_index_map(structure: BlockStructure) -> list[tuple[int, int, int, int]]:
-    """Coordinate order of the stacked off-diagonal block entries.
-
-    Pairs (k, l), l < k, run in the order (1,0), (2,0), (2,1), ...; within a
-    pair, entries (i, j) run with the row index i fastest.
-    """
-    index_map = []
-    for k, l in structure.lower_pairs():
-        for j in range(structure.dims[l]):
-            for i in range(structure.dims[k]):
-                index_map.append((k, l, i, j))
-    return index_map
-
-
 def build_gamma(acc: MomentAccumulator) -> np.ndarray:
     """Assemble the d x d matrix of fourth moments of paired coordinates.
 
-    Rows and columns run in the order of ``gamma_index_map``. Entry
-    [(k,l,i,j), (r,s,p,t)] is the sample mean of
-    x_{k,i} x_{l,j} x_{r,p} x_{s,t}; as a Gram matrix of pair products it is
+    Rows and columns run in the order of ``BlockStructure.cross_entries``
+    (rows r, cols c). Entry [a, b] is the sample mean of
+    x_{r_a} x_{c_a} x_{r_b} x_{c_b}; as a Gram matrix of pair products it is
     symmetric positive semidefinite up to round-off.
     """
-    structure = acc.structure
-    columns = []
-    for k, l in structure.lower_pairs():
-        xk = acc.data[:, structure.block_slice(k)]
-        xl = acc.data[:, structure.block_slice(l)]
-        pair = xk[:, :, None] * xl[:, None, :]  # (n, p_k, p_l), i fastest when F-flattened
-        columns.append(pair.reshape(acc.n, -1, order="F"))
-    stacked = np.concatenate(columns, axis=1)
+    rows, cols = acc.structure.cross_entries
+    stacked = acc.data[:, rows]
+    stacked *= acc.data[:, cols]  # in place: one n x d product array fewer at peak
     matrix = stacked.T @ stacked / acc.n
     return 0.5 * (matrix + matrix.T)
 
@@ -185,15 +163,10 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
         raise ValueError(
             f"solution has block dims {solution.structure.dims}, model has {structure.dims}"
         )
-    q = structure.total_dim
     beta = solution.beta
     v = model.v
-
-    off_mask = np.ones((q, q))
-    for k in range(structure.n_blocks):
-        sl = structure.block_slice(k)
-        off_mask[sl, sl] = 0.0
-    diag_mask = 1.0 - off_mask
+    diag_mask = structure.diagonal_mask.astype(float)
+    off_mask = 1.0 - diag_mask
 
     psi_beta = (v * off_mask) @ beta
     return np.einsum("um,vr,uv->mruv", beta, beta, off_mask) - 0.5 * (

@@ -2,8 +2,9 @@
 
 A block structure partitions the coordinates of R^q into consecutive groups
 (one per variable set). Vectors are plain 1-d numpy arrays of length q and
-matrices plain (q, q) arrays; the structure object supplies offsets, slices
-and block iteration so callers never hand-compute index arithmetic. The
+matrices plain (q, q) arrays; the structure object supplies offsets, slices,
+block iteration, the mask of within-block entries and the order of the
+cross-block entries, so callers never hand-compute index arithmetic. The
 symmetric primitives also take a stack of matrices (leading axes before the
 last two) and treat each matrix exactly as they would treat it alone.
 """
@@ -62,24 +63,41 @@ class BlockStructure:
     def offsets(self) -> tuple[int, ...]:
         return tuple(int(o) for o in np.concatenate([[0], np.cumsum(self.dims)[:-1]]))
 
-    def offset(self, k: int) -> int:
-        return self.offsets[k]
-
     def block_slice(self, k: int) -> slice:
         if not 0 <= k < self.n_blocks:
             raise IndexError(f"block index {k} out of range [0, {self.n_blocks})")
         return slice(self.offsets[k], self.offsets[k] + self.dims[k])
 
-    def split(self, v: np.ndarray) -> list[np.ndarray]:
-        """Views of the per-block components of a length-q vector."""
-        v = np.asarray(v)
-        if v.shape != (self.total_dim,):
-            raise ValueError(f"expected vector of length {self.total_dim}, got shape {v.shape}")
-        return [v[self.block_slice(k)] for k in range(self.n_blocks)]
-
     def lower_pairs(self) -> list[tuple[int, int]]:
         """Off-diagonal block pairs (k, l) with l < k, ordered (1,0),(2,0),(2,1),..."""
         return [(k, l) for k in range(1, self.n_blocks) for l in range(k)]
+
+    @cached_property
+    def diagonal_mask(self) -> np.ndarray:
+        """Read-only (q, q) bool array, True exactly on the within-block entries."""
+        labels = np.repeat(np.arange(self.n_blocks), self.dims)
+        mask = labels[:, None] == labels[None, :]
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def cross_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) index arrays of the lower off-diagonal block entries.
+
+        The one definition of the order of the stacked off-diagonal entries,
+        and so of Gamma's rows and columns: pairs (k, l), l < k, run in the
+        order of ``lower_pairs``; within a pair, entries (i, j) run with the
+        row index i fastest.
+        """
+        rows, cols = [], []
+        for k, l in self.lower_pairs():
+            sk, sl = self.block_slice(k), self.block_slice(l)
+            rows.append(np.tile(np.arange(sk.start, sk.stop), self.dims[l]))
+            cols.append(np.repeat(np.arange(sl.start, sl.stop), self.dims[k]))
+        entries = (np.concatenate(rows), np.concatenate(cols))
+        for index in entries:
+            index.flags.writeable = False
+        return entries
 
 
 def extract_block(a: np.ndarray, structure: BlockStructure, k: int, l: int) -> np.ndarray:

@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -114,7 +115,7 @@ def read_csv_matrix(path: str) -> np.ndarray:
 
 def load_dataset(data_path: str, blocks_spec: str) -> Dataset:
     matrix = read_csv_matrix(data_path)
-    return Dataset(parse_blocks(blocks_spec, matrix.shape[1]), matrix)
+    return Dataset._from_fresh(parse_blocks(blocks_spec, matrix.shape[1]), matrix)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -191,7 +192,17 @@ def _cmd_simulate(args) -> int:
         plan = SimulationPlan.from_dict(raw)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed config: {err}")
-    result = run_experiment(plan)
+    # Open --out before any cell runs, so an unwritable path fails first; a
+    # failed run leaves --out as it found it.
+    existed = os.path.exists(args.out)
+    with open(args.out, "a", encoding="utf-8"):
+        pass
+    try:
+        result = run_experiment(plan)
+    except BaseException:
+        if not existed:
+            os.remove(args.out)
+        raise
     write_json(args.out, result.to_dict())
     return EXIT_OK
 

@@ -70,11 +70,12 @@ class MslcaFit:
 
     ``that`` is the estimated operator, whose diagonal blocks are exactly
     zero by construction, and ``s`` its non-correlation statistic, the summed
-    squared entries of the lower off-diagonal blocks of ``that``. ``inv_roots``
-    holds the inverse square root of each diagonal block of ``vhat``;
-    ``whitened`` is ``data`` centred by ``means``, each block mapped through
-    its root. The non-correlation tests therefore take only the fit: their
-    moments come from its ``whitened`` sample.
+    squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
+    is Phi^{-1/2}, the read-only block-diagonal matrix whose diagonal blocks
+    are the inverse square roots of those of ``vhat``; ``whitened`` is
+    ``data`` centred by ``means`` and mapped through it. The non-correlation
+    tests therefore take only the fit: their moments come from its
+    ``whitened`` sample.
     """
 
     data: Dataset = field(repr=False)
@@ -82,7 +83,7 @@ class MslcaFit:
     vhat: CovarianceModel
     that: np.ndarray
     solution: MslcaSolution
-    inv_roots: tuple[np.ndarray, ...]
+    inv_root: np.ndarray
     s: float
 
     @property
@@ -95,17 +96,12 @@ class MslcaFit:
 
     @cached_property
     def whitened(self) -> Dataset:
-        """The fitted sample centred by ``means``, each block mapped through its inverse root.
+        """The fitted sample centred by ``means`` and mapped through ``inv_root``.
 
         Built on first use and kept, read-only. Its within-block covariances
         are the identity, the standing normalization of the asymptotic theory.
         """
-        centered = self.data.rows - self.means
-        out = np.empty_like(centered)
-        for k, root in enumerate(self.inv_roots):
-            sl = self.structure.block_slice(k)
-            out[:, sl] = centered[:, sl] @ root
-        return Dataset._from_fresh(self.structure, out)
+        return Dataset._from_fresh(self.structure, (self.data.rows - self.means) @ self.inv_root)
 
 
 def _require_rows(data: Dataset, minimum: int = 2) -> None:
@@ -152,7 +148,7 @@ def _fit_stack(
     structure = datasets[0].structure
     means, covs = _means_and_covs(datasets)
     covs = _valid_covariances(covs)
-    that, solutions, inv_roots = _solve(structure, covs, group_tol, cond_floor)
+    that, solutions, inv_root = _solve(structure, covs, group_tol, cond_floor)
     means.flags.writeable = False
     return [
         MslcaFit(
@@ -161,7 +157,7 @@ def _fit_stack(
             vhat=CovarianceModel._of_valid(structure, covs[i]),
             that=that[i],
             solution=solutions[i],
-            inv_roots=tuple(root[i] for root in inv_roots),
+            inv_root=inv_root[i],
             s=s,
         )
         for i, s in enumerate(_off_block_mass(structure, that).tolist())

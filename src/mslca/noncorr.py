@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .blocks import BlockStructure, extract_block
+from .blocks import BlockStructure
 from .estimation import MslcaFit
 from .population import _off_block_mass
 from .asymptotics import (
@@ -90,11 +90,13 @@ def s_statistic(that: np.ndarray, structure: BlockStructure) -> float:
     this value for its own operator as ``MslcaFit.s``.
     """
     that = np.asarray(that, dtype=float)
-    scale = 1.0 + np.abs(that).max()
-    for k in range(structure.n_blocks):
-        block = extract_block(that, structure, k, k)
-        if np.abs(block).max() > 1e-10 * scale:
-            raise ValueError(f"diagonal block {k} is not zero; not a canonical operator")
+    q = structure.total_dim
+    if that.shape != (q, q):
+        raise ValueError(f"expected ({q}, {q}) matrix, got shape {that.shape}")
+    bad = structure.diagonal_mask & (np.abs(that) > 1e-10 * (1.0 + np.abs(that).max()))
+    if bad.any():
+        k = int(np.searchsorted(structure.offsets, np.argwhere(bad)[0, 0], side="right")) - 1
+        raise ValueError(f"diagonal block {k} is not zero; not a canonical operator")
     return float(_off_block_mass(structure, that))
 
 

@@ -123,58 +123,47 @@ class ConstraintDiagnostics:
 
 def build_phi(model: CovarianceModel) -> np.ndarray:
     """Block-diagonal (within-set) part of the covariance."""
-    q = model.structure.total_dim
-    phi = np.zeros((q, q))
-    for k in range(model.structure.n_blocks):
-        sl = model.structure.block_slice(k)
-        phi[sl, sl] = model.v[sl, sl]
-    return phi
+    return np.where(model.structure.diagonal_mask, model.v, 0.0)
 
 
-def _block_inv_sqrts(
-    structure: BlockStructure, v: np.ndarray, cond_floor: float
-) -> list[np.ndarray]:
-    """Inverse square root of each diagonal block of ``v``, one (..., p_k, p_k) stack per block."""
-    roots = []
+def _block_inv_sqrt(structure: BlockStructure, v: np.ndarray, cond_floor: float) -> np.ndarray:
+    """Phi^{-1/2} of each covariance of ``v`` (..., q, q), as a stack of the same shape.
+
+    Each diagonal block is powered on its own, so a near-singular one is
+    named and the off-diagonal blocks stay exactly zero.
+    """
+    root = np.zeros(v.shape)
     for k in range(structure.n_blocks):
         sl = structure.block_slice(k)
         try:
-            roots.append(sym_power(v[..., sl, sl], -0.5, cond_floor))
+            root[..., sl, sl] = sym_power(v[..., sl, sl], -0.5, cond_floor)
         except NearSingularError as err:
             raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
-    return roots
+    return root
 
 
-def _assemble_t(
-    structure: BlockStructure, v: np.ndarray, inv_roots: list[np.ndarray]
-) -> np.ndarray:
-    t = np.zeros(v.shape)
-    for k, l in structure.lower_pairs():
-        sk, sl = structure.block_slice(k), structure.block_slice(l)
-        block = inv_roots[k] @ v[..., sk, sl] @ inv_roots[l]
-        t[..., sk, sl] = block
-        t[..., sl, sk] = block.swapaxes(-1, -2)
-    return t
+def _assemble_t(structure: BlockStructure, v: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
+    """T = Phi^{-1/2} Psi Phi^{-1/2} of each covariance of ``v`` (..., q, q), symmetrized."""
+    t = inv_root @ np.where(structure.diagonal_mask, 0.0, v) @ inv_root
+    return 0.5 * (t + t.swapaxes(-1, -2))
 
 
 def _off_block_mass(structure: BlockStructure, t: np.ndarray) -> np.ndarray:
     """Summed squared entries of the lower off-diagonal blocks of ``t`` (..., q, q), per matrix."""
-    total = 0.0
-    for k, l in structure.lower_pairs():
-        block = t[..., structure.block_slice(k), structure.block_slice(l)]
-        squares = block * block
-        total = total + squares.reshape(*squares.shape[:-2], -1).sum(axis=-1)
-    return total
+    rows, cols = structure.cross_entries
+    # contiguous, so each matrix's entries are summed as they would be alone
+    entries = np.ascontiguousarray(t[..., rows, cols])
+    return (entries * entries).sum(axis=-1)
 
 
 def build_t(model: CovarianceModel) -> np.ndarray:
-    """Assemble T = Phi^{-1/2} Psi Phi^{-1/2} blockwise.
+    """Assemble T = Phi^{-1/2} Psi Phi^{-1/2}.
 
     Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
     exactly zero by construction.
     """
-    inv_roots = _block_inv_sqrts(model.structure, model.v, DEFAULT_COND_FLOOR)
-    return _assemble_t(model.structure, model.v, inv_roots)
+    inv_root = _block_inv_sqrt(model.structure, model.v, DEFAULT_COND_FLOOR)
+    return _assemble_t(model.structure, model.v, inv_root)
 
 
 def _group_indices(rho: list[float], group_tol: float) -> tuple[tuple[int, ...], ...]:
@@ -218,30 +207,27 @@ def _solution(
 
 def _solve(
     structure: BlockStructure, v: np.ndarray, group_tol: float, cond_floor: float
-) -> tuple[np.ndarray, list[MslcaSolution], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[MslcaSolution], np.ndarray]:
     """Solve each covariance of a (R, q, q) stack at once.
 
-    Returns the stack of T, one solution per matrix and the per-block stacks
-    of inverse roots, each computed once and read-only; every eigensolve is
-    one call over the whole stack.
+    Returns the stack of T, one solution per matrix and the stack of
+    block-diagonal Phi^{-1/2}, each computed once and read-only; every
+    eigensolve is one call over the whole stack.
     """
     if not 0.0 < group_tol < math.inf:
         raise ValueError(f"group_tol must be a positive finite number, got {group_tol}")
-    inv_roots = _block_inv_sqrts(structure, v, cond_floor)
-    t = _assemble_t(structure, v, inv_roots)
+    inv_root = _block_inv_sqrt(structure, v, cond_floor)
+    t = _assemble_t(structure, v, inv_root)
     eig = sym_eig(t)
     beta = eig.eigenvectors
-    alpha = np.empty_like(beta)
-    for k in range(structure.n_blocks):
-        sl = structure.block_slice(k)
-        alpha[:, sl, :] = inv_roots[k] @ beta[:, sl, :]
-    for arr in (t, alpha, *inv_roots):
+    alpha = inv_root @ beta
+    for arr in (t, alpha, inv_root):
         arr.flags.writeable = False
     solutions = [
         _solution(structure, eig.eigenvalues[i], beta[i], alpha[i], group_tol)
         for i in range(v.shape[0])
     ]
-    return t, solutions, inv_roots
+    return t, solutions, inv_root
 
 
 def solve_mslca(model: CovarianceModel) -> MslcaSolution:

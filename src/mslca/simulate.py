@@ -31,7 +31,6 @@ from .population import CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
     _require_whitened_model,
     c_tensor_gaussian,
-    gamma_index_map,
     sigma_matrix,
     z_operator,
 )
@@ -289,14 +288,6 @@ def _consistency(plan: SimulationPlan):
     return record, summarize
 
 
-def _offdiag_positions(model: CovarianceModel) -> list[tuple[int, int]]:
-    structure = model.structure
-    positions = []
-    for k, l, i, j in gamma_index_map(structure):
-        positions.append((structure.offset(k) + i, structure.offset(l) + j))
-    return positions
-
-
 def _require_covariance_plan(plan: SimulationPlan) -> None:
     """A whitened-compatible model and at least two replications per size."""
     try:
@@ -320,9 +311,7 @@ def _clt_check(plan: SimulationPlan):
     """
     _require_covariance_plan(plan)
     t_true = build_t(plan.model)
-    positions = _offdiag_positions(plan.model)
-    rows_idx = [p[0] for p in positions]
-    cols_idx = [p[1] for p in positions]
+    rows_idx, cols_idx = plan.model.structure.cross_entries
 
     def record(rng, fit):
         err = np.sqrt(fit.n) * (fit.that - t_true)
@@ -336,7 +325,7 @@ def _clt_check(plan: SimulationPlan):
         cov_t = np.cov(_column(records, "t_entries"), rowvar=False)
         cov_z = np.cov(_column(records, "z_entries"), rowvar=False)
         return {
-            "entry_positions": [list(p) for p in positions],
+            "entry_positions": np.column_stack([rows_idx, cols_idx]).tolist(),
             "cov_scaled_error": np.atleast_2d(cov_t).tolist(),
             "cov_limit_operator": np.atleast_2d(cov_z).tolist(),
             "relative_discrepancy": float(np.linalg.norm(cov_t - cov_z) / np.linalg.norm(cov_z)),

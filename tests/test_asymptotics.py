@@ -27,8 +27,13 @@ from mslca import (
     whiten,
     z_operator,
 )
-from mslca.asymptotics import TAIL_ATOL, gamma_index_map
-from conftest import correlation_model, equicorrelation_model
+from mslca.asymptotics import TAIL_ATOL
+from conftest import (
+    correlation_model,
+    equicorrelation_model,
+    random_structure,
+    random_whitened_model,
+)
 
 WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
 # Whitened model with two-column blocks and a simple spectrum.
@@ -74,6 +79,35 @@ def test_z_operator_requires_whitened_model():
     model = CovarianceModel(BlockStructure((1, 1)), np.diag([2.0, 1.0]))
     with pytest.raises(ValueError):
         z_operator(np.zeros(2), model)
+
+
+def _z_operator_per_pair(x, model):
+    """Reference for ``z_operator``: the limit operator assembled block pair by block pair."""
+    structure = model.structure
+    parts = [x[structure.block_slice(k)] for k in range(structure.n_blocks)]
+    z = np.zeros((structure.total_dim, structure.total_dim))
+    for k, l in structure.lower_pairs():
+        vkl = model.block(k, l)
+        block = (
+            np.outer(parts[k], parts[l])
+            - 0.5 * (np.outer(parts[k], parts[k]) @ vkl + vkl @ np.outer(parts[l], parts[l]))
+        )
+        z[structure.block_slice(k), structure.block_slice(l)] = block
+        z[structure.block_slice(l), structure.block_slice(k)] = block.T
+    return z
+
+
+def test_z_operator_matches_per_pair_oracle():
+    rng = np.random.default_rng(173)
+    for _ in range(20):
+        model = random_whitened_model(rng, random_structure(rng))
+        x = rng.standard_normal(model.structure.total_dim)
+        expected = _z_operator_per_pair(x, model)
+        z = z_operator(x, model)
+        np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert np.array_equal(z, z.T)
+        with pytest.raises(ValueError, match="length"):
+            z_operator(np.append(x, 0.0), model)
 
 
 def test_z_operator_zero_mean_monte_carlo():
@@ -140,33 +174,57 @@ def test_fourth_moment_gaussian_oracles():
         _fourth_moment(acc, 0, 0, 0, 4)
 
 
-def test_gamma_index_map_order():
-    structure = BlockStructure((2, 2))
-    assert gamma_index_map(structure) == [(1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 1, 1)]
-    structure3 = BlockStructure((1, 1, 1))
-    assert gamma_index_map(structure3) == [(1, 0, 0, 0), (2, 0, 0, 0), (2, 1, 0, 0)]
+def _entry_list(structure):
+    rows, cols = structure.cross_entries
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def test_cross_entries_order():
+    # pairs (1,0), (2,0), (2,1), ...; within a pair the row index runs fastest
+    assert _entry_list(BlockStructure((2, 2))) == [(2, 0), (3, 0), (2, 1), (3, 1)]
+    assert _entry_list(BlockStructure((1, 1, 1))) == [(1, 0), (2, 0), (2, 1)]
+    assert _entry_list(BlockStructure((1, 2, 1))) == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
+    rows, cols = BlockStructure((2, 2)).cross_entries
+    assert not rows.flags.writeable and not cols.flags.writeable
 
 
 def test_build_gamma_entries_match_fourth_moments():
     model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
     acc = _whitened_accumulator(model, 500, seed=127)
     gamma = build_gamma(acc)
-    structure = acc.structure
-    index_map = gamma_index_map(structure)
+    entries = _entry_list(acc.structure)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a = int(rng.integers(len(index_map)))
-        b = int(rng.integers(len(index_map)))
-        k, l, i, j = index_map[a]
-        r, s, p, t = index_map[b]
-        expected = _fourth_moment(
-            acc,
-            structure.offset(k) + i,
-            structure.offset(l) + j,
-            structure.offset(r) + p,
-            structure.offset(s) + t,
-        )
+        a = int(rng.integers(len(entries)))
+        b = int(rng.integers(len(entries)))
+        expected = _fourth_moment(acc, *entries[a], *entries[b])
         assert gamma[a, b] == pytest.approx(expected, rel=1e-12)
+
+
+def _build_gamma_per_pair(acc):
+    """Reference for ``build_gamma``: pair products gathered block pair by block pair."""
+    structure = acc.structure
+    columns = []
+    for k, l in structure.lower_pairs():
+        xk = acc.data[:, structure.block_slice(k)]
+        xl = acc.data[:, structure.block_slice(l)]
+        pair = xk[:, :, None] * xl[:, None, :]  # (n, p_k, p_l), i fastest when F-flattened
+        columns.append(pair.reshape(acc.n, -1, order="F"))
+    stacked = np.concatenate(columns, axis=1)
+    matrix = stacked.T @ stacked / acc.n
+    return 0.5 * (matrix + matrix.T)
+
+
+def test_build_gamma_matches_per_pair_oracle():
+    rng = np.random.default_rng(179)
+    for i in range(10):
+        model = random_whitened_model(rng, random_structure(rng))
+        if i % 2:
+            data = sample_gaussian(model, 200, rng)
+        else:
+            data = sample_student_t(model, 9.0, 200, rng)
+        acc = MomentAccumulator(model.structure, whiten(data).rows)
+        np.testing.assert_allclose(build_gamma(acc), _build_gamma_per_pair(acc), rtol=1e-12)
 
 
 def test_build_gamma_gaussian_null_near_identity():

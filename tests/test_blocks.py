@@ -32,6 +32,11 @@ def test_structure_basics():
     assert s.offsets == (0, 2, 5)
     assert s.block_slice(1) == slice(2, 5)
     assert s.lower_pairs() == [(1, 0), (2, 0), (2, 1)]
+    within = np.zeros((7, 7), dtype=bool)
+    for k in range(3):
+        within[s.block_slice(k), s.block_slice(k)] = True
+    assert np.array_equal(s.diagonal_mask, within)
+    assert not s.diagonal_mask.flags.writeable
 
 
 def test_structure_validation():
@@ -44,15 +49,6 @@ def test_structure_validation():
         with pytest.raises(ValueError, match="integer"):
             BlockStructure(dims)
     assert BlockStructure((np.int64(2), np.int32(1))).dims == (2, 1)
-
-
-def test_split_views():
-    s = BlockStructure((2, 1))
-    parts = s.split(np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(parts[0], [1.0, 2.0])
-    assert np.array_equal(parts[1], [3.0])
-    with pytest.raises(ValueError):
-        s.split(np.zeros(4))
 
 
 def test_extract_identity_blocks():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mslca.cli
 from mslca import BlockStructure, CovarianceModel, sample_gaussian, sample_student_t
 from mslca.cli import main
 from conftest import assert_matches_golden, correlation_model
@@ -366,6 +367,38 @@ def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, cod
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_simulate_opens_out_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_run(plan):
+        raise AssertionError("the plan ran before --out was opened")
+
+    monkeypatch.setattr(mslca.cli, "run_experiment", no_run)
+    config = _null_plan_config(tmp_path)
+    out = tmp_path / "nodir" / "o.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, str(out), "No such file or directory")
+    monkeypatch.undo()
+    # a failed run leaves an existing --out as it found it
+    out = tmp_path / "old.json"
+    out.write_text("old")
+    nu_bad = _null_plan_config(tmp_path, sampler="student-t", nu=3)
+    assert main(["simulate", "--config", str(nu_bad), "--out", str(out)]) == 4
+    assert out.read_text() == "old"
+
+
+def test_load_dataset_keeps_the_array_the_reader_returned(gaussian_csv, monkeypatch):
+    returned = []
+    reader = mslca.cli.read_csv_matrix
+
+    def recording_reader(path):
+        returned.append(reader(path))
+        return returned[-1]
+
+    monkeypatch.setattr(mslca.cli, "read_csv_matrix", recording_reader)
+    data = mslca.cli.load_dataset(str(gaussian_csv), "1,1,1")
+    assert np.shares_memory(data.rows, returned[0])
+    assert not data.rows.flags.writeable
 
 
 def _summary_fields(line):

@@ -17,6 +17,7 @@ from mslca import (
     run_experiment,
     sample_gaussian,
     sample_student_t,
+    sym_power,
     whiten,
 )
 from mslca.asymptotics import _require_whitened_data
@@ -242,7 +243,7 @@ def test_fit_carries_its_statistic_and_read_only_arrays():
     assert fit.s == s_statistic(fit.that, structure)
     assert fit.s == pytest.approx(0.5 * float(np.sum(fit.solution.rho**2)), rel=1e-12)
     solution = fit.solution
-    for arr in (fit.means, fit.vhat.v, fit.that, solution.rho, solution.alpha, *fit.inv_roots):
+    for arr in (fit.means, fit.vhat.v, fit.that, solution.rho, solution.alpha, fit.inv_root):
         assert not arr.flags.writeable
 
 
@@ -257,10 +258,14 @@ def test_fit_whitened_is_its_sample_whitened_read_only():
     with pytest.raises(ValueError):
         white.rows[0, 0] = 1.0
     _require_whitened_data(white.rows, white.structure)
-    expected = np.hstack([
-        (data.rows - fit.means)[:, data.structure.block_slice(k)] @ root
-        for k, root in enumerate(fit.inv_roots)
-    ])
+    structure = data.structure
+    assert not fit.inv_root[~structure.diagonal_mask].any()
+    slices = [structure.block_slice(k) for k in range(structure.n_blocks)]
+    for sl in slices:
+        np.testing.assert_allclose(
+            fit.inv_root[sl, sl], sym_power(fit.vhat.v[sl, sl], -0.5), rtol=0, atol=1e-12
+        )
+    expected = np.hstack([(data.rows - fit.means)[:, sl] @ fit.inv_root[sl, sl] for sl in slices])
     np.testing.assert_allclose(white.rows, expected, rtol=0, atol=1e-12)
 
 

@@ -57,8 +57,14 @@ def test_s_statistic_spectral_identity():
 
 
 def test_s_statistic_rejects_nonzero_diagonal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diagonal block 0"):
         s_statistic(np.array([[0.5, 0.0], [0.0, 0.0]]), BlockStructure((1, 1)))
+    that = np.zeros((3, 3))
+    that[2, 1] = 0.5
+    with pytest.raises(ValueError, match="diagonal block 1"):
+        s_statistic(that, BlockStructure((1, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        s_statistic(np.zeros(2), BlockStructure((1, 1)))
 
 
 def test_degrees_of_freedom():

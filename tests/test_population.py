@@ -32,7 +32,8 @@ def varphi(model, a):
     Evaluates to rho_j at the j-th canonical direction.
     """
     structure = model.structure
-    parts = structure.split(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    parts = [a[structure.block_slice(k)] for k in range(structure.n_blocks)]
     total = 0.0
     for k in range(structure.n_blocks):
         for l in range(structure.n_blocks):
