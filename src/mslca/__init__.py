@@ -37,13 +37,11 @@ from .estimation import (
     Dataset,
     MslcaFit,
     align_sign,
-    empirical_cov,
     fit_mslca,
     whiten,
 )
 from .asymptotics import (
     EigenChiSquareDist,
-    MomentAccumulator,
     build_gamma,
     c_tensor,
     c_tensor_gaussian,
@@ -56,7 +54,6 @@ from .noncorr import (
     chi2_test,
     degrees_of_freedom,
     general_test,
-    s_statistic,
 )
 from .simulate import (
     ExperimentResult,
@@ -93,11 +90,9 @@ __all__ = [
     "verify_constraints",
     "Dataset",
     "MslcaFit",
-    "empirical_cov",
     "fit_mslca",
     "align_sign",
     "whiten",
-    "MomentAccumulator",
     "EigenChiSquareDist",
     "z_operator",
     "build_gamma",
@@ -106,7 +101,6 @@ __all__ = [
     "sigma_matrix",
     "quad_form_pvalue",
     "TestReport",
-    "s_statistic",
     "degrees_of_freedom",
     "chi2_test",
     "general_test",

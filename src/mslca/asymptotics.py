@@ -8,16 +8,17 @@ Provided pieces:
 
 * ``z_operator`` -- the random operator whose covariance is the limit law of
   sqrt(n) times the estimation error of the canonical operator.
-* ``MomentAccumulator`` / ``build_gamma`` -- a whitened sample and the d x d
-  matrix of its fourth moments: the covariance of the stacked off-diagonal
-  block entries (the limit covariance of the non-correlation statistic's
-  Gaussian vector), returned as a plain array whose eigenvalues are the
-  weights of the general route's weighted chi-square law.
+* ``build_gamma`` -- the d x d matrix of fourth moments of a whitened
+  ``Dataset`` (a fit's ``whitened`` sample): the covariance of the stacked
+  off-diagonal block entries (the limit covariance of the non-correlation
+  statistic's Gaussian vector), returned as a plain array whose eigenvalues
+  are the weights of the general route's weighted chi-square law.
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
   operator expressed in the eigenbasis. Both read the operator from one set
   of eigenbasis quadratic forms, <beta_m, Z(x) beta_r> = x^T A_mr x: the
-  plug-in averages products of the forms over a sample as one Gram product,
-  and the Gaussian version evaluates their second moments in closed form.
+  plug-in averages products of the forms over a whitened ``Dataset`` as one
+  Gram product, and the Gaussian version evaluates their second moments in
+  closed form.
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
@@ -108,41 +109,34 @@ def z_operator(x: np.ndarray, model: CovarianceModel) -> np.ndarray:
     return np.where(mask, 0.0, outer) - 0.5 * (d_psi + d_psi.T)
 
 
-@dataclass(frozen=True)
 class MomentAccumulator:
-    """A centered, whitened sample, the input of every fourth-moment estimate.
+    """The checked entry for a sample whitened outside a fit.
 
-    Columns are the global coordinates of the stacked vector.
-    ``from_whitened`` checks the whitening of a sample it is handed;
-    ``general_test`` reads ``MslcaFit.whitened``, whitened by construction,
-    so it builds the accumulator directly.
+    ``from_whitened`` checks that a ``Dataset`` is centred and whitened and
+    returns that same ``Dataset``. Inside the package every fourth-moment
+    estimate reads a fit's ``whitened`` sample, whitened by construction, so
+    nothing in the package calls it; it goes when the benchmark stops calling it.
     """
 
-    structure: BlockStructure
-    data: np.ndarray
-
-    @classmethod
-    def from_whitened(cls, dataset: Dataset) -> "MomentAccumulator":
+    @staticmethod
+    def from_whitened(dataset: Dataset) -> Dataset:
         _require_whitened_data(dataset.rows, dataset.structure)
-        return cls(structure=dataset.structure, data=dataset.rows)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+        return dataset
 
 
-def build_gamma(acc: MomentAccumulator) -> np.ndarray:
+def build_gamma(whitened: Dataset) -> np.ndarray:
     """Assemble the d x d matrix of fourth moments of paired coordinates.
 
+    ``whitened`` is a centred, whitened sample, such as ``MslcaFit.whitened``.
     Rows and columns run in the order of ``BlockStructure.cross_entries``
     (rows r, cols c). Entry [a, b] is the sample mean of
     x_{r_a} x_{c_a} x_{r_b} x_{c_b}; as a Gram matrix of pair products it is
     symmetric positive semidefinite up to round-off.
     """
-    rows, cols = acc.structure.cross_entries
-    stacked = acc.data[:, rows]
-    stacked *= acc.data[:, cols]  # in place: one n x d product array fewer at peak
-    matrix = stacked.T @ stacked / acc.n
+    rows, cols = whitened.structure.cross_entries
+    stacked = whitened.rows[:, rows]
+    stacked *= whitened.rows[:, cols]  # in place: one n x d product array fewer at peak
+    matrix = stacked.T @ stacked / whitened.n
     return 0.5 * (matrix + matrix.T)
 
 
@@ -176,25 +170,25 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
 
 
 def c_tensor(
-    acc: MomentAccumulator, solution: MslcaSolution, model: CovarianceModel
+    whitened: Dataset, solution: MslcaSolution, model: CovarianceModel
 ) -> np.ndarray:
     """Plug-in second moments of the limit operator in the eigenbasis.
 
-    Entry [m, r, s, t] is the sample mean of z_mr z_st, where
-    z_mr = x^T A[m, r] x is the observation's value of the eigenbasis forms
-    that ``c_tensor_gaussian`` also uses. With the (n, q^2) matrix of the
-    z values, the tensor is the Gram product z^T z / n. Raises ValueError
-    unless the accumulator, the solution and the model share one block
+    Entry [m, r, s, t] is the sample mean, over the whitened sample, of
+    z_mr z_st, where z_mr = x^T A[m, r] x is the observation's value of the
+    eigenbasis forms that ``c_tensor_gaussian`` also uses. With the (n, q^2)
+    matrix of the z values, the tensor is the Gram product z^T z / n. Raises
+    ValueError unless the sample, the solution and the model share one block
     structure.
     """
-    if acc.structure != model.structure:
+    if whitened.structure != model.structure:
         raise ValueError(
-            f"accumulator has block dims {acc.structure.dims}, model has {model.structure.dims}"
+            f"sample has block dims {whitened.structure.dims}, model has {model.structure.dims}"
         )
     forms = _eigenbasis_forms(model, solution)
-    q = acc.structure.total_dim
-    n = acc.n
-    outer = (acc.data[:, :, None] * acc.data[:, None, :]).reshape(n, q * q)
+    q = whitened.structure.total_dim
+    n = whitened.n
+    outer = (whitened.rows[:, :, None] * whitened.rows[:, None, :]).reshape(n, q * q)
     z = outer @ forms.reshape(q * q, q * q).T
     return (z.T @ z / n).reshape(q, q, q, q)
 

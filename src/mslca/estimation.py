@@ -68,6 +68,7 @@ class Dataset:
 class MslcaFit:
     """Empirical analysis of one dataset, which it keeps as ``data``.
 
+    ``vhat`` is the empirical covariance, with divisor n (not n - 1).
     ``that`` is the estimated operator, whose diagonal blocks are exactly
     zero by construction, and ``s`` its non-correlation statistic, the summed
     squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
@@ -104,11 +105,6 @@ class MslcaFit:
         return Dataset._from_fresh(self.structure, (self.data.rows - self.means) @ self.inv_root)
 
 
-def _require_rows(data: Dataset, minimum: int = 2) -> None:
-    if data.n < minimum:
-        raise InsufficientSampleError(f"need at least {minimum} rows, got {data.n}")
-
-
 def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
 
@@ -125,12 +121,6 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
             "the sample covariance overflows the float range; rescale the data"
         )
     return means, covs
-
-
-def empirical_cov(data: Dataset) -> CovarianceModel:
-    """Covariance with divisor n (not n-1), assembled over all blocks at once."""
-    _require_rows(data)
-    return CovarianceModel(data.structure, _means_and_covs([data])[1][0])
 
 
 def _fit_stack(
@@ -175,7 +165,8 @@ def fit_mslca(
     whose sample covariance is numerically singular (collinear columns), and
     InsufficientSampleError for n < 2.
     """
-    _require_rows(data)
+    if data.n < 2:
+        raise InsufficientSampleError(f"need at least 2 rows, got {data.n}")
     return _fit_stack([data], group_tol, cond_floor)[0]
 
 

@@ -7,7 +7,8 @@ provided: a chi-square law with an elliptical kurtosis scale, and the
 general weighted chi-square law driven by estimated fourth moments. Both
 read fourth moments of one sample, whitened with the fit's own means and
 block roots, so each test takes only the fit and reads its ``whitened``
-sample, which the fit builds once and keeps.
+``Dataset``, which the fit builds once and keeps. The statistic itself is
+``MslcaFit.s``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from scipy import special
 
 from .blocks import BlockStructure
 from .estimation import MslcaFit
-from .population import _off_block_mass
 from .asymptotics import (
     TAIL_ATOL,
     EigenChiSquareDist,
-    MomentAccumulator,
     _kurtosis_scale,
     build_gamma,
     quad_form_pvalue,
@@ -82,27 +81,12 @@ class TestReport:
         return f"nS={self.ns} d={self.d} p={self.p_value} reject={self.reject}"
 
 
-def s_statistic(that: np.ndarray, structure: BlockStructure) -> float:
-    """Summed squared entries of the off-diagonal blocks (lower pairs only).
-
-    Requires zero diagonal blocks, which the estimator guarantees by
-    construction; equals half the sum of squared eigenvalues. A fit carries
-    this value for its own operator as ``MslcaFit.s``.
-    """
-    that = np.asarray(that, dtype=float)
-    q = structure.total_dim
-    if that.shape != (q, q):
-        raise ValueError(f"expected ({q}, {q}) matrix, got shape {that.shape}")
-    bad = structure.diagonal_mask & (np.abs(that) > 1e-10 * (1.0 + np.abs(that).max()))
-    if bad.any():
-        k = int(np.searchsorted(structure.offsets, np.argwhere(bad)[0, 0], side="right")) - 1
-        raise ValueError(f"diagonal block {k} is not zero; not a canonical operator")
-    return float(_off_block_mass(structure, that))
-
-
 def degrees_of_freedom(structure: BlockStructure) -> int:
-    """Total count of off-diagonal block entries tested: sum of p_k p_l over l < k."""
-    return sum(structure.dims[k] * structure.dims[l] for k, l in structure.lower_pairs())
+    """Count of off-diagonal block entries tested, the order of Gamma.
+
+    These are ``structure.cross_entries``: sum of p_k p_l over l < k.
+    """
+    return structure.cross_entries[0].size
 
 
 def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
@@ -166,7 +150,7 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
             f"(recommended n >= {10 * d})",
             stacklevel=2,
         )
-    gamma = build_gamma(MomentAccumulator(fit.structure, fit.whitened.rows))
+    gamma = build_gamma(fit.whitened)
     dist = EigenChiSquareDist(np.linalg.eigvalsh(gamma))
     s = fit.s
     ns = fit.n * s

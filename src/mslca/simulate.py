@@ -27,7 +27,7 @@ from .blocks import BlockStructure, _integer
 from .estimation import Dataset, _fit_stack, align_sign
 from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
 from .noncorr import chi2_test, degrees_of_freedom, general_test
-from .population import CovarianceModel, build_t, solve_mslca
+from .population import DEFAULT_GROUP_TOL, CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
     _require_whitened_model,
     c_tensor_gaussian,
@@ -337,8 +337,9 @@ def _clt_check(plan: SimulationPlan):
 def _coeff_clt(plan: SimulationPlan):
     """Variance of sqrt(n) * coefficient errors vs the asymptotic covariance.
 
-    Requires a simple population spectrum, a whitened-compatible model and
-    at least two replications. The reference variances come from the
+    Requires a simple population spectrum, a whitened-compatible model, at
+    least two replications and every asymptotic variance above round-off,
+    as it divides its variance ratio. The reference variances come from the
     closed-form Gaussian tensor, scaled by the sampler's kurtosis factor
     (valid for the elliptical student-t sampler as well).
     """
@@ -348,6 +349,11 @@ def _coeff_clt(plan: SimulationPlan):
     _require_covariance_plan(plan)
     tensor = plan.true_scale * c_tensor_gaussian(plan.model, solution)
     asymptotic = np.diag(sigma_matrix(tensor, solution))
+    for i in np.flatnonzero(asymptotic <= DEFAULT_GROUP_TOL * asymptotic.max()).tolist():
+        raise PlanPreconditionError(
+            f"coefficient CLT experiment needs a positive asymptotic variance: "
+            f"coefficient {i} (rho = {solution.rho[i]:.6g}) has {asymptotic[i]:.3g}"
+        )
 
     def record(rng, fit):
         return {"scaled_rho_errors": (np.sqrt(fit.n) * (fit.solution.rho - solution.rho)).tolist()}

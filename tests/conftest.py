@@ -7,6 +7,26 @@ import numpy as np
 from mslca import BlockStructure, CovarianceModel
 
 
+def s_statistic(that, structure):
+    """Reference for ``MslcaFit.s``: summed squared entries of the lower off-diagonal blocks.
+
+    Refuses a matrix of the wrong shape, and one with a nonzero diagonal
+    block, which is not a canonical operator; the estimator's diagonal blocks
+    are zero by construction. Equals half the sum of squared eigenvalues.
+    """
+    that = np.asarray(that, dtype=float)
+    q = structure.total_dim
+    if that.shape != (q, q):
+        raise ValueError(f"expected ({q}, {q}) matrix, got shape {that.shape}")
+    bad = structure.diagonal_mask & (np.abs(that) > 1e-10 * (1.0 + np.abs(that).max()))
+    if bad.any():
+        k = int(np.searchsorted(structure.offsets, np.argwhere(bad)[0, 0], side="right")) - 1
+        raise ValueError(f"diagonal block {k} is not zero; not a canonical operator")
+    rows, cols = structure.cross_entries
+    entries = that[rows, cols]
+    return float((entries * entries).sum())
+
+
 def random_structure(rng, max_blocks=4, max_block_dim=3, max_total=10):
     """Random partition with 2..max_blocks blocks and total dimension <= max_total."""
     n_blocks = int(rng.integers(2, max_blocks + 1))

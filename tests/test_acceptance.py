@@ -9,7 +9,6 @@ import numpy as np
 from mslca import (
     BlockStructure,
     CovarianceModel,
-    MomentAccumulator,
     SimulationPlan,
     build_gamma,
     chi2_test,
@@ -22,7 +21,6 @@ from mslca import (
     solve_mslca,
     sym_power,
     verify_constraints,
-    whiten,
 )
 from conftest import (
     correlation_model,
@@ -224,9 +222,7 @@ def test_criterion_08_elliptical_scale():
 
 
 def test_criterion_09_gaussian_gamma_identity():
-    gamma = build_gamma(
-        MomentAccumulator.from_whitened(whiten(sample_gaussian(NULL_222, 5000, 0)))
-    )
+    gamma = build_gamma(fit_mslca(sample_gaussian(NULL_222, 5000, 0)).whitened)
     gamma_gap = float(np.abs(gamma - np.eye(12)).max())
 
     diffs = []

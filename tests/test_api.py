@@ -8,6 +8,7 @@ from pathlib import Path
 import mslca
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+TRACING = WORKLOADS.with_name("tracing.py")
 
 
 def test_all_names_resolve_once():
@@ -58,3 +59,31 @@ def test_benchmark_coefficient_plug_in_runs(tmp_path):
     tensor, sigma = bench._plug_in()
     q = workloads.SIMPLE_222.structure.total_dim
     assert tensor.shape == (q, q, q, q) and sigma.shape == (q, q)
+
+
+def test_traced_names_that_no_longer_resolve():
+    # the traced run's lookup (``SpanRecorder.install``): a callable module
+    # attribute, else a method of a class defined in that module. These four
+    # names are gone from the package; the list changes only on purpose.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for module_name, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"mslca.{module_name}")
+        classes = [
+            cls for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+        ]
+        for name in names:
+            members = [vars(cls).get(name) for cls in classes]
+            if not callable(vars(module).get(name)) and not any(
+                isinstance(raw, (classmethod, staticmethod)) or callable(raw) for raw in members
+            ):
+                unresolved.add(f"{module_name}.{name}")
+    assert unresolved == {
+        "asymptotics.eigenvalues",
+        "asymptotics.elliptical_scale_plugin",
+        "estimation.empirical_cov",
+        "noncorr.s_statistic",
+    }

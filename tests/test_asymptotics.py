@@ -10,7 +10,6 @@ from mslca import (
     CovarianceModel,
     EigenChiSquareDist,
     InsufficientSampleError,
-    MomentAccumulator,
     MslcaError,
     NegativeWeightError,
     RepeatedEigenvaluesError,
@@ -24,10 +23,9 @@ from mslca import (
     sample_student_t,
     sigma_matrix,
     solve_mslca,
-    whiten,
     z_operator,
 )
-from mslca.asymptotics import TAIL_ATOL
+from mslca.asymptotics import TAIL_ATOL, MomentAccumulator
 from conftest import (
     correlation_model,
     equicorrelation_model,
@@ -121,57 +119,61 @@ def test_z_operator_zero_mean_monte_carlo():
     assert np.all(np.abs(mean[off]) < 3 * se[off])
 
 
-def _whitened_accumulator(model, n, seed, sampler="gaussian", nu=None):
+def _whitened_sample(model, n, seed, sampler="gaussian", nu=None):
     rng = np.random.default_rng(seed)
     if sampler == "gaussian":
         data = sample_gaussian(model, n, rng)
     else:
         data = sample_student_t(model, nu, n, rng)
-    return MomentAccumulator.from_whitened(whiten(data))
+    return fit_mslca(data).whitened
 
 
 def test_accumulator_rejects_raw_data():
+    # the checked entry for outside samples passes a whitened one through
+    # unchanged and refuses raw data
     rng = np.random.default_rng(109)
     model = correlation_model((1, 1), {(1, 0): 0.0})
     data = sample_gaussian(model, 200, rng)
     from mslca import Dataset
 
+    white = fit_mslca(data).whitened
+    assert MomentAccumulator.from_whitened(white) is white
     scaled = Dataset(data.structure, 3.0 * data.rows)
     with pytest.raises(ValueError):
         MomentAccumulator.from_whitened(scaled)
 
 
-def _second_moments(acc):
-    return acc.data.T @ acc.data / acc.n
+def _second_moments(white):
+    return white.rows.T @ white.rows / white.n
 
 
-def _fourth_moment(acc, a, b, c, d):
+def _fourth_moment(white, a, b, c, d):
     """Sample mean of the product of four whitened coordinates."""
-    cols = acc.data
+    cols = white.rows
     return float(np.mean(cols[:, a] * cols[:, b] * cols[:, c] * cols[:, d]))
 
 
 def test_accumulator_second_moments_whitened():
     model = CovarianceModel(BlockStructure((2, 1)), np.eye(3))
-    acc = _whitened_accumulator(model, 300, seed=111)
-    moments = _second_moments(acc)
+    white = _whitened_sample(model, 300, seed=111)
+    moments = _second_moments(white)
     for k in range(2):
-        sl = acc.structure.block_slice(k)
-        np.testing.assert_allclose(moments[sl, sl], np.eye(acc.structure.dims[k]), atol=1e-9)
+        sl = white.structure.block_slice(k)
+        np.testing.assert_allclose(moments[sl, sl], np.eye(white.structure.dims[k]), atol=1e-9)
 
 
 def test_fourth_moment_gaussian_oracles():
     model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
-    acc = _whitened_accumulator(model, 30000, seed=113)
-    n = acc.n
+    white = _whitened_sample(model, 30000, seed=113)
+    n = white.n
     # same coordinate four times: Gaussian m4 = 3
-    assert _fourth_moment(acc, 0, 0, 0, 0) == pytest.approx(3.0, abs=4 * np.sqrt(96 / n))
+    assert _fourth_moment(white, 0, 0, 0, 0) == pytest.approx(3.0, abs=4 * np.sqrt(96 / n))
     # two independent unit-variance pairs: product of variances = 1
-    assert _fourth_moment(acc, 0, 0, 3, 3) == pytest.approx(1.0, abs=4 * np.sqrt(8 / n))
+    assert _fourth_moment(white, 0, 0, 3, 3) == pytest.approx(1.0, abs=4 * np.sqrt(8 / n))
     # four distinct coordinates: 0 by independence
-    assert _fourth_moment(acc, 0, 1, 2, 3) == pytest.approx(0.0, abs=4 * np.sqrt(1 / n))
+    assert _fourth_moment(white, 0, 1, 2, 3) == pytest.approx(0.0, abs=4 * np.sqrt(1 / n))
     with pytest.raises(IndexError):
-        _fourth_moment(acc, 0, 0, 0, 4)
+        _fourth_moment(white, 0, 0, 0, 4)
 
 
 def _entry_list(structure):
@@ -190,28 +192,28 @@ def test_cross_entries_order():
 
 def test_build_gamma_entries_match_fourth_moments():
     model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
-    acc = _whitened_accumulator(model, 500, seed=127)
-    gamma = build_gamma(acc)
-    entries = _entry_list(acc.structure)
+    white = _whitened_sample(model, 500, seed=127)
+    gamma = build_gamma(white)
+    entries = _entry_list(white.structure)
     rng = np.random.default_rng(0)
     for _ in range(10):
         a = int(rng.integers(len(entries)))
         b = int(rng.integers(len(entries)))
-        expected = _fourth_moment(acc, *entries[a], *entries[b])
+        expected = _fourth_moment(white, *entries[a], *entries[b])
         assert gamma[a, b] == pytest.approx(expected, rel=1e-12)
 
 
-def _build_gamma_per_pair(acc):
+def _build_gamma_per_pair(white):
     """Reference for ``build_gamma``: pair products gathered block pair by block pair."""
-    structure = acc.structure
+    structure = white.structure
     columns = []
     for k, l in structure.lower_pairs():
-        xk = acc.data[:, structure.block_slice(k)]
-        xl = acc.data[:, structure.block_slice(l)]
+        xk = white.rows[:, structure.block_slice(k)]
+        xl = white.rows[:, structure.block_slice(l)]
         pair = xk[:, :, None] * xl[:, None, :]  # (n, p_k, p_l), i fastest when F-flattened
-        columns.append(pair.reshape(acc.n, -1, order="F"))
+        columns.append(pair.reshape(white.n, -1, order="F"))
     stacked = np.concatenate(columns, axis=1)
-    matrix = stacked.T @ stacked / acc.n
+    matrix = stacked.T @ stacked / white.n
     return 0.5 * (matrix + matrix.T)
 
 
@@ -223,14 +225,14 @@ def test_build_gamma_matches_per_pair_oracle():
             data = sample_gaussian(model, 200, rng)
         else:
             data = sample_student_t(model, 9.0, 200, rng)
-        acc = MomentAccumulator(model.structure, whiten(data).rows)
-        np.testing.assert_allclose(build_gamma(acc), _build_gamma_per_pair(acc), rtol=1e-12)
+        white = fit_mslca(data).whitened
+        np.testing.assert_allclose(build_gamma(white), _build_gamma_per_pair(white), rtol=1e-12)
 
 
 def test_build_gamma_gaussian_null_near_identity():
     model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
-    acc = _whitened_accumulator(model, 30000, seed=131)
-    gamma = build_gamma(acc)
+    white = _whitened_sample(model, 30000, seed=131)
+    gamma = build_gamma(white)
     assert np.array_equal(gamma, gamma.T)
     assert gamma.shape == (4, 4)
     assert np.abs(gamma - np.eye(4)).max() < 0.08
@@ -239,20 +241,20 @@ def test_build_gamma_gaussian_null_near_identity():
 
 def test_build_gamma_scalar_pair_gaussian():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
-    acc = _whitened_accumulator(model, 20000, seed=137)
-    gamma = build_gamma(acc)
+    white = _whitened_sample(model, 20000, seed=137)
+    gamma = build_gamma(white)
     assert gamma.shape == (1, 1)
     assert gamma[0, 0] == pytest.approx(1.0, abs=0.1)
 
 
 def test_build_gamma_student_t_diagonal():
     model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
-    acc = _whitened_accumulator(model, 60000, seed=139, sampler="t", nu=10)
-    gamma = build_gamma(acc)
+    white = _whitened_sample(model, 60000, seed=139, sampler="t", nu=10)
+    gamma = build_gamma(white)
     assert gamma[0, 0] == pytest.approx(4.0 / 3.0, abs=0.15)
 
 
-def _c_coefficient(acc, solution, model, m, r, s, t):
+def _c_coefficient(white, solution, model, m, r, s, t):
     """Per-index reference for ``c_tensor``: entry [m, r, s, t] term by term.
 
     Sums, over all ordered off-diagonal block pairs (k, l) and (j, u), four
@@ -260,13 +262,13 @@ def _c_coefficient(acc, solution, model, m, r, s, t):
     cross-covariance-weighted versions, minus four half-weighted mixed
     moments, plus one plain fourth moment of scores.
     """
-    structure = acc.structure
+    structure = white.structure
     beta = solution.beta
-    scores = [acc.data[:, structure.block_slice(k)] @ beta[structure.block_slice(k), :]
+    scores = [white.rows[:, structure.block_slice(k)] @ beta[structure.block_slice(k), :]
               for k in range(structure.n_blocks)]
     pairs = [(k, l) for k in range(structure.n_blocks) for l in range(structure.n_blocks) if k != l]
     weighted = {
-        (k, l): acc.data[:, structure.block_slice(k)]
+        (k, l): white.rows[:, structure.block_slice(k)]
         @ (model.block(k, l) @ beta[structure.block_slice(l), :])
         for k, l in pairs
     }
@@ -305,10 +307,10 @@ def _c_coefficient(acc, solution, model, m, r, s, t):
 
 def test_c_coefficient_null_model_reduces_to_plain_moments():
     model = CovarianceModel(BlockStructure((1, 1, 1)), np.eye(3))
-    acc = _whitened_accumulator(model, 400, seed=149)
+    white = _whitened_sample(model, 400, seed=149)
     solution = solve_mslca(model)
     beta = solution.beta
-    scores = [acc.data[:, [k]] @ beta[[k], :] for k in range(3)]
+    scores = [white.rows[:, [k]] @ beta[[k], :] for k in range(3)]
     pairs = [(k, l) for k in range(3) for l in range(3) if k != l]
     for m, r, s, t in [(0, 0, 0, 0), (0, 1, 2, 0), (2, 1, 0, 2)]:
         lam_only = sum(
@@ -317,31 +319,31 @@ def test_c_coefficient_null_model_reduces_to_plain_moments():
             for j, u in pairs
             for c in [s]
         )
-        value = _c_coefficient(acc, solution, model, m, r, s, t)
+        value = _c_coefficient(white, solution, model, m, r, s, t)
         assert value == pytest.approx(lam_only, abs=1e-12)
 
 
 def test_c_coefficient_symmetries():
-    acc = _whitened_accumulator(WHITENED_111, 500, seed=151)
+    white = _whitened_sample(WHITENED_111, 500, seed=151)
     solution = solve_mslca(WHITENED_111)
     rng = np.random.default_rng(1)
     for _ in range(5):
         m, r, s, t = (int(i) for i in rng.integers(0, 3, size=4))
-        base = _c_coefficient(acc, solution, WHITENED_111, m, r, s, t)
-        assert _c_coefficient(acc, solution, WHITENED_111, r, m, s, t) == pytest.approx(base, abs=1e-9)
-        assert _c_coefficient(acc, solution, WHITENED_111, m, r, t, s) == pytest.approx(base, abs=1e-9)
+        base = _c_coefficient(white, solution, WHITENED_111, m, r, s, t)
+        assert _c_coefficient(white, solution, WHITENED_111, r, m, s, t) == pytest.approx(base, abs=1e-9)
+        assert _c_coefficient(white, solution, WHITENED_111, m, r, t, s) == pytest.approx(base, abs=1e-9)
 
 
 def test_c_tensor_matches_c_coefficient():
-    acc = _whitened_accumulator(WHITENED_111, 300, seed=157)
+    white = _whitened_sample(WHITENED_111, 300, seed=157)
     solution = solve_mslca(WHITENED_111)
-    tensor = c_tensor(acc, solution, WHITENED_111)
+    tensor = c_tensor(white, solution, WHITENED_111)
     for m in range(3):
         for r in range(3):
             for s in range(3):
                 for t in range(3):
                     assert tensor[m, r, s, t] == pytest.approx(
-                        _c_coefficient(acc, solution, WHITENED_111, m, r, s, t), abs=1e-10
+                        _c_coefficient(white, solution, WHITENED_111, m, r, s, t), abs=1e-10
                     )
 
 
@@ -349,8 +351,8 @@ def test_c_tensor_matches_c_coefficient_multi_column_blocks():
     for model in (WHITENED_222, WHITENED_213):
         solution = solve_mslca(model)
         assert solution.is_simple
-        acc = _whitened_accumulator(model, 300, seed=159)
-        tensor = c_tensor(acc, solution, model)
+        white = _whitened_sample(model, 300, seed=159)
+        tensor = c_tensor(white, solution, model)
         q = model.structure.total_dim
         assert tensor.shape == (q, q, q, q)
         diagonal_pairs = [(i, i, j, j) for i in range(q) for j in range(q)]
@@ -358,7 +360,7 @@ def test_c_tensor_matches_c_coefficient_multi_column_blocks():
         random_entries = [tuple(int(i) for i in rng.integers(0, q, size=4)) for _ in range(50)]
         for m, r, s, t in diagonal_pairs + random_entries:
             assert tensor[m, r, s, t] == pytest.approx(
-                _c_coefficient(acc, solution, model, m, r, s, t), abs=1e-10
+                _c_coefficient(white, solution, model, m, r, s, t), abs=1e-10
             )
         top = np.abs(tensor).max()
         for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
@@ -370,15 +372,15 @@ def test_c_tensors_refuse_mismatched_structures(dims, other):
     model = CovarianceModel(BlockStructure(dims), np.eye(sum(dims)))
     foreign = CovarianceModel(BlockStructure(other), np.eye(sum(other)))
     solution = solve_mslca(model)
-    acc = _whitened_accumulator(model, 50, seed=163)
+    white = _whitened_sample(model, 50, seed=163)
     foreign_solution = solve_mslca(foreign)
-    foreign_acc = _whitened_accumulator(foreign, 50, seed=163)
+    foreign_white = _whitened_sample(foreign, 50, seed=163)
     with pytest.raises(ValueError):
         c_tensor_gaussian(model, foreign_solution)
     with pytest.raises(ValueError):
-        c_tensor(acc, foreign_solution, model)
+        c_tensor(white, foreign_solution, model)
     with pytest.raises(ValueError):
-        c_tensor(foreign_acc, solution, model)
+        c_tensor(foreign_white, solution, model)
 
 
 def _limit_operator_products_mc(model, solution, n, seed):
@@ -418,8 +420,8 @@ def test_limit_operator_products_equal_projected_z():
 def test_c_plugin_against_independent_oracles():
     solution = solve_mslca(WHITENED_111)
     closed_form = c_tensor_gaussian(WHITENED_111, solution)
-    acc = _whitened_accumulator(WHITENED_111, 150_000, seed=167)
-    plug_in = c_tensor(acc, solution, WHITENED_111)
+    white = _whitened_sample(WHITENED_111, 150_000, seed=167)
+    plug_in = c_tensor(white, solution, WHITENED_111)
     mc_oracle, _, _ = _limit_operator_products_mc(WHITENED_111, solution, 150_000, seed=173)
     assert np.abs(plug_in - mc_oracle).max() < 0.15
     assert np.abs(plug_in - closed_form).max() < 0.15

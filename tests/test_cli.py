@@ -59,11 +59,11 @@ def test_fit_json_roundtrips_exactly(gaussian_csv, tmp_path):
     out = tmp_path / "fit.json"
     main(["fit", "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)])
     payload = json.loads(out.read_text())
-    from mslca import Dataset, empirical_cov
+    from mslca import Dataset, fit_mslca
     from mslca.cli import read_csv_matrix
 
     matrix = read_csv_matrix(str(gaussian_csv))
-    vhat = empirical_cov(Dataset(BlockStructure((1, 1, 1)), matrix)).v
+    vhat = fit_mslca(Dataset(BlockStructure((1, 1, 1)), matrix)).vhat.v
     assert np.array_equal(np.asarray(payload["vhat"]), vhat)
 
 
@@ -329,6 +329,12 @@ WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 
 # the same canonical analysis with the first variable's variance doubled
 SCALED_111 = (np.sqrt([2.0, 1.0, 1.0])[:, None] * WHITENED_111 * np.sqrt([2.0, 1.0, 1.0])).tolist()
 EQUICORRELATED_111 = (0.5 * np.eye(3) + 0.5).tolist()
+# canonical coefficients 0.5, 0 and -0.5; the middle one has asymptotic
+# variance 0, exactly on scalar blocks and up to round-off on blocks (2, 1)
+ZERO_VARIANCE_111 = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+ZERO_VARIANCE_21 = correlation_model(
+    (2, 1), {(1, 0): 0.5 * np.array([np.cos(0.3), np.sin(0.3)])}
+).v.tolist()
 
 
 @pytest.mark.parametrize(
@@ -359,6 +365,9 @@ EQUICORRELATED_111 = (0.5 * np.eye(3) + 0.5).tolist()
         ({"kind": "clt-check", "replications": 1}, 4),
         # summaries are keyed by size, so a repeated size is bad input: exit 2
         ({"sizes": [200, 200]}, 2),
+        # a coefficient with zero asymptotic variance, exactly or up to round-off: exit 4
+        ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": ZERO_VARIANCE_111}, 4),
+        ({"kind": "coeff-clt", "dims": [2, 1], "covariance": ZERO_VARIANCE_21}, 4),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):

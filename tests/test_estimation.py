@@ -11,7 +11,6 @@ from mslca import (
     NearSingularError,
     SimulationPlan,
     align_sign,
-    empirical_cov,
     fit_mslca,
     psd_sqrt,
     run_experiment,
@@ -21,12 +20,14 @@ from mslca import (
     whiten,
 )
 from mslca.asymptotics import _require_whitened_data
+from mslca.estimation import _means_and_covs
 from mslca.exceptions import CovarianceOverflowError
 from conftest import (
     blockdiag,
     random_block_transforms,
     random_spd_model,
     random_structure,
+    s_statistic,
 )
 
 
@@ -42,18 +43,19 @@ def test_dataset_validation():
 
 
 def test_empirical_cov_examples():
+    # neither sample can be fitted, so read the one covariance routine directly
     s = BlockStructure((1, 1))
     identical = Dataset(s, [[1.0, 2.0], [1.0, 2.0]])
-    assert np.array_equal(empirical_cov(identical).v, np.zeros((2, 2)))
+    assert np.array_equal(_means_and_covs([identical])[1][0], np.zeros((2, 2)))
 
     two_point = Dataset(s, [[-1.0, -1.0], [1.0, 1.0]])
-    assert np.array_equal(empirical_cov(two_point).v, [[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(_means_and_covs([two_point])[1][0], [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_empirical_cov_divisor_is_n():
     s = BlockStructure((1, 1))
     rows = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    vhat = empirical_cov(Dataset(s, rows)).v
+    vhat = fit_mslca(Dataset(s, rows)).vhat.v
     np.testing.assert_allclose(vhat, np.eye(2), atol=1e-15)  # divisor 4, not 3
 
 
@@ -63,7 +65,7 @@ def test_empirical_cov_monte_carlo_rate():
     errs = []
     for n in (500, 8000):
         data = sample_gaussian(model, n, rng)
-        errs.append(np.abs(empirical_cov(data).v - model.v).max())
+        errs.append(np.abs(fit_mslca(data).vhat.v - model.v).max())
     assert errs[1] < errs[0]
     assert errs[1] < 4 * np.sqrt(np.diag(model.v).max() ** 2 / 8000) * 4
 
@@ -175,7 +177,7 @@ def test_whiten_properties():
     model = random_spd_model(rng, BlockStructure((2, 3)))
     data = sample_gaussian(model, 400, rng)
     white = whiten(data)
-    vhat = empirical_cov(white).v
+    vhat = fit_mslca(white).vhat.v
     for k in range(2):
         sl = white.structure.block_slice(k)
         np.testing.assert_allclose(vhat[sl, sl], np.eye(white.structure.dims[k]), atol=1e-9)
@@ -234,8 +236,6 @@ def test_that_diagonal_blocks_exactly_zero():
 
 
 def test_fit_carries_its_statistic_and_read_only_arrays():
-    from mslca import s_statistic
-
     rng = np.random.default_rng(107)
     structure = BlockStructure((2, 1, 2))
     model = random_spd_model(rng, structure)
@@ -283,6 +283,6 @@ def test_whiten_is_the_fits_whitened_sample():
 def test_covariance_overflow_is_named():
     # finite entries whose squares leave the float range
     data = Dataset(BlockStructure((2, 2)), 1e200 * np.random.default_rng(113).standard_normal((50, 4)))
-    for step in (empirical_cov, fit_mslca, whiten):
+    for step in (fit_mslca, whiten):
         with pytest.raises(CovarianceOverflowError, match="covariance overflows"):
             step(data)

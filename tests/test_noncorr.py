@@ -20,7 +20,6 @@ from mslca import (
     degrees_of_freedom,
     fit_mslca,
     general_test,
-    s_statistic,
     sample_gaussian,
     sample_student_t,
     whiten,
@@ -31,6 +30,7 @@ from conftest import (
     random_block_transforms,
     random_spd_model,
     random_structure,
+    s_statistic,
 )
 
 UNCORRELATED_ROWS = np.array(
@@ -172,18 +172,18 @@ def _ill_conditioned_model():
 
 
 def test_general_route_whitens_its_fit_exactly(monkeypatch):
-    # general_test builds its moments from the fit's own sample and roots
-    # without re-checking them; the whitening they give must pass the check
-    # that MomentAccumulator.from_whitened applies to outside samples
+    # general_test hands the fit's own whitened sample to build_gamma without
+    # re-checking it; that whitening must pass the check that
+    # MomentAccumulator.from_whitened applies to outside samples
     rng = np.random.default_rng(239)
     models = [random_spd_model(rng, random_structure(rng)) for _ in range(6)]
     models.append(_ill_conditioned_model())
     seen = []
     original = mslca.noncorr.build_gamma
 
-    def recorded(acc):
-        seen.append(acc)
-        return original(acc)
+    def recorded(whitened):
+        seen.append(whitened)
+        return original(whitened)
 
     monkeypatch.setattr(mslca.noncorr, "build_gamma", recorded)
     for i, model in enumerate(models):
@@ -194,8 +194,9 @@ def test_general_route_whitens_its_fit_exactly(monkeypatch):
         fit = fit_mslca(data)
         assert fit.data is data and fit.n == 400
         general_test(fit)
+        assert seen[-1] is fit.whitened
         assert seen[-1].n == 400 and seen[-1].structure == model.structure
-        _require_whitened_data(seen[-1].data, model.structure)
+        _require_whitened_data(seen[-1].rows, model.structure)
     assert len(seen) == len(models)
     assert np.linalg.cond(fit.vhat.diagonal_block(0)) > 1e8
 

@@ -244,6 +244,28 @@ def test_run_coeff_clt_smoke_and_guard():
         run_experiment(bad_plan)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        correlation_model((1, 1, 1), {(1, 0): 0.5}),
+        correlation_model((2, 1), {(1, 0): 0.5 * np.array([np.cos(0.3), np.sin(0.3)])}),
+    ],
+    ids=["exact-zero", "round-off"],
+)
+def test_run_coeff_clt_refuses_zero_asymptotic_variance(model, monkeypatch):
+    # coefficients 0.5, 0 and -0.5: the middle one's asymptotic variance is 0,
+    # which a variance ratio cannot divide by
+    import mslca.simulate
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(mslca.simulate, "rng_stream", no_cell)
+    plan = SimulationPlan(kind="coeff-clt", model=model, sizes=(500,), replications=20, seed=1)
+    with pytest.raises(PlanPreconditionError, match="variance: coefficient 1 "):
+        run_experiment(plan)
+
+
 def test_run_null_dist_smoke():
     plan = SimulationPlan(
         kind="null-dist", model=NULL_222, sizes=(300,), replications=200, seed=9,
