@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -65,25 +66,89 @@ def parse_blocks(spec: str, n_columns: int) -> BlockStructure:
     return BlockStructure(dims)
 
 
+# Characters np.loadtxt strips from a cell as whitespace but float() refuses.
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _is_header(row: list[str]) -> bool:
+    """A row is a header when none of its cells parses as a number."""
+    for cell in row:
+        try:
+            float(cell)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
 def read_csv_matrix(path: str) -> np.ndarray:
     """Read a numeric RFC-4180-style CSV, auto-detecting a single header row.
 
-    The first row counts as a header when any of its cells fails to parse as
-    a number; a leading UTF-8 byte-order mark is dropped first, so it cannot
+    The first non-blank row is a header when none of its cells parses as a
+    number; a leading UTF-8 byte-order mark is dropped first, so it cannot
     turn a data row into a header. A ragged row and a non-numeric or
     non-finite cell raise InputError naming the path, the 1-based file line
     (blank lines count) and the column.
+
+    A plain numeric file (no quotes, no ``1_0``-style numbers) is parsed by
+    numpy's C reader; any other file, and every file with an error, goes
+    through the csv scan. Both give the same values and the same errors.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+        if fh.seekable():  # a pipe is read once, by the scan
+            matrix = _read_plain(fh)
+            if matrix is not None:
+                return matrix
+            fh.seek(0)
+        return _scan_csv(path, fh)
+
+
+def _read_plain(fh) -> np.ndarray | None:
+    """np.loadtxt's matrix of a plain numeric file, or None for the csv scan.
+
+    Returns None unless the matrix is what the scan would return: it has a
+    row, every entry is finite, and no line is longer than the csv field
+    limit (counted in bytes between newlines, which is never shorter).
+    """
+    raw = fh.buffer.read()
+    if max(map(len, raw.split(b"\n"))) > csv.field_size_limit():
+        return None
+    if any(space in raw for space in _LOADTXT_ONLY_SPACES):
+        return None
+    fh.seek(0)
     try:
-        np.array(rows[:1], dtype=float)
-    except ValueError:
+        reader = csv.reader(fh)
+        first = next((row for row in reader if row), None)
+        if first is None:
+            return None
+        skip = reader.line_num if _is_header(first) else 0
+        fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
+            matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float,
+                                skiprows=skip)
+    except (ValueError, csv.Error):
+        return None
+    if len(matrix) == 0 or not np.isfinite(matrix).all():
+        return None
+    return matrix
+
+
+def _scan_csv(path: str, fh=None) -> np.ndarray:
+    """Read the CSV with the csv module, raising InputError at the first bad cell.
+
+    Reads the open ``fh`` when given, else opens ``path``.
+    """
+    if fh is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _scan_csv(path, fh)
+    reader = csv.reader(fh)
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+    if rows and _is_header(rows[0]):
         del rows[0], lines[0]
     if not rows:
         raise InputError(f"{path} has no data rows")

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import __version__
 from .blocks import BlockStructure, _integer
@@ -406,7 +406,7 @@ def _null_dist(plan: SimulationPlan):
         p_scaled = _column(records, "p_chi2_scaled")
         summary = {
             "mean_ns": float(ns.mean()),
-            "ks_to_chi2": ks_distance(ns / scale, stats.chi2(df=d).cdf),
+            "ks_to_chi2": ks_distance(ns / scale, lambda x: special.chdtr(d, x)),
             "p_uniformity_ks": ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0)),
             "size_chi2": _rates(_column(records, "p_chi2"), plan.alphas),
             "size_chi2_scaled": _rates(p_scaled, plan.alphas),

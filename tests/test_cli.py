@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, CSV handling, JSON reports."""
 
+import gzip
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +159,153 @@ def test_bad_csv_exit_2_names_path_and_position(tmp_path, capsys, command, conte
     assert main([command, "--data", str(path), "--blocks", "1,1", "--out", str(out)]) == 2
     _assert_one_error_line(capsys, str(path), *fragments)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "first_row, fragment",
+    [
+        ("1d5,2", "row 1, column 1: '1d5'"),
+        ("1,,2", "row 1, column 2: ''"),
+        ("1, ", "row 1, column 2: ' '"),
+        ("1 2,3", "row 1, column 1: '1 2'"),
+        (".,1", "row 1, column 1: '.'"),
+        ("+-1,2", "row 1, column 1: '+-1'"),
+        ("1e 5,2", "row 1, column 1: '1e 5'"),
+        ("1,\x01", "row 1, column 2: '\\x01'"),
+        ("id,2020", "row 1, column 1: 'id'"),
+    ],
+    ids=["d-exponent", "empty-cell", "blank-cell", "inner-space", "dot", "two-signs",
+         "split-exponent", "control-char", "text-and-number"],
+)
+def test_first_row_with_a_number_is_data(tmp_path, capsys, first_row, fragment):
+    # a typo in the first data row is an error, never a silently dropped header
+    width = first_row.count(",") + 1
+    path = tmp_path / "typo.csv"
+    path.write_text(first_row + "\n" + "".join(",".join(["3.5"] * width) + "\n" for _ in range(3)))
+    out = tmp_path / "o.json"
+    argv = ["fit", "--data", str(path), "--blocks", ",".join(["1"] * width), "--out", str(out)]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, str(path), "non-numeric cell at " + fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, n",
+    [
+        (b",a,b\n0,0.1,0.2\n1,0.3,-0.1\n2,-0.4,0.5\n", 3),
+        (b"\n\r\n\"a,b\",c\r\n0.1,0.2\r\n\r\n0.3,-0.1\r\n", 2),
+    ],
+    ids=["pandas-index", "quoted-after-blank-lines"],
+)
+def test_header_is_a_first_row_without_numbers(tmp_path, content, n):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    assert mslca.cli.read_csv_matrix(str(path)).shape[0] == n
+
+
+def _wide_csv():
+    rows = np.random.default_rng(61).standard_normal((300, 40))
+    return "".join(",".join(f"{v:+.12e}" for v in row) + "\n" for row in rows).encode()
+
+
+# read_csv_matrix must agree with the csv scan on every file: plain numeric
+# ones take numpy's reader, the rest fall back to the scan.
+_READER_CORPUS = {
+    "wide.csv": _wide_csv(),
+    "crlf.csv": b"1,2\r\n3,4.5\r\n5,6\r\n",
+    "cr-only.csv": b"1,2\r3,4.5\r5,6\r",
+    "cr-only-header.csv": b"x,y\r1,2\r3,4.5\r",
+    "crlf-header.csv": b"x,y\r\n\r\n1,2\r\n3,4.5\r\n",
+    "blank-lines.csv": b"\n1,2\n\n\n3,4.5\n\n",
+    "whitespace-line.csv": b"1,2\n  \n3,4.5\n",
+    "whitespace-first-line.csv": b" \n1,2\n3,4.5\n",
+    "tab-padded.csv": b"\t1 ,2\n3, 4.5\t\n",
+    "bom.csv": b"\xef\xbb\xbf1,2\n3,4.5\n",
+    "bom-header.csv": b"\xef\xbb\xbfx,y\n1,2\n3,4.5\n",
+    "blank-lines-before-header.csv": b"\n\r\n\nx,y\n\n1,2\n3,4.5\n",
+    "quoted-cells.csv": b'"1","2.5"\n3,"4"\n',
+    "quoted-header.csv": b'"a,\nb",c\n1,2\n3,4.5\n',
+    "underscore.csv": b"1_0,2\n3,4.5\n",
+    "inf.csv": b"1,2\n3,inf\n",
+    "nan-first.csv": b"nan,2\n3,4.5\n",
+    "overflow.csv": b"1e999,2\n3,4.5\n",
+    "empty.csv": b"",
+    "blank-only.csv": b"\n\r\n",
+    "header-only.csv": b"x,y\n",
+    "long-finite-field.csv": b"1,2\n3,0." + b"0" * 131070 + b"1\n",
+    "long-line-short-fields.csv": b",".join([b"1"] * 70000) + b"\n" + b",".join([b"2"] * 70000) + b"\n",
+    "ragged.csv": b"1,2\n3\n",
+    "non-utf8.csv": b"1,2\n3,\xff\n",
+    "first-row-typo.csv": b"1d5,2\n3,4.5\n",
+    "record-separator.csv": b"\x1c1,2\n3,4.5\n",
+    "nul.csv": b"1\x00,2\n3,4.5\n",
+    "arabic-digits.csv": "١,2\n3,4.5\n".encode(),
+    "no-break-space.csv": "\xa01,2\n3,4.5\n".encode(),
+    "no-final-newline.csv": b"1,2\n3,4.5",
+    "one-column.csv": b"1\n2\n3.5\n",
+    "trailing-comma.csv": b"1,2,\n3,4.5,\n",
+    "compressed.csv.gz": gzip.compress(b"1,2\n3,4.5\n", mtime=0),
+}
+
+
+def _read_outcome(reader, path):
+    try:
+        matrix = reader(str(path))
+    except Exception as err:
+        return type(err), str(err)
+    return matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", [*_READER_CORPUS, "missing.csv", "directory"])
+def test_read_csv_matrix_agrees_with_the_scan(tmp_path, name):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif name in _READER_CORPUS:
+        path.write_bytes(_READER_CORPUS[name])
+    expected = _read_outcome(mslca.cli._scan_csv, path)
+    assert _read_outcome(mslca.cli.read_csv_matrix, path) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["wide.csv", "crlf-header.csv", "bom-header.csv", "blank-lines-before-header.csv"]
+)
+def test_plain_numeric_csv_never_reaches_the_scan(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_bytes(_READER_CORPUS[name])
+    expected = mslca.cli._scan_csv(str(path))
+
+    def refuse(*args):
+        raise AssertionError("the csv scan ran on a plain numeric file")
+
+    monkeypatch.setattr(mslca.cli, "_scan_csv", refuse)
+    assert mslca.cli.read_csv_matrix(str(path)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_csv_matrix_reads_a_named_pipe_once(tmp_path):
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        try:
+            fifo.write_bytes(b"x,y\n1,2\n3,4.5\n")
+        except BrokenPipeError:
+            pass
+        if not done.wait(30):
+            fifo.open("wb").close()  # let a reader that reopened the pipe see its end
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        matrix = mslca.cli.read_csv_matrix(str(fifo))
+    finally:
+        done.set()
+        writer.join(60)
+    assert not writer.is_alive()
+    assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.5]]
 
 
 @pytest.mark.parametrize("command", ["fit", "test", "simulate"])
@@ -467,14 +616,19 @@ def test_covariance_overflow_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def _run_module(*argv):
-    """Run ``python -m mslca.cli`` in a fresh interpreter on this checkout's sources."""
+def _run_python(*args):
+    """Run ``python *args`` in a fresh interpreter on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mslca.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_module(*argv):
+    """Run ``python -m mslca.cli`` in a fresh interpreter on this checkout's sources."""
+    return _run_python("-m", "mslca.cli", *argv)
 
 
 def test_module_entry_point_sets_the_process_exit_status(gaussian_csv, tmp_path):
@@ -487,3 +641,10 @@ def test_module_entry_point_sets_the_process_exit_status(gaussian_csv, tmp_path)
     assert good.returncode == 0, good.stderr
     assert "Traceback" not in good.stderr
     assert good.stdout.startswith("nS=") and json.loads(out.read_text())["method"] == "chi2"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly triples the import time; special.chdtr gives the same bits
+    result = _run_python("-c", "import mslca.cli, sys; print('scipy.stats' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
