@@ -144,12 +144,12 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     """The limit operator in the eigenbasis as quadratic forms in the observation.
 
     Returns A with shape (q, q, q, q) such that <beta_m, Z(x) beta_r> =
-    x^T A[m, r] x for every observation x, with Z the ``z_operator``.
-    A[m, r] holds the off-diagonal blocks of beta_m beta_r^T, less half of
-    the diagonal blocks of beta_m (Psi beta_r)^T + (Psi beta_m) beta_r^T,
-    where Psi is the model's off-diagonal part. Raises ValueError unless the
-    model is whitened-compatible and the solution has the model's block
-    structure.
+    x^T A[m, r] x for every x, with Z the ``z_operator``. By the eigen-relation
+    Psi beta_r = rho_r beta_r of the model's own solution, A[m, r] is
+    beta_m beta_r^T with its diagonal blocks scaled by -(rho_m + rho_r) / 2;
+    for diagonal blocks within ``WHITENED_MODEL_ATOL`` of the identity, it
+    matches the form read from Psi only to that order. Raises ValueError
+    unless the model is whitened-compatible and has the solution's blocks.
     """
     _require_whitened_model(model)
     structure = model.structure
@@ -157,16 +157,9 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
         raise ValueError(
             f"solution has block dims {solution.structure.dims}, model has {structure.dims}"
         )
-    beta = solution.beta
-    v = model.v
-    diag_mask = structure.diagonal_mask.astype(float)
-    off_mask = 1.0 - diag_mask
-
-    psi_beta = (v * off_mask) @ beta
-    return np.einsum("um,vr,uv->mruv", beta, beta, off_mask) - 0.5 * (
-        np.einsum("um,vr,uv->mruv", beta, psi_beta, diag_mask)
-        + np.einsum("um,vr,uv->mruv", psi_beta, beta, diag_mask)
-    )
+    beta, rho = solution.beta, solution.rho
+    half_sums = -0.5 * (rho[:, None, None, None] + rho[None, :, None, None])
+    return np.einsum("um,vr->mruv", beta, beta) * np.where(structure.diagonal_mask, half_sums, 1.0)
 
 
 def c_tensor(
@@ -197,22 +190,18 @@ def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     """Population coefficients for a Gaussian model, in closed form.
 
     Each entry is the second moment of a pair of quadratic forms in the
-    observation: with the eigenbasis forms x^T A_mr x of the limit operator,
-    the same forms ``c_tensor`` averages over a sample, Gaussian moments give
-    E[x^T A x * x^T B x] = tr(A V) tr(B V) + 2 tr(sym(A) V sym(B) V).
-    Raises ValueError unless the solution has the model's block structure.
+    observation, the eigenbasis forms x^T A_mr x of the limit operator that
+    ``c_tensor`` averages. Gaussian moments give E[x^T A x * x^T B x] =
+    tr(A V) tr(B V) + 2 tr(sym(A) V sym(B) V), and tr(A_mr V) is zero for the
+    model's own solution. Raises ValueError unless the solution has the model's blocks.
 
     Under any elliptical law with the same covariance, all these fourth
     moments scale by the common kurtosis factor, so the tensor for, say, a
     multivariate t is this one times (nu - 2) / (nu - 4).
     """
-    a_full = _eigenbasis_forms(model, solution)
-    v = model.v
-    a_sym = 0.5 * (a_full + a_full.transpose(0, 1, 3, 2))
-    means = np.einsum("mruv,uv->mr", a_full, v)
-    av = np.einsum("mruv,vw->mruw", a_sym, v)
-    cov = 2.0 * np.einsum("mruw,stwu->mrst", av, np.einsum("stwz,zu->stwu", a_sym, v))
-    return cov + means[:, :, None, None] * means[None, None, :, :]
+    forms = _eigenbasis_forms(model, solution)
+    av = np.einsum("mruv,vw->mruw", 0.5 * (forms + forms.transpose(0, 1, 3, 2)), model.v)
+    return 2.0 * np.einsum("mruw,stwu->mrst", av, av)
 
 
 def sigma_matrix(tensor: np.ndarray, solution: MslcaSolution) -> np.ndarray:
@@ -406,5 +395,6 @@ def _kurtosis_scale(data: Dataset) -> float:
     """
     if data.n < 30:
         raise InsufficientSampleError(f"need at least 30 rows, got {data.n}")
-    fourth = np.mean(data.rows**4, axis=0)
+    squares = data.rows * data.rows
+    fourth = np.mean(squares * squares, axis=0)
     return float(np.mean(fourth) / 3.0)

@@ -100,6 +100,14 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
     return value, "user"
 
 
+def _report(fit: MslcaFit, d: int, alpha: float, tail, **route) -> TestReport:
+    """The report of one route, whose ``tail`` maps nS = n * S to its p-value."""
+    ns = fit.n * fit.s
+    p_value = float(tail(ns))
+    reject = bool(p_value < alpha)
+    return TestReport(fit.n, d, fit.s, ns, p_value=p_value, alpha=alpha, reject=reject, **route)
+
+
 def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestReport:
     """Chi-square route: refer n*S / scale to chi-square with d degrees of freedom.
 
@@ -112,20 +120,14 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     scale_value, provenance = _resolve_scale(scale, fit)
     d = degrees_of_freedom(fit.structure)
-    s = fit.s
-    ns = fit.n * s
-    p_value = float(special.chdtrc(d, ns / scale_value))
-    return TestReport(
-        n=fit.n,
-        d=d,
-        s=s,
-        ns=ns,
+    return _report(
+        fit,
+        d,
+        alpha,
+        lambda ns: special.chdtrc(d, ns / scale_value),
         method="chi2",
         scale=scale_value,
         scale_provenance=provenance,
-        p_value=p_value,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
     )
 
 
@@ -150,22 +152,15 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
             f"(recommended n >= {10 * d})",
             stacklevel=2,
         )
-    gamma = build_gamma(fit.whitened)
-    dist = EigenChiSquareDist(np.linalg.eigvalsh(gamma))
-    s = fit.s
-    ns = fit.n * s
-    p_value = quad_form_pvalue(dist, ns)
-    return TestReport(
-        n=fit.n,
-        d=d,
-        s=s,
-        ns=ns,
+    dist = EigenChiSquareDist(np.linalg.eigvalsh(build_gamma(fit.whitened)))
+    return _report(
+        fit,
+        d,
+        alpha,
+        lambda ns: quad_form_pvalue(dist, ns),
         method="general",
         scale=None,
         scale_provenance=None,
-        p_value=p_value,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
         gamma_eigenvalues=dist.weights,
         p_value_error_bound=TAIL_ATOL,
     )

@@ -35,7 +35,6 @@ from .asymptotics import (
     z_operator,
 )
 
-EXPERIMENT_KINDS = ("consistency", "clt-check", "coeff-clt", "null-dist", "power")
 # Bytes of stacked sample that one chunk of cells may hold: 8 cells at
 # n=2000, q=6 and 3 at n=5000, q=6. More cells per chunk save little time
 # and add peak memory.
@@ -136,7 +135,7 @@ class SimulationPlan:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.sampler not in ("gaussian", "student-t"):
             raise ValueError(f"unknown sampler {self.sampler!r}")

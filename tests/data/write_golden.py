@@ -13,11 +13,19 @@ It writes two files into OUT_DIR (default: this directory):
   route: chi2, chi2 with the plug-in scale, chi2 with a user scale, and
   general.
 
-No test runs this script; the tests only read what it wrote. The golden
-files pin the numbers the package produces, so rewriting one is a change of
+``tests/test_golden_records.py`` runs this script into a temporary
+directory and compares both files with the stored ones. The golden files
+pin the numbers the package produces, so rewriting one is a change of
 behaviour: a refresh needs a line in CHANGES.md that says why the numbers
-moved. Writing into another directory and comparing is how to check that
-the current code still reproduces them.
+moved.
+
+The stored files are not reproduced byte for byte on every host: BLAS
+builds and CPUs round differently. On a 2-core x86-64 host with OpenBLAS
+0.3.31, a fresh ``golden_records.json`` differs from the stored one in 74
+floats, by at most 2.7e-11 relative, while ``golden_cli.json`` is
+identical. So the tests compare within rtol 1e-9 (``assert_matches_golden``),
+and a change that claims to keep the numbers bit for bit is checked by
+writing both files before and after it on one host and comparing bytes.
 """
 
 import contextlib

@@ -383,6 +383,53 @@ def test_c_tensors_refuse_mismatched_structures(dims, other):
         c_tensor(foreign_white, solution, model)
 
 
+def _eigenbasis_forms_from_psi(model, solution):
+    """Reference for the eigenbasis forms, read from Psi without the eigen-relation.
+
+    A[m, r] holds the off-diagonal blocks of beta_m beta_r^T, less half of
+    the diagonal blocks of beta_m (Psi beta_r)^T + (Psi beta_m) beta_r^T,
+    where Psi is the model's off-diagonal part.
+    """
+    beta = solution.beta
+    diag_mask = model.structure.diagonal_mask.astype(float)
+    off_mask = 1.0 - diag_mask
+    psi_beta = (model.v * off_mask) @ beta
+    return np.einsum("um,vr,uv->mruv", beta, beta, off_mask) - 0.5 * (
+        np.einsum("um,vr,uv->mruv", beta, psi_beta, diag_mask)
+        + np.einsum("um,vr,uv->mruv", psi_beta, beta, diag_mask)
+    )
+
+
+def _c_tensor_gaussian_from_psi(model, solution):
+    """Reference for ``c_tensor_gaussian`` from the Psi forms, its mean term kept."""
+    forms = _eigenbasis_forms_from_psi(model, solution)
+    v = model.v
+    a_sym = 0.5 * (forms + forms.transpose(0, 1, 3, 2))
+    means = np.einsum("mruv,uv->mr", forms, v)
+    av = np.einsum("mruv,vw->mruw", a_sym, v)
+    cov = 2.0 * np.einsum("mruw,stwu->mrst", av, np.einsum("stwz,zu->stwu", a_sym, v))
+    return cov + means[:, :, None, None] * means[None, None, :, :]
+
+
+def test_eigenbasis_forms_match_psi_oracle_and_have_zero_mean():
+    rng = np.random.default_rng(181)
+    for _ in range(20):
+        model = random_whitened_model(rng, random_structure(rng))
+        solution = solve_mslca(model)
+        forms = mslca.asymptotics._eigenbasis_forms(model, solution)
+        oracle = _eigenbasis_forms_from_psi(model, solution)
+        np.testing.assert_allclose(forms, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+        # tr(A_mr V) = E <beta_m, Z(x) beta_r>, which is zero
+        np.testing.assert_allclose(np.einsum("mruv,uv->mr", forms, model.v), 0.0, atol=1e-12)
+        expected = _c_tensor_gaussian_from_psi(model, solution)
+        np.testing.assert_allclose(
+            c_tensor_gaussian(model, solution),
+            expected,
+            rtol=1e-12,
+            atol=1e-12 * np.abs(expected).max(),
+        )
+
+
 def _limit_operator_products_mc(model, solution, n, seed):
     """Independent oracle: average products of eigenbasis-projected limit
     operator entries over fresh draws, evaluating the per-draw sums directly

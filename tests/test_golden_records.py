@@ -5,10 +5,13 @@
 ``run_experiment`` returned for it when the file was written. A change that
 must keep the numbers has to keep these: floats within rtol 1e-9 and atol
 1e-12, integers, strings and booleans exactly (``assert_matches_golden``).
-``data/write_golden.py`` wrote the file.
+``data/write_golden.py`` wrote the file; the last test runs it again and
+compares both files it writes with the stored ones.
 """
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ import pytest
 from mslca import SimulationPlan, run_experiment
 from conftest import assert_matches_golden
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_records.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_records.json").read_text())
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[entry["name"] for entry in GOLDEN])
@@ -28,3 +32,11 @@ def test_records_and_summaries_match_golden(entry):
     summaries = json.loads(json.dumps(result.summaries))
     assert_matches_golden(records, entry["records"], "records")
     assert_matches_golden(summaries, entry["summaries"], "summaries")
+
+
+def test_writer_reproduces_stored_goldens(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["write_golden.py", str(tmp_path)])
+    runpy.run_path(str(DATA / "write_golden.py"), run_name="__main__")
+    for name in ("golden_records.json", "golden_cli.json"):
+        written = json.loads((tmp_path / name).read_text())
+        assert_matches_golden(written, json.loads((DATA / name).read_text()), name)
