@@ -108,8 +108,8 @@ class MslcaFit:
 def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
 
-    Raises CovarianceOverflowError when a covariance leaves the float range,
-    which finite entries of a large enough scale do.
+    Raises CovarianceOverflowError when a covariance leaves the float range:
+    large entries overflow it, tiny ones make a variance subnormal (imprecise).
     """
     centered = np.stack([data.rows for data in datasets])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,6 +119,11 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(covs).all():
         raise CovarianceOverflowError(
             "the sample covariance overflows the float range; rescale the data"
+        )
+    variances = np.diagonal(covs, axis1=1, axis2=2)
+    if ((variances > 0.0) & (variances < np.finfo(float).tiny)).any():
+        raise CovarianceOverflowError(
+            "the sample covariance underflows the float range; rescale the data"
         )
     return means, covs
 

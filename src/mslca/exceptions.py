@@ -42,7 +42,7 @@ class InsufficientSampleError(MslcaError):
 
 
 class CovarianceOverflowError(MslcaError):
-    """A sample of finite entries whose covariance exceeds the float range."""
+    """A sample of finite entries whose covariance leaves the float range."""
 
 
 class PlanPreconditionError(MslcaError):

@@ -92,20 +92,45 @@ class MslcaSolution:
 
     ``rho`` is nonincreasing; column j of ``beta`` is the orthonormal
     eigenvector paired with rho[j] and column j of ``alpha`` the canonical
-    direction Phi^{-1/2} beta_j. ``groups`` partitions the indices into
-    eigenvalue-multiplicity groups (values strictly decreasing across
-    groups); ``zero_group`` is the index of the group whose value is zero
-    within tolerance, whose directions are not identifiable (any orthonormal
-    basis of the null eigenspace solves the problem), or None.
+    direction Phi^{-1/2} beta_j. The groups are read off ``rho`` with
+    ``group_tol`` on first use and kept: ``groups`` partitions the indices
+    into eigenvalue-multiplicity groups, a group taking each next index whose
+    value is within group_tol * max(1, |v|) of its first value v (values
+    strictly decreasing across groups); ``group_values`` (read-only) holds
+    those first values; ``zero_group`` is the index of the first group whose
+    value is within group_tol of zero, whose directions are not identifiable
+    (any orthonormal basis of the null eigenspace solves the problem), or None.
     """
 
     structure: BlockStructure
     rho: np.ndarray
     beta: np.ndarray
     alpha: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-    group_values: np.ndarray
-    zero_group: int | None
+    group_tol: float
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        rho = self.rho.tolist()
+        groups: list[list[int]] = []
+        for j, value in enumerate(rho):
+            if groups:
+                anchor = rho[groups[-1][0]]
+                if abs(anchor - value) <= self.group_tol * max(1.0, abs(anchor)):
+                    groups[-1].append(j)
+                    continue
+            groups.append([j])
+        return tuple(tuple(g) for g in groups)
+
+    @cached_property
+    def group_values(self) -> np.ndarray:
+        values = self.rho[[g[0] for g in self.groups]]
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def zero_group(self) -> int | None:
+        values = self.group_values.tolist()
+        return next((i for i, value in enumerate(values) if abs(value) <= self.group_tol), None)
 
     @property
     def is_simple(self) -> bool:
@@ -166,45 +191,6 @@ def build_t(model: CovarianceModel) -> np.ndarray:
     return _assemble_t(model.structure, model.v, inv_root)
 
 
-def _group_indices(rho: list[float], group_tol: float) -> tuple[tuple[int, ...], ...]:
-    """Group nonincreasing eigenvalues by |rho_anchor - rho_j| <= tol * max(1, |rho_anchor|)."""
-    groups: list[list[int]] = []
-    for j, value in enumerate(rho):
-        if groups:
-            anchor = rho[groups[-1][0]]
-            if abs(anchor - value) <= group_tol * max(1.0, abs(anchor)):
-                groups[-1].append(j)
-                continue
-        groups.append([j])
-    return tuple(tuple(g) for g in groups)
-
-
-def _solution(
-    structure: BlockStructure,
-    rho: np.ndarray,
-    beta: np.ndarray,
-    alpha: np.ndarray,
-    group_tol: float,
-) -> MslcaSolution:
-    groups = _group_indices(rho.tolist(), group_tol)
-    group_values = rho[[g[0] for g in groups]]
-    group_values.flags.writeable = False
-    zero_group = None
-    for gi, value in enumerate(group_values.tolist()):
-        if abs(value) <= group_tol:
-            zero_group = gi
-            break
-    return MslcaSolution(
-        structure=structure,
-        rho=rho,
-        beta=beta,
-        alpha=alpha,
-        groups=groups,
-        group_values=group_values,
-        zero_group=zero_group,
-    )
-
-
 def _solve(
     structure: BlockStructure, v: np.ndarray, group_tol: float, cond_floor: float
 ) -> tuple[np.ndarray, list[MslcaSolution], np.ndarray]:
@@ -224,7 +210,7 @@ def _solve(
     for arr in (t, alpha, inv_root):
         arr.flags.writeable = False
     solutions = [
-        _solution(structure, eig.eigenvalues[i], beta[i], alpha[i], group_tol)
+        MslcaSolution(structure, eig.eigenvalues[i], beta[i], alpha[i], group_tol)
         for i in range(v.shape[0])
     ]
     return t, solutions, inv_root

@@ -306,9 +306,17 @@ def _clt_check(plan: SimulationPlan):
     For each replication, the off-diagonal block entries of the scaled error
     are recorded alongside the same entries of the limit operator evaluated
     at one fresh draw; their empirical covariances should agree. Needs a
-    whitened-compatible model and at least two replications.
+    whitened-compatible model, at least two replications and a limit operator
+    whose Gaussian E||Z||^2 exceeds round-off, since the discrepancy divides
+    by its covariance (an elliptical sampler scales it by a positive factor).
     """
     _require_covariance_plan(plan)
+    tensor = c_tensor_gaussian(plan.model, solve_mslca(plan.model))
+    second_moment = float(np.einsum("mrmr->", tensor))
+    if second_moment <= DEFAULT_GROUP_TOL:
+        raise PlanPreconditionError(
+            f"clt-check needs a nonvanishing limit operator, got E||Z||^2 = {second_moment:.3g}"
+        )
     t_true = build_t(plan.model)
     rows_idx, cols_idx = plan.model.structure.cross_entries
 

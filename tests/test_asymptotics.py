@@ -141,6 +141,9 @@ def test_accumulator_rejects_raw_data():
     scaled = Dataset(data.structure, 3.0 * data.rows)
     with pytest.raises(ValueError):
         MomentAccumulator.from_whitened(scaled)
+    centred = Dataset(data.structure, 3.0 * (data.rows - data.rows.mean(axis=0)))
+    with pytest.raises(ValueError, match="block 0 of the data is not whitened"):
+        MomentAccumulator.from_whitened(centred)
 
 
 def _second_moments(white):
@@ -645,6 +648,8 @@ def test_eigen_chi_square_dist_validation():
             quad_form_pvalue(dist, bad)
     with pytest.raises(ValueError):
         EigenChiSquareDist([1.0, float("nan")])
+    with pytest.raises(ValueError, match="at least one weight"):
+        EigenChiSquareDist([])
 
 
 def _plugin_scale(data):

@@ -465,6 +465,10 @@ def test_simulate_malformed_config_exit_2(tmp_path, capsys):
     non_utf8.write_bytes(b'{"kind": "null-dist\xff"}')
     assert main(["simulate", "--config", str(non_utf8), "--out", str(tmp_path / "o.json")]) == 2
     _assert_one_error_line(capsys, str(non_utf8), "can't decode byte 0xff")
+    as_list = tmp_path / "list.json"
+    as_list.write_text(json.dumps([json.loads(bad_kind.read_text())]))
+    assert main(["simulate", "--config", str(as_list), "--out", str(tmp_path / "o.json")]) == 2
+    _assert_one_error_line(capsys, "config must be a JSON object")
 
 
 def test_simulate_plan_preconditions_exit_4(tmp_path):
@@ -517,6 +521,9 @@ ZERO_VARIANCE_21 = correlation_model(
         # a coefficient with zero asymptotic variance, exactly or up to round-off: exit 4
         ({"kind": "coeff-clt", "dims": [1, 1, 1], "covariance": ZERO_VARIANCE_111}, 4),
         ({"kind": "coeff-clt", "dims": [2, 1], "covariance": ZERO_VARIANCE_21}, 4),
+        # a limit operator that vanishes, exactly or up to round-off: exit 4
+        ({"kind": "clt-check", "covariance": [[1.0, 1.0], [1.0, 1.0]]}, 4),
+        ({"kind": "clt-check", "dims": [1, 1, 1], "covariance": np.ones((3, 3)).tolist()}, 4),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):
@@ -588,7 +595,7 @@ def test_fit_and_test_outputs_match_golden(tmp_path, capsys):
         )
 
 
-@pytest.mark.parametrize(
+_EVERY_COMMAND_ROUTE = pytest.mark.parametrize(
     "argv",
     [
         ["fit"],
@@ -599,6 +606,9 @@ def test_fit_and_test_outputs_match_golden(tmp_path, capsys):
     ],
     ids=["fit", "chi2", "chi2-plugin", "general", "simulate"],
 )
+
+
+@_EVERY_COMMAND_ROUTE
 def test_covariance_overflow_exit_2(tmp_path, capsys, argv):
     # finite entries whose covariance exceeds the float range are bad input
     out = tmp_path / "o.json"
@@ -613,6 +623,39 @@ def test_covariance_overflow_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "covariance overflows" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@_EVERY_COMMAND_ROUTE
+def test_covariance_underflow_exit_2(tmp_path, capsys, argv):
+    # finite entries whose variances are subnormal have lost their precision:
+    # unrefused, this sample's second coefficient read 0.1405 for 0.1277
+    out = tmp_path / "o.json"
+    if argv[0] == "simulate":
+        config = _null_plan_config(tmp_path, covariance=(1e-310 * np.eye(2)).tolist(), sizes=[100])
+        source = ["--config", str(config)]
+    else:
+        model = correlation_model((2, 2), {(1, 0): [[0.3, 0.1], [0.0, 0.2]]})
+        path = tmp_path / "tiny.csv"
+        write_csv(path, (1e-161 * sample_gaussian(model, 200, 411).rows).tolist())
+        source = ["--data", str(path), "--blocks", "2,2"]
+    assert main([argv[0], *source, *argv[1:], "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, "covariance underflows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [("2,x", "invalid --blocks value '2,x'"), ("4", "--blocks needs at least 2 parts"),
+     ("0,4", "--blocks parts must be >= 1")],
+    ids=["not-an-integer", "one-part", "zero-part"],
+)
+def test_bad_blocks_exit_2(tmp_path, capsys, spec, fragment):
+    path = tmp_path / "data.csv"
+    write_csv(path, np.random.default_rng(413).standard_normal((20, 4)).tolist())
+    out = tmp_path / "o.json"
+    assert main(["fit", "--data", str(path), "--blocks", spec, "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, fragment)
     assert not out.exists()
 
 

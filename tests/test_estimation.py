@@ -24,6 +24,7 @@ from mslca.estimation import _means_and_covs
 from mslca.exceptions import CovarianceOverflowError
 from conftest import (
     blockdiag,
+    correlation_model,
     random_block_transforms,
     random_spd_model,
     random_structure,
@@ -40,6 +41,8 @@ def test_dataset_validation():
     assert "row 0" in str(exc.value) and "column 1" in str(exc.value)
     single = Dataset(s, np.array([[1.0, 2.0]]))
     assert single.n == 1
+    with pytest.raises(ValueError, match="at least one row"):
+        Dataset(s, np.zeros((0, 2)))
 
 
 def test_empirical_cov_examples():
@@ -286,3 +289,22 @@ def test_covariance_overflow_is_named():
     for step in (fit_mslca, whiten):
         with pytest.raises(CovarianceOverflowError, match="covariance overflows"):
             step(data)
+
+
+def test_covariance_underflow_is_named():
+    # variances below the smallest normal float have lost their precision;
+    # scaled by 1e-150 the variances are still normal and the fit is exact
+    model = correlation_model((2, 2), {(1, 0): [[0.3, 0.1], [0.0, 0.2]]})
+    rows = sample_gaussian(model, 200, 415).rows
+    structure = BlockStructure((2, 2))
+    rho = fit_mslca(Dataset(structure, rows)).solution.rho
+    scaled = fit_mslca(Dataset(structure, 1e-150 * rows)).solution.rho
+    np.testing.assert_allclose(scaled, rho, rtol=0, atol=1e-14)
+    for scale in (1e-155, 1e-161):
+        data = Dataset(structure, scale * rows)
+        for step in (fit_mslca, whiten):
+            with pytest.raises(CovarianceOverflowError, match="covariance underflows"):
+                step(data)
+    # a zero variance is a singular block, not an underflow
+    with pytest.raises(NearSingularError):
+        fit_mslca(Dataset(structure, np.column_stack([rows[:, :3], np.zeros(200)])))

@@ -134,12 +134,15 @@ def test_chi2_route_scales():
 
 def test_general_route_zero_statistic():
     data = Dataset(BlockStructure((1, 1)), UNCORRELATED_ROWS)
-    report = general_test(fit_mslca(data))
+    fit = fit_mslca(data)
+    report = general_test(fit)
     assert report.p_value == 1.0
     assert report.p_value_error_bound == TAIL_ATOL
     assert report.method == "general"
     assert report.scale is None and report.scale_provenance is None
     assert report.gamma_eigenvalues is not None
+    with pytest.raises(ValueError, match="alpha must be in"):
+        general_test(fit, alpha=1.5)
 
 
 def test_general_route_close_to_chi2_under_gaussian_null():

@@ -1,5 +1,6 @@
 """Population solver: construction, spectral solution, structural claims."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 from mslca import (
     BlockStructure,
     CovarianceModel,
+    Dataset,
+    MslcaSolution,
     build_phi,
     build_t,
+    fit_mslca,
     psd_sqrt,
+    sample_gaussian,
     solve_mslca,
     sym_power,
     verify_constraints,
@@ -21,6 +26,7 @@ from conftest import (
     equicorrelation_model,
     random_spd_model,
     random_structure,
+    random_whitened_model,
     transform_model,
     random_block_transforms,
 )
@@ -341,3 +347,126 @@ def test_k2_spectrum_pairs_and_split_norms():
             for k in (0, 1):
                 part = sol.beta[structure.block_slice(k), j]
                 assert np.linalg.norm(part) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+
+
+def _oracle_group_indices(rho, group_tol):
+    """Group nonincreasing eigenvalues by |rho_anchor - rho_j| <= tol * max(1, |rho_anchor|)."""
+    groups = []
+    for j, value in enumerate(rho):
+        if groups:
+            anchor = rho[groups[-1][0]]
+            if abs(anchor - value) <= group_tol * max(1.0, abs(anchor)):
+                groups[-1].append(j)
+                continue
+        groups.append([j])
+    return tuple(tuple(g) for g in groups)
+
+
+def _oracle_groups(rho, group_tol):
+    """Reference (groups, group_values, zero_group) for ``MslcaSolution``'s derived groups."""
+    groups = _oracle_group_indices(rho.tolist(), group_tol)
+    group_values = rho[[g[0] for g in groups]]
+    zero_group = None
+    for gi, value in enumerate(group_values.tolist()):
+        if abs(value) <= group_tol:
+            zero_group = gi
+            break
+    return groups, group_values, zero_group
+
+
+def _assert_groups_match_oracle(sol):
+    groups, group_values, zero_group = _oracle_groups(sol.rho, sol.group_tol)
+    assert sol.groups == groups
+    assert np.array_equal(sol.group_values, group_values)
+    assert sol.zero_group == zero_group
+    assert sol.is_simple == all(len(g) == 1 for g in groups)
+
+
+def _spectrum_solution(rho, group_tol=DEFAULT_GROUP_TOL):
+    """A solution carrying a hand-made nonincreasing spectrum and identity directions."""
+    rho = np.asarray(rho, dtype=float)
+    eye = np.eye(rho.size)
+    return MslcaSolution(BlockStructure((1,) * rho.size), rho, eye, eye, group_tol)
+
+
+def test_solution_fields_are_what_the_eigensolve_gives():
+    names = [f.name for f in dataclasses.fields(MslcaSolution)]
+    assert names == ["structure", "rho", "beta", "alpha", "group_tol"]
+
+
+def test_derived_groups_match_oracle_on_random_models():
+    rng = np.random.default_rng(401)
+    for i in range(30):
+        structure = random_structure(rng)
+        if i % 2:
+            model = random_whitened_model(rng, structure)
+        else:
+            model = random_spd_model(rng, structure)
+        _assert_groups_match_oracle(solve_mslca(model))
+    for model in (
+        equicorrelation_model(3, 0.5),
+        equicorrelation_model(4, -0.2),
+        CovarianceModel(BlockStructure((2, 1)), np.eye(3)),
+        correlation_model((1, 1, 1), {(1, 0): 0.5}),
+        correlation_model((2, 2), {(1, 0): 0.4 * np.eye(2)}),
+    ):
+        _assert_groups_match_oracle(solve_mslca(model))
+
+
+@pytest.mark.parametrize(
+    "rho, groups, zero_group",
+    [
+        # each group is anchored at its first value, not chained
+        ([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8], ((0, 1), (2,)), None),
+        ([0.5, 0.5 - 0.9e-8, 0.5 - 1.1e-8], ((0, 1), (2,)), None),
+        # the tolerance is relative above |rho| = 1
+        ([3.0, 3.0 - 2.9e-8, 3.0 - 3.1e-8], ((0, 1), (2,)), None),
+        ([-2.0, -2.0 - 1.9e-8, -2.0 - 2.1e-8], ((0, 1), (2,)), None),
+        ([0.3, 1e-9, 0.0, -1e-9, -0.3], ((0,), (1, 2, 3), (4,)), 1),
+        # two groups within tolerance of zero: the first is the zero group
+        ([0.5, 5e-9, -6e-9, -0.5], ((0,), (1,), (2,), (3,)), 1),
+        ([0.4, 0.4, 0.4, 0.4], ((0, 1, 2, 3),), None),
+        ([0.0, 0.0, 0.0], ((0, 1, 2),), 0),
+        ([0.7, -0.7], ((0,), (1,)), None),
+    ],
+    ids=["anchor-unit", "anchor-half", "relative-above-one", "negative", "zero-group",
+         "first-zero-group", "all-equal", "all-zero", "distinct"],
+)
+def test_derived_groups_on_hand_made_spectra(rho, groups, zero_group):
+    sol = _spectrum_solution(rho)
+    assert sol.groups == groups
+    assert sol.zero_group == zero_group
+    assert sol.group_values.tolist() == [rho[g[0]] for g in groups]
+    _assert_groups_match_oracle(sol)
+
+
+def test_group_values_are_read_only():
+    sol = solve_mslca(equicorrelation_model(3, 0.5))
+    assert not sol.group_values.flags.writeable
+    with pytest.raises(ValueError):
+        sol.group_values[0] = 0.0
+
+
+def test_fit_group_tol_changes_the_grouping():
+    data = sample_gaussian(equicorrelation_model(3, 0.5), 300, 403)
+    default = fit_mslca(data).solution
+    coarse = fit_mslca(data, group_tol=0.5).solution
+    assert coarse.group_tol == 0.5
+    assert np.array_equal(coarse.rho, default.rho)
+    assert default.groups == ((0,), (1,), (2,))
+    assert coarse.groups == ((0,), (1, 2))
+    _assert_groups_match_oracle(default)
+    _assert_groups_match_oracle(coarse)
+
+
+def test_groups_are_derived_on_first_read():
+    rows = np.random.default_rng(405).standard_normal((60, 3))
+    sol = fit_mslca(Dataset(BlockStructure((2, 1)), rows)).solution
+    derived = {"groups", "group_values", "zero_group"}
+    assert not derived & set(vars(sol))
+    assert sol.is_simple
+    assert derived & set(vars(sol)) == {"groups"}
+    groups = sol.groups
+    # two sets of sizes 2 and 1: T has rank 2, so its middle eigenvalue is 0
+    assert sol.zero_group == 1 and sol.groups is groups
+    assert set(vars(sol)) >= derived

@@ -43,6 +43,8 @@ def test_sample_gaussian_moments_and_determinism():
     single = sample_gaussian(model, 1, 0)
     assert single.rows.shape == (1, 4)
     assert np.isfinite(single.rows).all()
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_gaussian(model, 0, 0)
 
     again = sample_gaussian(model, 50, 7)
     assert np.array_equal(sample_gaussian(model, 50, 7).rows, again.rows)
@@ -57,6 +59,8 @@ def test_sample_student_t_moments():
     column = data.rows[:, 0]
     standardized_m4 = np.mean(column**4) / np.mean(column**2) ** 2
     assert standardized_m4 == pytest.approx(3 * (nu - 2) / (nu - 4), abs=0.4)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_student_t(model, nu, 0, 11)
 
 
 def test_sample_student_t_gaussian_limit():
@@ -92,6 +96,8 @@ def test_ks_distance_known_values():
     rng = np.random.default_rng(241)
     sample = stats.chi2.rvs(df=3, size=4000, random_state=rng)
     assert ks_distance(sample, stats.chi2(df=3).cdf) < 0.03
+    with pytest.raises(ValueError, match="empty sample"):
+        ks_distance([], lambda x: np.asarray(x))
 
 
 def test_plan_validation():
@@ -115,6 +121,12 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="must not repeat"):
         # summaries are keyed by size, so the first size's would be lost
         SimulationPlan(kind="null-dist", model=NULL_222, sizes=(200, 200), replications=20)
+    with pytest.raises(ValueError, match="sizes must all be >= 2"):
+        SimulationPlan(kind="null-dist", model=NULL_222, sizes=(1,), replications=5)
+    with pytest.raises(ValueError, match="methods must be chi2/general"):
+        SimulationPlan(
+            kind="null-dist", model=NULL_222, sizes=(100,), replications=5, methods=("bogus",)
+        )
 
 
 def test_plan_rejects_removed_mc_draws_key():
