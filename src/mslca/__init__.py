@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .blocks import (
     BlockStructure,
     SymmetricEig,
-    extract_block,
     psd_sqrt,
     sym_eig,
     sym_power,
@@ -70,7 +69,6 @@ __all__ = [
     "__version__",
     "BlockStructure",
     "SymmetricEig",
-    "extract_block",
     "psd_sqrt",
     "sym_eig",
     "sym_power",

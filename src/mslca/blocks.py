@@ -3,10 +3,10 @@
 A block structure partitions the coordinates of R^q into consecutive groups
 (one per variable set). Vectors are plain 1-d numpy arrays of length q and
 matrices plain (q, q) arrays; the structure object supplies offsets, slices,
-block iteration, the mask of within-block entries and the order of the
-cross-block entries, so callers never hand-compute index arithmetic. The
-symmetric primitives also take a stack of matrices (leading axes before the
-last two) and treat each matrix exactly as they would treat it alone.
+the mask of within-block entries and the order of the cross-block entries,
+so callers never hand-compute index arithmetic. The symmetric primitives
+also take a stack of matrices (leading axes before the last two) and treat
+each matrix exactly as they would treat it alone.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class BlockStructure:
             raise IndexError(f"block index {k} out of range [0, {self.n_blocks})")
         return slice(self.offsets[k], self.offsets[k] + self.dims[k])
 
-    def lower_pairs(self) -> list[tuple[int, int]]:
-        """Off-diagonal block pairs (k, l) with l < k, ordered (1,0),(2,0),(2,1),..."""
-        return [(k, l) for k in range(1, self.n_blocks) for l in range(k)]
-
     @cached_property
     def diagonal_mask(self) -> np.ndarray:
         """Read-only (q, q) bool array, True exactly on the within-block entries."""
@@ -86,27 +82,19 @@ class BlockStructure:
 
         The one definition of the order of the stacked off-diagonal entries,
         and so of Gamma's rows and columns: pairs (k, l), l < k, run in the
-        order of ``lower_pairs``; within a pair, entries (i, j) run with the
-        row index i fastest.
+        order (1,0), (2,0), (2,1), (3,0), ...; within a pair, entries (i, j)
+        run with the row index i fastest.
         """
         rows, cols = [], []
-        for k, l in self.lower_pairs():
-            sk, sl = self.block_slice(k), self.block_slice(l)
-            rows.append(np.tile(np.arange(sk.start, sk.stop), self.dims[l]))
-            cols.append(np.repeat(np.arange(sl.start, sl.stop), self.dims[k]))
+        for k in range(1, self.n_blocks):
+            for l in range(k):
+                sk, sl = self.block_slice(k), self.block_slice(l)
+                rows.append(np.tile(np.arange(sk.start, sk.stop), self.dims[l]))
+                cols.append(np.repeat(np.arange(sl.start, sl.stop), self.dims[k]))
         entries = (np.concatenate(rows), np.concatenate(cols))
         for index in entries:
             index.flags.writeable = False
         return entries
-
-
-def extract_block(a: np.ndarray, structure: BlockStructure, k: int, l: int) -> np.ndarray:
-    """Return a copy of the (k, l) sub-block of a (q, q) matrix."""
-    a = np.asarray(a)
-    q = structure.total_dim
-    if a.shape != (q, q):
-        raise ValueError(f"expected ({q}, {q}) matrix, got shape {a.shape}")
-    return a[structure.block_slice(k), structure.block_slice(l)].copy()
 
 
 def require_symmetric(a: np.ndarray) -> np.ndarray:

@@ -109,7 +109,8 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
 
     Raises CovarianceOverflowError when a covariance leaves the float range:
-    large entries overflow it, tiny ones make a variance subnormal (imprecise).
+    large entries overflow it, tiny ones make a variance subnormal (imprecise)
+    or zero in a column that is not constant.
     """
     centered = np.stack([data.rows for data in datasets])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,7 +122,10 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
             "the sample covariance overflows the float range; rescale the data"
         )
     variances = np.diagonal(covs, axis1=1, axis2=2)
-    if ((variances > 0.0) & (variances < np.finfo(float).tiny)).any():
+    underflow = (variances > 0.0) & (variances < np.finfo(float).tiny)
+    if not variances.all():
+        underflow |= (variances == 0.0) & (np.ptp(centered, axis=1) > 0.0)
+    if underflow.any():
         raise CovarianceOverflowError(
             "the sample covariance underflows the float range; rescale the data"
         )

@@ -20,7 +20,6 @@ import numpy as np
 from .blocks import (
     DEFAULT_COND_FLOOR,
     BlockStructure,
-    extract_block,
     psd_sqrt,
     require_symmetric,
     sym_eig,
@@ -44,7 +43,8 @@ def _valid_covariances(v: np.ndarray) -> np.ndarray:
 class CovarianceModel:
     """Full covariance of the stacked vector, stored as one (q, q) matrix.
 
-    Block (k, l) is the cross-covariance of sets k and l; finiteness and
+    Block (k, l) is the cross-covariance of sets k and l, read as
+    ``v[structure.block_slice(k), structure.block_slice(l)]``; finiteness and
     symmetry are validated at construction. Positive definiteness of the
     diagonal blocks is checked where it is actually needed (inverse square
     roots), so that empirical covariances of degenerate samples remain
@@ -78,12 +78,6 @@ class CovarianceModel:
         root = psd_sqrt(self.v)
         root.flags.writeable = False
         return root
-
-    def block(self, k: int, l: int) -> np.ndarray:
-        return extract_block(self.v, self.structure, k, l)
-
-    def diagonal_block(self, k: int) -> np.ndarray:
-        return self.block(k, k)
 
 
 @dataclass(frozen=True)

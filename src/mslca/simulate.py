@@ -377,9 +377,11 @@ def _coeff_clt(plan: SimulationPlan):
 
 
 def _require_null_model(model: CovarianceModel) -> None:
-    for k, l in model.structure.lower_pairs():
-        if np.abs(model.block(k, l)).max() > 0:
-            raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
+    structure = model.structure
+    for k in range(1, structure.n_blocks):
+        for l in range(k):
+            if model.v[structure.block_slice(k), structure.block_slice(l)].any():
+                raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
 
 
 def _null_dist(plan: SimulationPlan):

@@ -27,6 +27,12 @@ def s_statistic(that, structure):
     return float((entries * entries).sum())
 
 
+def block(model, k, l):
+    """Block (k, l) of ``model.v``, read through ``structure.block_slice``."""
+    structure = model.structure
+    return model.v[structure.block_slice(k), structure.block_slice(l)]
+
+
 def random_structure(rng, max_blocks=4, max_block_dim=3, max_total=10):
     """Random partition with 2..max_blocks blocks and total dimension <= max_total."""
     n_blocks = int(rng.integers(2, max_blocks + 1))

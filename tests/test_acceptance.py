@@ -23,6 +23,7 @@ from mslca import (
     verify_constraints,
 )
 from conftest import (
+    block,
     correlation_model,
     equicorrelation_model,
     random_block_transforms,
@@ -108,9 +109,9 @@ def test_criterion_03_two_set_equivalence():
         model = random_spd_model(rng, BlockStructure((3, 2)))
         sol = solve_mslca(model)
         s_mat = (
-            sym_power(model.diagonal_block(0), -0.5)
-            @ model.block(0, 1)
-            @ sym_power(model.diagonal_block(1), -0.5)
+            sym_power(block(model, 0, 0), -0.5)
+            @ block(model, 0, 1)
+            @ sym_power(block(model, 1, 1), -0.5)
         )
         r_eigs = np.sort(np.linalg.eigvalsh(s_mat @ s_mat.T))[::-1]
         positive = sol.rho[sol.rho > 1e-6]

@@ -3,11 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import mslca
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 TRACING = WORKLOADS.with_name("tracing.py")
 
 
@@ -16,6 +18,27 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(mslca, name), name
+
+
+def _referenced_names(path):
+    """Every name a module reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_public_functions_have_a_caller():
+    # a public function that no package module and no benchmark workload
+    # calls is a helper nothing uses; the package re-export does not count
+    sources = [p for p in (ROOT / "src" / "mslca").glob("*.py") if p.name != "__init__.py"]
+    referenced = set().union(*(_referenced_names(p) for p in [*sources, WORKLOADS]))
+    functions = [name for name in mslca.__all__ if inspect.isfunction(getattr(mslca, name))]
+    assert functions
+    assert [name for name in functions if name not in referenced] == []
 
 
 def _dotted(node):

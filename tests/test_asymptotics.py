@@ -25,8 +25,16 @@ from mslca import (
     solve_mslca,
     z_operator,
 )
-from mslca.asymptotics import TAIL_ATOL, MomentAccumulator
+from mslca.asymptotics import (
+    TAIL_ATOL,
+    WHITENED_ATOL,
+    WHITENED_MODEL_ATOL,
+    MomentAccumulator,
+    _require_whitened_data,
+    _require_whitened_model,
+)
 from conftest import (
+    block,
     correlation_model,
     equicorrelation_model,
     random_structure,
@@ -73,6 +81,98 @@ def test_z_operator_scalar_formula():
     assert z[1, 0] == pytest.approx(expected, abs=1e-15)
 
 
+def _lower_pairs(structure):
+    """Off-diagonal block pairs (k, l), l < k, in the order (1,0), (2,0), (2,1), ..."""
+    return [(k, l) for k in range(1, structure.n_blocks) for l in range(k)]
+
+
+def _symmetric_bump(rng, structure, k, l):
+    """Symmetric (q, q) matrix, zero outside blocks (k, l) and (l, k), with max |entry| 1."""
+    bump = np.zeros((structure.total_dim, structure.total_dim))
+    sk, sl = structure.block_slice(k), structure.block_slice(l)
+    bump[sk, sl] = rng.uniform(-1.0, 1.0, (structure.dims[k], structure.dims[l]))
+    bump = bump + bump.T
+    return bump / np.abs(bump).max()
+
+
+def _outcome(check, *args):
+    """The type and message of what ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _require_whitened_model_per_block(model):
+    """Reference for ``_require_whitened_model``: the former loop over diagonal blocks."""
+    for k in range(model.structure.n_blocks):
+        sl = model.structure.block_slice(k)
+        diagonal = model.v[sl, sl]
+        gap = np.abs(diagonal - np.eye(diagonal.shape[0])).max()
+        if gap > WHITENED_MODEL_ATOL:
+            raise ValueError(
+                f"model is not whitened-compatible: block {k} deviates from the "
+                f"identity by {gap:.3e}"
+            )
+
+
+def _require_whitened_data_per_block(rows, structure):
+    """Reference for ``_require_whitened_data``: one covariance per diagonal block."""
+    n = rows.shape[0]
+    means = rows.mean(axis=0)
+    scale = 1.0 + np.abs(rows).max()
+    if np.abs(means).max() > WHITENED_ATOL * scale:
+        raise ValueError("data is not centered; whiten it first")
+    centered = rows - means
+    for k in range(structure.n_blocks):
+        sl = structure.block_slice(k)
+        cov = centered[:, sl].T @ centered[:, sl] / n
+        if np.abs(cov - np.eye(structure.dims[k])).max() > WHITENED_ATOL:
+            raise ValueError(f"block {k} of the data is not whitened; whiten it first")
+
+
+def test_whitened_model_check_matches_per_block_oracle():
+    # every block position, diagonal or cross, moved to either side of the tolerance
+    rng = np.random.default_rng(181)
+    for _ in range(15):
+        model = random_whitened_model(rng, random_structure(rng))
+        structure = model.structure
+        assert _outcome(_require_whitened_model, model) is None
+        for k in range(structure.n_blocks):
+            for l in range(k + 1):
+                bump = _symmetric_bump(rng, structure, k, l)
+                for factor in (0.5, 0.99, 1.01, 2.0):
+                    moved = CovarianceModel(structure, model.v + factor * WHITENED_MODEL_ATOL * bump)
+                    got = _outcome(_require_whitened_model, moved)
+                    assert got == _outcome(_require_whitened_model_per_block, moved)
+                    assert (got is None) == (k != l or factor < 1), (k, l, factor, got)
+
+
+def test_whitened_data_check_matches_per_block_oracle():
+    # rows mapped through I + e * bump: a diagonal bump moves its block's
+    # covariance by about 2e; a cross bump moves both blocks it touches
+    rng = np.random.default_rng(191)
+    outcomes = set()
+    for _ in range(10):
+        model = random_whitened_model(rng, random_structure(rng))
+        structure = model.structure
+        rows = fit_mslca(sample_gaussian(model, 200, rng)).whitened.rows
+        assert _outcome(_require_whitened_data, rows, structure) is None
+        eye = np.eye(structure.total_dim)
+        for k in range(structure.n_blocks):
+            for l in range(k + 1):
+                bump = _symmetric_bump(rng, structure, k, l)
+                for factor in (0.1, 0.9, 1.1, 10.0):
+                    moved = rows @ (eye + 0.5 * factor * WHITENED_ATOL * bump)
+                    got = _outcome(_require_whitened_data, moved, structure)
+                    assert got == _outcome(_require_whitened_data_per_block, moved, structure)
+                    if k == l:
+                        assert (got is None) == (factor < 1), (k, factor, got)
+                    outcomes.add((k == l, got is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_z_operator_requires_whitened_model():
     model = CovarianceModel(BlockStructure((1, 1)), np.diag([2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -84,14 +184,14 @@ def _z_operator_per_pair(x, model):
     structure = model.structure
     parts = [x[structure.block_slice(k)] for k in range(structure.n_blocks)]
     z = np.zeros((structure.total_dim, structure.total_dim))
-    for k, l in structure.lower_pairs():
-        vkl = model.block(k, l)
-        block = (
+    for k, l in _lower_pairs(structure):
+        vkl = block(model, k, l)
+        zkl = (
             np.outer(parts[k], parts[l])
             - 0.5 * (np.outer(parts[k], parts[k]) @ vkl + vkl @ np.outer(parts[l], parts[l]))
         )
-        z[structure.block_slice(k), structure.block_slice(l)] = block
-        z[structure.block_slice(l), structure.block_slice(k)] = block.T
+        z[structure.block_slice(k), structure.block_slice(l)] = zkl
+        z[structure.block_slice(l), structure.block_slice(k)] = zkl.T
     return z
 
 
@@ -184,6 +284,16 @@ def _entry_list(structure):
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def _cross_entries_per_pair(structure):
+    """Reference for ``cross_entries``: the former construction over the lower pairs."""
+    rows, cols = [], []
+    for k, l in _lower_pairs(structure):
+        sk, sl = structure.block_slice(k), structure.block_slice(l)
+        rows.append(np.tile(np.arange(sk.start, sk.stop), structure.dims[l]))
+        cols.append(np.repeat(np.arange(sl.start, sl.stop), structure.dims[k]))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def test_cross_entries_order():
     # pairs (1,0), (2,0), (2,1), ...; within a pair the row index runs fastest
     assert _entry_list(BlockStructure((2, 2))) == [(2, 0), (3, 0), (2, 1), (3, 1)]
@@ -191,6 +301,12 @@ def test_cross_entries_order():
     assert _entry_list(BlockStructure((1, 2, 1))) == [(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)]
     rows, cols = BlockStructure((2, 2)).cross_entries
     assert not rows.flags.writeable and not cols.flags.writeable
+    rng = np.random.default_rng(193)
+    for _ in range(30):
+        structure = random_structure(rng, max_blocks=6, max_block_dim=4, max_total=20)
+        rows, cols = structure.cross_entries
+        expected_rows, expected_cols = _cross_entries_per_pair(structure)
+        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
 
 
 def test_build_gamma_entries_match_fourth_moments():
@@ -210,7 +326,7 @@ def _build_gamma_per_pair(white):
     """Reference for ``build_gamma``: pair products gathered block pair by block pair."""
     structure = white.structure
     columns = []
-    for k, l in structure.lower_pairs():
+    for k, l in _lower_pairs(structure):
         xk = white.rows[:, structure.block_slice(k)]
         xl = white.rows[:, structure.block_slice(l)]
         pair = xk[:, :, None] * xl[:, None, :]  # (n, p_k, p_l), i fastest when F-flattened
@@ -272,7 +388,7 @@ def _c_coefficient(white, solution, model, m, r, s, t):
     pairs = [(k, l) for k in range(structure.n_blocks) for l in range(structure.n_blocks) if k != l]
     weighted = {
         (k, l): white.rows[:, structure.block_slice(k)]
-        @ (model.block(k, l) @ beta[structure.block_slice(l), :])
+        @ (block(model, k, l) @ beta[structure.block_slice(l), :])
         for k, l in pairs
     }
 
@@ -451,7 +567,7 @@ def _limit_operator_products_mc(model, solution, n, seed):
             xl = data[:, structure.block_slice(l)]
             u_k = xk @ beta[structure.block_slice(k), :]
             u_l = xl @ beta[structure.block_slice(l), :]
-            w_kl = xk @ (model.block(k, l) @ beta[structure.block_slice(l), :])
+            w_kl = xk @ (block(model, k, l) @ beta[structure.block_slice(l), :])
             g += (
                 -0.5 * (np.einsum("im,ir->imr", w_kl, u_k) + np.einsum("ir,im->imr", w_kl, u_k))
                 + np.einsum("im,ir->imr", u_l, u_k)

@@ -6,7 +6,6 @@ import pytest
 from mslca import (
     BlockStructure,
     NearSingularError,
-    extract_block,
     psd_sqrt,
     sym_eig,
     sym_power,
@@ -31,7 +30,10 @@ def test_structure_basics():
     assert s.total_dim == 7
     assert s.offsets == (0, 2, 5)
     assert s.block_slice(1) == slice(2, 5)
-    assert s.lower_pairs() == [(1, 0), (2, 0), (2, 1)]
+    rows, cols = s.cross_entries
+    labels = np.repeat(np.arange(3), s.dims)
+    pairs = dict.fromkeys(zip(labels[rows].tolist(), labels[cols].tolist()))
+    assert list(pairs) == [(1, 0), (2, 0), (2, 1)]
     within = np.zeros((7, 7), dtype=bool)
     for k in range(3):
         within[s.block_slice(k), s.block_slice(k)] = True
@@ -54,20 +56,21 @@ def test_structure_validation():
 def test_extract_identity_blocks():
     s = BlockStructure((2, 3))
     eye = np.eye(5)
-    assert np.array_equal(extract_block(eye, s, 0, 0), np.eye(2))
-    assert np.array_equal(extract_block(eye, s, 0, 1), np.zeros((2, 3)))
+    assert np.array_equal(eye[s.block_slice(0), s.block_slice(0)], np.eye(2))
+    assert np.array_equal(eye[s.block_slice(0), s.block_slice(1)], np.zeros((2, 3)))
 
 
 def test_extract_scalar_cross_block():
     s = BlockStructure((1, 1))
     a = np.array([[1.0, 0.7], [0.7, 1.0]])
-    assert np.array_equal(extract_block(a, s, 1, 0), [[0.7]])
+    assert np.array_equal(a[s.block_slice(1), s.block_slice(0)], [[0.7]])
 
 
 def test_extract_index_range():
     s = BlockStructure((1, 1))
-    with pytest.raises(IndexError):
-        extract_block(np.eye(2), s, 0, 2)
+    for k in (-1, 2):
+        with pytest.raises(IndexError):
+            s.block_slice(k)
 
 
 def test_embed_scalar():
@@ -90,7 +93,8 @@ def test_embed_extract_roundtrip_random():
         k = int(rng.integers(s.n_blocks))
         l = int(rng.integers(s.n_blocks))
         block = rng.standard_normal((dims[k], dims[l]))
-        assert np.array_equal(extract_block(embed_block(block, s, k, l), s, k, l), block)
+        embedded = embed_block(block, s, k, l)
+        assert np.array_equal(embedded[s.block_slice(k), s.block_slice(l)], block)
 
 
 def test_embed_shape_mismatch():

@@ -633,15 +633,34 @@ def test_covariance_underflow_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "o.json"
     if argv[0] == "simulate":
         config = _null_plan_config(tmp_path, covariance=(1e-310 * np.eye(2)).tolist(), sizes=[100])
-        source = ["--config", str(config)]
-    else:
-        model = correlation_model((2, 2), {(1, 0): [[0.3, 0.1], [0.0, 0.2]]})
-        path = tmp_path / "tiny.csv"
-        write_csv(path, (1e-161 * sample_gaussian(model, 200, 411).rows).tolist())
-        source = ["--data", str(path), "--blocks", "2,2"]
-    assert main([argv[0], *source, *argv[1:], "--out", str(out)]) == 2
-    _assert_one_error_line(capsys, "covariance underflows")
-    assert not out.exists()
+        assert main([argv[0], "--config", str(config), *argv[1:], "--out", str(out)]) == 2
+        _assert_one_error_line(capsys, "covariance underflows")
+        assert not out.exists()
+        return
+    model = correlation_model((2, 2), {(1, 0): [[0.3, 0.1], [0.0, 0.2]]})
+    normal = np.random.default_rng(0).standard_normal((200, 4))
+    last_tiny = np.random.default_rng(0).standard_normal((40, 3)) * [1.0, 1.0, 1e-300]
+    # variances that underflow to exactly zero in columns that still vary
+    underflows = [
+        (1e-161 * sample_gaussian(model, 200, 411).rows, "2,2"),
+        (1e-170 * normal, "2,2"),
+        (1e-200 * normal, "2,2"),
+        (last_tiny, "1,1,1"),
+    ]
+    path = tmp_path / "tiny.csv"
+    for rows, blocks in underflows:
+        write_csv(path, rows.tolist())
+        assert main([argv[0], "--data", str(path), "--blocks", blocks, *argv[1:],
+                     "--out", str(out)]) == 2, blocks
+        _assert_one_error_line(capsys, "covariance underflows")
+        assert not out.exists()
+    # a constant column is a singular block, whatever its value rounds to
+    for value in (3.3e-200, 1e-170, 0.1):
+        write_csv(path, np.column_stack([normal[:, :3], np.full(200, value)]).tolist())
+        assert main([argv[0], "--data", str(path), "--blocks", "2,2", *argv[1:],
+                     "--out", str(out)]) == 3, value
+        _assert_one_error_line(capsys, "near-singular block 1")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -305,6 +305,17 @@ def test_covariance_underflow_is_named():
         for step in (fit_mslca, whiten):
             with pytest.raises(CovarianceOverflowError, match="covariance underflows"):
                 step(data)
-    # a zero variance is a singular block, not an underflow
-    with pytest.raises(NearSingularError):
-        fit_mslca(Dataset(structure, np.column_stack([rows[:, :3], np.zeros(200)])))
+    # variances that underflow to exactly zero although their columns vary
+    for scale in (1e-170, 1e-200):
+        with pytest.raises(CovarianceOverflowError, match="covariance underflows"):
+            fit_mslca(Dataset(structure, scale * rows))
+    last_tiny = Dataset(BlockStructure((1, 1, 1)), rows[:40, :3] * [1.0, 1.0, 1e-300])
+    with pytest.raises(CovarianceOverflowError, match="covariance underflows"):
+        fit_mslca(last_tiny)
+    # a zero variance of a constant column is a singular block, not an underflow,
+    # even where the rounded mean leaves the centred column nonzero
+    for value in (0.0, 3.3e-200, 1e-170, 0.1):
+        constant = Dataset(structure, np.column_stack([rows[:, :3], np.full(200, value)]))
+        with pytest.raises(NearSingularError) as caught:
+            fit_mslca(constant)
+        assert caught.value.block == 1

@@ -25,6 +25,7 @@ from mslca import (
     whiten,
 )
 from conftest import (
+    block,
     blockdiag,
     correlation_model,
     random_block_transforms,
@@ -201,7 +202,7 @@ def test_general_route_whitens_its_fit_exactly(monkeypatch):
         assert seen[-1].n == 400 and seen[-1].structure == model.structure
         _require_whitened_data(seen[-1].rows, model.structure)
     assert len(seen) == len(models)
-    assert np.linalg.cond(fit.vhat.diagonal_block(0)) > 1e8
+    assert np.linalg.cond(block(fit.vhat, 0, 0)) > 1e8
 
 
 def test_statistic_invariant_under_block_transforms():

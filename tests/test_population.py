@@ -22,6 +22,7 @@ from mslca import (
 )
 from mslca.population import DEFAULT_GROUP_TOL
 from conftest import (
+    block,
     correlation_model,
     equicorrelation_model,
     random_spd_model,
@@ -44,7 +45,7 @@ def varphi(model, a):
     for k in range(structure.n_blocks):
         for l in range(structure.n_blocks):
             if k != l:
-                total += float(parts[k] @ model.block(k, l) @ parts[l])
+                total += float(parts[k] @ block(model, k, l) @ parts[l])
     return total
 
 
@@ -76,9 +77,9 @@ def cca_equivalence(model):
     if structure.n_blocks != 2:
         raise ValueError(f"only defined for 2 blocks, model has {structure.n_blocks}")
     s = (
-        sym_power(model.diagonal_block(0), -0.5)
-        @ model.block(0, 1)
-        @ sym_power(model.diagonal_block(1), -0.5)
+        sym_power(block(model, 0, 0), -0.5)
+        @ block(model, 0, 1)
+        @ sym_power(block(model, 1, 1), -0.5)
     )
     correlations = np.linalg.svd(s, compute_uv=False)
 
@@ -169,14 +170,12 @@ def test_build_t_blocks_match_quoted_form():
     # block (k, l) must equal V_k^{-1/2} V_kl V_l^{-1/2}
     rng = np.random.default_rng(29)
     model = random_spd_model(rng, BlockStructure((2, 3)))
-    from mslca import sym_power, extract_block
-
     t = build_t(model)
-    lhs = extract_block(t, model.structure, 1, 0)
+    lhs = t[model.structure.block_slice(1), model.structure.block_slice(0)]
     rhs = (
-        sym_power(model.diagonal_block(1), -0.5)
-        @ model.block(1, 0)
-        @ sym_power(model.diagonal_block(0), -0.5)
+        sym_power(block(model, 1, 1), -0.5)
+        @ block(model, 1, 0)
+        @ sym_power(block(model, 0, 0), -0.5)
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -311,9 +310,9 @@ def test_cca_equivalence_random_three_two():
         eq = cca_equivalence(model)
         sol = solve_mslca(model)
         s_mat = (
-            sym_power(model.diagonal_block(0), -0.5)
-            @ model.block(0, 1)
-            @ sym_power(model.diagonal_block(1), -0.5)
+            sym_power(block(model, 0, 0), -0.5)
+            @ block(model, 0, 1)
+            @ sym_power(block(model, 1, 1), -0.5)
         )
         r_eigs = np.sort(np.linalg.eigvalsh(s_mat @ s_mat.T))[::-1]
         top = sol.rho[:2] ** 2

@@ -17,7 +17,13 @@ from mslca import (
     sample_student_t,
     student_t_kurtosis_scale,
 )
-from conftest import correlation_model, equicorrelation_model, random_spd_model
+from mslca.simulate import _require_null_model
+from conftest import (
+    correlation_model,
+    equicorrelation_model,
+    random_spd_model,
+    random_structure,
+)
 
 NULL_222 = CovarianceModel(BlockStructure((2, 2, 2)), np.eye(6))
 WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
@@ -297,6 +303,58 @@ def test_run_null_dist_rejects_alternative_model():
     plan = SimulationPlan(kind="null-dist", model=model, sizes=(100,), replications=3)
     with pytest.raises(PlanPreconditionError, match="violates the null"):
         run_experiment(plan)
+
+
+def _require_null_model_per_pair(model):
+    """Reference for ``_require_null_model``: the former loop over the lower block pairs."""
+    structure = model.structure
+    for k, l in [(k, l) for k in range(1, structure.n_blocks) for l in range(k)]:
+        cross = model.v[structure.block_slice(k), structure.block_slice(l)]
+        if np.abs(cross).max() > 0:
+            raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
+
+
+def _null_refusal(check, model):
+    """The message of the PlanPreconditionError ``check(model)`` raises, or None."""
+    try:
+        check(model)
+    except PlanPreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_null_model_check_matches_per_pair_oracle():
+    # every block position of a null model, moved by the smallest float or more
+    rng = np.random.default_rng(197)
+    for _ in range(15):
+        structure = random_structure(rng)
+        v = np.where(structure.diagonal_mask, random_spd_model(rng, structure).v, 0.0)
+        assert _null_refusal(_require_null_model, CovarianceModel(structure, v)) is None
+        for k in range(structure.n_blocks):
+            for l in range(k + 1):
+                bump = np.zeros_like(v)
+                bump[structure.block_slice(k), structure.block_slice(l)] = rng.uniform(
+                    0.6, 1.0, (structure.dims[k], structure.dims[l])
+                )
+                for size in (5e-324, 1e-300, 0.3):
+                    moved = CovarianceModel(structure, v + size * (bump + bump.T))
+                    got = _null_refusal(_require_null_model, moved)
+                    assert got == _null_refusal(_require_null_model_per_pair, moved)
+                    assert (got is None) == (k == l), (k, l, size, got)
+                    if got is not None:
+                        assert got.endswith(f"block ({k}, {l}) is nonzero")
+        # several cross blocks at once: the first in pair order is named
+        for _ in range(8):
+            moved = v.copy()
+            for k in range(1, structure.n_blocks):
+                for l in range(k):
+                    if rng.random() < 0.5:
+                        moved[structure.block_slice(k), structure.block_slice(l)] = 0.3
+                        moved[structure.block_slice(l), structure.block_slice(k)] = 0.3
+            moved = CovarianceModel(structure, moved)
+            assert _null_refusal(_require_null_model, moved) == _null_refusal(
+                _require_null_model_per_pair, moved
+            )
 
 
 def test_run_power_smoke():
