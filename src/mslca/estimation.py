@@ -108,23 +108,31 @@ class MslcaFit:
 def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
 
-    Raises CovarianceOverflowError when a covariance leaves the float range:
-    large entries overflow it, tiny ones make a variance subnormal (imprecise)
-    or zero in a column that is not constant.
+    A constant column, one whose centred entries are all equal, gets zero
+    variance and covariances, whatever its mean's round-off leaves there, so
+    its block is singular at any block size. Raises CovarianceOverflowError
+    when a covariance leaves the float range: large entries overflow it, tiny
+    ones make a variance subnormal (imprecise) or zero in a column that is not
+    constant.
     """
     centered = np.stack([data.rows for data in datasets])
+    n = centered.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         means = centered.mean(axis=1)
         centered -= means[:, None, :]
-        covs = centered.swapaxes(1, 2) @ centered / centered.shape[1]
+        covs = centered.swapaxes(1, 2) @ centered / n
+        # a constant column's variance is its mean's squared round-off, at most this
+        constant_bound = (2.0 * n * np.finfo(float).eps * means) ** 2
     if not np.isfinite(covs).all():
         raise CovarianceOverflowError(
             "the sample covariance overflows the float range; rescale the data"
         )
     variances = np.diagonal(covs, axis1=1, axis2=2)
-    underflow = (variances > 0.0) & (variances < np.finfo(float).tiny)
-    if not variances.all():
-        underflow |= (variances == 0.0) & (np.ptp(centered, axis=1) > 0.0)
+    underflow = variances < np.finfo(float).tiny
+    if (variances <= constant_bound).any():
+        constant = np.ptp(centered, axis=1) == 0.0
+        underflow &= ~constant
+        covs[constant[:, :, None] | constant[:, None, :]] = 0.0
     if underflow.any():
         raise CovarianceOverflowError(
             "the sample covariance underflows the float range; rescale the data"

@@ -224,5 +224,5 @@ def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> Const
     gram = solution.alpha.T @ build_phi(model) @ solution.alpha
     unit = float(np.abs(np.diag(gram) - 1.0).max())
     off = gram - np.diag(np.diag(gram))
-    ortho = float(np.abs(off).max()) if gram.shape[0] > 1 else 0.0
+    ortho = float(np.abs(off).max())
     return ConstraintDiagnostics(max_unit_violation=unit, max_orthogonality_violation=ortho)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -42,28 +42,27 @@ _CHUNK_BYTES = 768 * 1024
 
 
 def rng_stream(master_seed: int, size_index: int, rep_index: int) -> np.random.Generator:
-    """Independent generator for one (size, replication) cell."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(size_index, rep_index))
-    return np.random.default_rng(seq)
+    """Independent generator for one (size, replication) cell; the seed must be an integer."""
+    entropy = _integer(master_seed, "master_seed")
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(size_index, rep_index)))
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+def _gaussian_rows(model: CovarianceModel, n: int, seed) -> tuple[np.ndarray, np.random.Generator]:
+    """Standard normal rows times the model's root, and the generator that drew them."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.default_rng(_integer(seed, "seed"))
+    return seed.standard_normal((n, model.structure.total_dim)) @ model.root, seed
 
 
 def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
     """n i.i.d. centered Gaussian rows with covariance equal to the model's.
 
     Rows are the symmetric square root of the covariance applied to standard
-    normal vectors; deterministic given the seed (or generator).
+    normal vectors; deterministic given the seed, an integer or a Generator.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = _as_generator(seed)
-    rows = rng.standard_normal((n, model.structure.total_dim)) @ model.root
-    return Dataset._from_fresh(model.structure, rows)
+    return Dataset._from_fresh(model.structure, _gaussian_rows(model, n, seed)[0])
 
 
 def _require_nu(nu: float, what: str) -> None:
@@ -79,15 +78,12 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
 
     Draws V^{1/2} g / sqrt(w / nu) with g standard normal and w an
     independent chi-square(nu), times sqrt((nu-2)/nu) so the covariance is
-    exactly V. Requires a finite nu > 4 so fourth moments exist.
+    exactly V; g is drawn first, as in ``sample_gaussian``, then w. The seed
+    is an integer or a Generator. Requires a finite nu > 4 so fourth moments exist.
     """
     _require_nu(nu, "student-t sampler")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = _as_generator(seed)
-    gauss = rng.standard_normal((n, model.structure.total_dim)) @ model.root
-    mixing = rng.chisquare(nu, size=n)
-    rows = gauss * np.sqrt((nu - 2.0) / mixing)[:, None]
+    gauss, rng = _gaussian_rows(model, n, seed)
+    rows = gauss * np.sqrt((nu - 2.0) / rng.chisquare(nu, size=n))[:, None]
     return Dataset._from_fresh(model.structure, rows)
 
 
@@ -230,13 +226,7 @@ class ExperimentResult:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "plan": self.plan,
-            "records": self.records,
-            "summaries": self.summaries,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 def _column(records: list[dict], key: str) -> np.ndarray:

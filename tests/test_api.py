@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import mslca
@@ -20,15 +21,20 @@ def test_all_names_resolve_once():
         assert hasattr(mslca, name), name
 
 
+def _name_counts(tree):
+    """How often each name is read in ``tree``, as a bare name or as an attribute."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+    return counts
+
+
 def _referenced_names(path):
     """Every name a module reads, as a bare name or as an attribute."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+    return set(_name_counts(ast.parse(path.read_text(encoding="utf-8"))))
 
 
 def test_public_functions_have_a_caller():
@@ -39,6 +45,20 @@ def test_public_functions_have_a_caller():
     functions = [name for name in mslca.__all__ if inspect.isfunction(getattr(mslca, name))]
     assert functions
     assert [name for name in functions if name not in referenced] == []
+
+
+def test_private_helpers_have_a_caller():
+    # a private function or class that the package reads nowhere but in its
+    # own body is a helper left behind when its last caller went
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "src" / "mslca").glob("*.py")]
+    counts = sum(map(_name_counts, trees), Counter())
+    helpers = [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert helpers
+    assert [h.name for h in helpers if counts[h.name] == _name_counts(h)[h.name]] == []
 
 
 def _dotted(node):

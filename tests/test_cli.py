@@ -655,12 +655,14 @@ def test_covariance_underflow_exit_2(tmp_path, capsys, argv):
         _assert_one_error_line(capsys, "covariance underflows")
         assert not out.exists()
     # a constant column is a singular block, whatever its value rounds to
+    # (a 1x1 block included)
     for value in (3.3e-200, 1e-170, 0.1):
         write_csv(path, np.column_stack([normal[:, :3], np.full(200, value)]).tolist())
-        assert main([argv[0], "--data", str(path), "--blocks", "2,2", *argv[1:],
-                     "--out", str(out)]) == 3, value
-        _assert_one_error_line(capsys, "near-singular block 1")
-        assert not out.exists()
+        for blocks, block in (("2,2", 1), ("2,1,1", 2)):
+            assert main([argv[0], "--data", str(path), "--blocks", blocks, *argv[1:],
+                         "--out", str(out)]) == 3, (value, blocks)
+            _assert_one_error_line(capsys, f"near-singular block {block}")
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(

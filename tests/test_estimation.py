@@ -314,8 +314,10 @@ def test_covariance_underflow_is_named():
         fit_mslca(last_tiny)
     # a zero variance of a constant column is a singular block, not an underflow,
     # even where the rounded mean leaves the centred column nonzero
+    # (a 1x1 block included, whose own lambda_max is then zero too)
     for value in (0.0, 3.3e-200, 1e-170, 0.1):
-        constant = Dataset(structure, np.column_stack([rows[:, :3], np.full(200, value)]))
-        with pytest.raises(NearSingularError) as caught:
-            fit_mslca(constant)
-        assert caught.value.block == 1
+        columns = np.column_stack([rows[:, :3], np.full(200, value)])
+        for dims, block in (((2, 2), 1), ((2, 1, 1), 2)):
+            with pytest.raises(NearSingularError) as caught:
+                fit_mslca(Dataset(BlockStructure(dims), columns))
+            assert caught.value.block == block, (value, dims)

@@ -35,6 +35,10 @@ def test_rng_streams_are_independent_and_deterministic():
     c = rng_stream(5, 1, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # None would draw OS entropy and True seed 1; both are refused like a float
+    for seed in (3.0, True, None):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            rng_stream(seed, 0, 1)
 
 
 def test_sample_gaussian_moments_and_determinism():
@@ -94,6 +98,29 @@ def test_student_t_refuses_non_finite_nu(nu):
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError, match="nu must be finite"):
         student_t_kurtosis_scale(nu)
+
+
+@pytest.mark.parametrize("nu", [None, 9.0], ids=["gaussian", "student-t"])
+def test_sampler_seeds_follow_the_plan_integer_rule(nu):
+    model = random_spd_model(np.random.default_rng(61), BlockStructure((2, 1)))
+    n = 30
+
+    def sample(seed):
+        if nu is None:
+            return sample_gaussian(model, n, seed)
+        return sample_student_t(model, nu, n, seed)
+
+    for seed in (5, np.int64(5), np.random.default_rng(np.random.SeedSequence(5))):
+        # the Gaussian draw, then (student-t) the mixing column from the same generator
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        expected = rng.standard_normal((n, 3)) @ model.root
+        if nu is not None:
+            expected = expected * np.sqrt((nu - 2.0) / rng.chisquare(nu, size=n))[:, None]
+        assert np.array_equal(sample(seed).rows, expected), seed
+    # refused rather than truncated, as in a plan
+    for seed in (3.0, 3.7, True, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(seed)
 
 
 def test_ks_distance_known_values():
@@ -399,6 +426,13 @@ def test_result_payload_is_json_ready():
     result = run_experiment(plan)
     payload = json.dumps(result.to_dict())
     assert "rejection_chi2" in payload
+    assert result.to_dict() == {
+        "kind": result.kind,
+        "plan": result.plan,
+        "records": result.records,
+        "summaries": result.summaries,
+        "meta": result.meta,
+    }
 
 
 # Plans of every kind for the chunking tests: two sizes each, an uneven
@@ -505,3 +539,23 @@ def test_near_singular_cell_raises_its_own_error(monkeypatch):
         fit_mslca(bad_samples[2])
     assert alone.value.block == 1
     assert errors == [(1, alone.value.lambda_min, alone.value.lambda_max)] * 2
+
+
+def test_chunk_with_a_constant_column_raises_that_cells_error():
+    from mslca import Dataset, NearSingularError, fit_mslca
+    from mslca.simulate import _chunk_fits
+
+    structure = BlockStructure((1, 1, 1))
+    rows = np.random.default_rng(0).standard_normal((40, 3))
+    good = Dataset(structure, rows)
+    rows[:, 2] = 0.1
+    bad = Dataset(structure, rows)
+    with pytest.raises(NearSingularError) as alone:
+        fit_mslca(bad)
+    assert alone.value.block == 2
+    fits = iter(_chunk_fits([good, bad]))
+    assert np.array_equal(next(fits).that, fit_mslca(good).that)
+    with pytest.raises(NearSingularError) as stacked:
+        next(fits)
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.block == 2
