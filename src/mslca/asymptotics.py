@@ -13,10 +13,13 @@ Provided pieces:
   off-diagonal block entries (the limit covariance of the non-correlation
   statistic's Gaussian vector), returned as a plain array whose eigenvalues
   are the weights of the general route's weighted chi-square law.
+  Both fourth-moment estimators here (this and the plug-in ``c_tensor``) add
+  up their Gram products over blocks of rows, so their working memory does
+  not grow with n.
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
   operator expressed in the eigenbasis. Both read the operator from one set
   of eigenbasis quadratic forms, <beta_m, Z(x) beta_r> = x^T A_mr x: the
-  plug-in averages products of the forms over a whitened ``Dataset`` as one
+  plug-in averages products of the forms over a whitened ``Dataset`` as a
   Gram product, and the Gaussian version evaluates their second moments in
   closed form.
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
@@ -59,6 +62,9 @@ TAIL_ATOL = 1e-10
 _TERM_GRID = np.unique(np.ceil(2.0 ** (np.arange(89) / 4.0))).astype(np.int64)
 _MAX_ORDER = 12
 _CHUNK_ENTRIES = 1 << 18  # nodes x distinct weights evaluated at once
+# Bytes of one row block's features in a fourth-moment Gram (``_row_gram``).
+# Much smaller blocks slow wide Grams: at d = 1536, 1 MB blocks took 3x as long.
+_GRAM_BLOCK_BYTES = 8 << 20
 # Chernoff exponents tried, as fractions of their limit 1 / (2 lam_max).
 _CHERNOFF_GRID = np.concatenate([np.geomspace(1e-3, 0.5, 12), 1.0 - np.geomspace(0.4, 1e-4, 16)])
 
@@ -126,6 +132,26 @@ class MomentAccumulator:
         return dataset
 
 
+def _row_gram(rows: np.ndarray, features, width: int) -> np.ndarray:
+    """Sum over the rows x_i of f(x_i) f(x_i)^T, for f = ``features`` with ``width`` values.
+
+    ``features`` maps consecutive rows to their (rows, width) feature array.
+    Blocks of rows holding at most ``_GRAM_BLOCK_BYTES`` of features have
+    their Gram products added in row order, so working memory is one block
+    and the sum; a sample that fits in one block gets exactly f.T @ f.
+    """
+    step = max(1, _GRAM_BLOCK_BYTES // (8 * width))
+
+    def block_gram(start: int) -> np.ndarray:
+        f = features(rows[start : start + step])
+        return f.T @ f
+
+    gram = block_gram(0)
+    for start in range(step, rows.shape[0], step):
+        gram += block_gram(start)
+    return gram
+
+
 def build_gamma(whitened: Dataset) -> np.ndarray:
     """Assemble the d x d matrix of fourth moments of paired coordinates.
 
@@ -133,12 +159,17 @@ def build_gamma(whitened: Dataset) -> np.ndarray:
     Rows and columns run in the order of ``BlockStructure.cross_entries``
     (rows r, cols c). Entry [a, b] is the sample mean of
     x_{r_a} x_{c_a} x_{r_b} x_{c_b}; as a Gram matrix of pair products it is
-    symmetric positive semidefinite up to round-off.
+    symmetric positive semidefinite up to round-off. It is accumulated over
+    row blocks (``_row_gram``), so its working memory does not grow with n.
     """
     rows, cols = whitened.structure.cross_entries
-    stacked = whitened.rows[:, rows]
-    stacked *= whitened.rows[:, cols]  # in place: one n x d product array fewer at peak
-    matrix = stacked.T @ stacked / whitened.n
+
+    def pair_products(x: np.ndarray) -> np.ndarray:
+        stacked = x[:, rows]
+        stacked *= x[:, cols]  # in place: one product array fewer at peak
+        return stacked
+
+    matrix = _row_gram(whitened.rows, pair_products, rows.size) / whitened.n
     return 0.5 * (matrix + matrix.T)
 
 
@@ -172,20 +203,22 @@ def c_tensor(
     Entry [m, r, s, t] is the sample mean, over the whitened sample, of
     z_mr z_st, where z_mr = x^T A[m, r] x is the observation's value of the
     eigenbasis forms that ``c_tensor_gaussian`` also uses. With the (n, q^2)
-    matrix of the z values, the tensor is the Gram product z^T z / n. Raises
-    ValueError unless the sample, the solution and the model share one block
-    structure.
+    matrix of the z values, the tensor is the Gram product z^T z / n,
+    accumulated over row blocks (``_row_gram``), so its working memory does
+    not grow with n. Raises ValueError unless the sample, the solution and the
+    model share one block structure.
     """
     if whitened.structure != model.structure:
         raise ValueError(
             f"sample has block dims {whitened.structure.dims}, model has {model.structure.dims}"
         )
-    forms = _eigenbasis_forms(model, solution)
     q = whitened.structure.total_dim
-    n = whitened.n
-    outer = (whitened.rows[:, :, None] * whitened.rows[:, None, :]).reshape(n, q * q)
-    z = outer @ forms.reshape(q * q, q * q).T
-    return (z.T @ z / n).reshape(q, q, q, q)
+    forms = _eigenbasis_forms(model, solution).reshape(q * q, q * q)
+
+    def form_values(x: np.ndarray) -> np.ndarray:
+        return (x[:, :, None] * x[:, None, :]).reshape(len(x), q * q) @ forms.T
+
+    return (_row_gram(whitened.rows, form_values, q * q) / whitened.n).reshape(q, q, q, q)
 
 
 def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:

@@ -103,6 +103,21 @@ def read_csv_matrix(path: str) -> np.ndarray:
         return _scan_csv(path, fh)
 
 
+def _has_long_line(raw: bytes, limit: int) -> bool:
+    """Whether a line of ``raw``, counted in bytes between newlines, is longer than ``limit``.
+
+    Each step finds the last newline within limit + 1 bytes of a line start:
+    with none, that line is too long; else every line up to it is short.
+    """
+    start = 0
+    while len(raw) - start > limit:
+        end = raw.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
 def _read_plain(fh) -> np.ndarray | None:
     """np.loadtxt's matrix of a plain numeric file, or None for the csv scan.
 
@@ -111,10 +126,11 @@ def _read_plain(fh) -> np.ndarray | None:
     limit (counted in bytes between newlines, which is never shorter).
     """
     raw = fh.buffer.read()
-    if max(map(len, raw.split(b"\n"))) > csv.field_size_limit():
+    if _has_long_line(raw, csv.field_size_limit()):
         return None
     if any(space in raw for space in _LOADTXT_ONLY_SPACES):
         return None
+    del raw  # not held while np.loadtxt builds the matrix
     fh.seek(0)
     try:
         reader = csv.reader(fh)

@@ -49,6 +49,7 @@ def rng_stream(master_seed: int, size_index: int, rep_index: int) -> np.random.G
 
 def _gaussian_rows(model: CovarianceModel, n: int, seed) -> tuple[np.ndarray, np.random.Generator]:
     """Standard normal rows times the model's root, and the generator that drew them."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not isinstance(seed, np.random.Generator):
@@ -61,6 +62,7 @@ def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
 
     Rows are the symmetric square root of the covariance applied to standard
     normal vectors; deterministic given the seed, an integer or a Generator.
+    ``n`` is an integer >= 1; a float or a bool raises ValueError, as in a plan.
     """
     return Dataset._from_fresh(model.structure, _gaussian_rows(model, n, seed)[0])
 
@@ -79,7 +81,8 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
     Draws V^{1/2} g / sqrt(w / nu) with g standard normal and w an
     independent chi-square(nu), times sqrt((nu-2)/nu) so the covariance is
     exactly V; g is drawn first, as in ``sample_gaussian``, then w. The seed
-    is an integer or a Generator. Requires a finite nu > 4 so fourth moments exist.
+    is an integer or a Generator, and ``n`` an integer >= 1, as in
+    ``sample_gaussian``. Requires a finite nu > 4 so fourth moments exist.
     """
     _require_nu(nu, "student-t sampler")
     gauss, rng = _gaussian_rows(model, n, seed)

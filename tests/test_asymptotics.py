@@ -1,5 +1,7 @@
 """Limit-law machinery: Z operator, fourth moments, C coefficients, quad forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,8 +32,10 @@ from mslca.asymptotics import (
     WHITENED_ATOL,
     WHITENED_MODEL_ATOL,
     MomentAccumulator,
+    _eigenbasis_forms,
     _require_whitened_data,
     _require_whitened_model,
+    _row_gram,
 )
 from conftest import (
     block,
@@ -500,6 +504,119 @@ def test_c_tensors_refuse_mismatched_structures(dims, other):
         c_tensor(white, foreign_solution, model)
     with pytest.raises(ValueError):
         c_tensor(foreign_white, solution, model)
+
+
+def _gamma_one_shot(white):
+    """``build_gamma`` as one Gram product over the whole (n, d) pair-product array."""
+    rows, cols = white.structure.cross_entries
+    stacked = white.rows[:, rows] * white.rows[:, cols]
+    matrix = stacked.T @ stacked / white.n
+    return 0.5 * (matrix + matrix.T)
+
+
+def _c_tensor_one_shot(white, solution, model):
+    """``c_tensor`` as one Gram product over the whole (n, q^2) array of form values."""
+    q = white.structure.total_dim
+    forms = _eigenbasis_forms(model, solution).reshape(q * q, q * q)
+    outer = (white.rows[:, :, None] * white.rows[:, None, :]).reshape(white.n, q * q)
+    z = outer @ forms.T
+    return (z.T @ z / white.n).reshape(q, q, q, q)
+
+
+def test_row_gram_walks_the_rows_in_blocks(monkeypatch):
+    # 200 rows and 5 features in blocks of 37 rows: five full blocks, then 15
+    rows = np.random.default_rng(181).standard_normal((200, 3))
+    full = np.column_stack([rows, rows[:, :2] * rows[:, 1:]])
+
+    def features(x):
+        lengths.append(len(x))
+        return np.column_stack([x, x[:, :2] * x[:, 1:]])
+
+    for budget in (37 * 8 * 5, 37 * 8 * 5 + 39):
+        monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", budget)
+        lengths = []
+        gram = _row_gram(rows, features, 5)
+        assert lengths == [37] * 5 + [15]
+        np.testing.assert_allclose(gram, full.T @ full, rtol=1e-12)
+    monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", 1)  # below one row: a row a block
+    lengths = []
+    np.testing.assert_allclose(_row_gram(rows, features, 5), full.T @ full, rtol=1e-12)
+    assert lengths == [1] * 200
+
+
+def test_gram_estimators_over_several_row_blocks_match_oracles(monkeypatch):
+    rng = np.random.default_rng(191)
+    for i in range(8):
+        model = random_whitened_model(rng, random_structure(rng))
+        if i % 2:
+            data = sample_gaussian(model, 200, rng)
+        else:
+            data = sample_student_t(model, 9.0, 200, rng)
+        white = fit_mslca(data).whitened
+        d = white.structure.cross_entries[0].size
+        monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", 37 * 8 * d)
+        gamma = build_gamma(white)
+        np.testing.assert_allclose(gamma, _build_gamma_per_pair(white), rtol=1e-12)
+        np.testing.assert_allclose(gamma, _gamma_one_shot(white), rtol=1e-12)
+        assert np.array_equal(gamma, gamma.T)
+        assert np.array_equal(build_gamma(white), gamma)
+    for model in (WHITENED_111, WHITENED_222, WHITENED_213):
+        solution = solve_mslca(model)
+        white = _whitened_sample(model, 300, seed=193, sampler="t", nu=9.0)
+        q = model.structure.total_dim
+        monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", 37 * 8 * q * q)
+        tensor = c_tensor(white, solution, model)
+        top = np.abs(tensor).max()
+        np.testing.assert_allclose(
+            tensor, _c_tensor_one_shot(white, solution, model), rtol=1e-12, atol=1e-12 * top
+        )
+        for m, r, s, t in [(0, 0, 0, 0), (0, 1, 2, 0), (q - 1, 0, 1, q - 1), (1, 1, 2, 2)]:
+            assert tensor[m, r, s, t] == pytest.approx(
+                _c_coefficient(white, solution, model, m, r, s, t), rel=1e-12, abs=1e-12 * top
+            )
+        assert np.array_equal(c_tensor(white, solution, model), tensor)
+
+
+def test_gram_estimators_in_one_block_are_the_one_shot_formulas():
+    # at the default block budget these samples fit in one block, which must
+    # give exactly the whole-sample Gram product
+    for model in (WHITENED_111, WHITENED_213):
+        solution = solve_mslca(model)
+        white = _whitened_sample(model, 2000, seed=197, sampler="t", nu=9.0)
+        assert np.array_equal(build_gamma(white), _gamma_one_shot(white))
+        assert np.array_equal(build_gamma(white), build_gamma(white))
+        tensor = c_tensor(white, solution, model)
+        assert np.array_equal(tensor, _c_tensor_one_shot(white, solution, model))
+        assert np.array_equal(c_tensor(white, solution, model), tensor)
+
+
+@pytest.mark.parametrize("estimator", ["gamma", "c-tensor"])
+def test_gram_working_memory_does_not_grow_with_n(monkeypatch, estimator):
+    budget = 256 * 1024
+    monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", budget)
+    if estimator == "gamma":
+        model = CovarianceModel(BlockStructure((5, 5, 5, 5)), np.eye(20))
+        white = _whitened_sample(model, 20000, seed=199)
+        result_bytes = 8 * white.structure.cross_entries[0].size ** 2
+
+        def run():
+            return build_gamma(white)
+    else:
+        solution = solve_mslca(WHITENED_222)
+        white = _whitened_sample(WHITENED_222, 20000, seed=199)
+        result_bytes = 8 * WHITENED_222.structure.total_dim ** 4
+
+        def run():
+            return c_tensor(white, solution, WHITENED_222)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's features and their factors, and a few result-sized arrays;
+    # the whole-sample products held two n x width arrays (45.8 MB for Gamma here)
+    assert peak < 3 * budget + 4 * result_bytes
 
 
 def _eigenbasis_forms_from_psi(model, solution):

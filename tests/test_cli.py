@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV handling, JSON reports."""
 
+import csv
 import gzip
 import json
 import os
@@ -281,6 +282,34 @@ def test_plain_numeric_csv_never_reaches_the_scan(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(mslca.cli, "_scan_csv", refuse)
     assert mslca.cli.read_csv_matrix(str(path)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("newline, ending", [(b"\n", b"\n"), (b"\r\n", b"\r\n"), (b"\n", b"")],
+                         ids=["lf", "crlf", "no-final-newline"])
+@pytest.mark.parametrize("longest, scanned", [(20, False), (21, True)], ids=["at-limit", "over-limit"])
+def test_plain_reader_line_limit_boundary(tmp_path, monkeypatch, newline, ending, longest, scanned):
+    # a line is measured in bytes between newlines, a CR included; with the
+    # csv field limit at 20, a 20-byte line is read by numpy, 21 bytes by the scan
+    line = b"1,2,3.5" + b"0" * (longest - 7 - len(ending.rstrip(b"\n")))
+    content = b"1,2,3" + newline + line + ending
+    assert max(map(len, content.split(b"\n"))) == longest
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    scan = mslca.cli._scan_csv
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(mslca.cli, "_scan_csv", recorded)
+    previous = csv.field_size_limit(20)
+    try:
+        matrix = mslca.cli.read_csv_matrix(str(path))
+    finally:
+        csv.field_size_limit(previous)
+    assert np.array_equal(matrix, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]])
+    assert bool(calls) == scanned
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -123,6 +123,22 @@ def test_sampler_seeds_follow_the_plan_integer_rule(nu):
             sample(seed)
 
 
+@pytest.mark.parametrize("nu", [None, 9.0], ids=["gaussian", "student-t"])
+def test_sampler_sizes_follow_the_plan_integer_rule(nu):
+    model = random_spd_model(np.random.default_rng(67), BlockStructure((2, 1)))
+
+    def sample(n):
+        if nu is None:
+            return sample_gaussian(model, n, 5)
+        return sample_student_t(model, nu, n, 5)
+
+    assert np.array_equal(sample(np.int64(3)).rows, sample(3).rows)
+    assert sample(3).rows.shape == (3, 3)
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample(n)
+
+
 def test_ks_distance_known_values():
     # single observation at 0.5 against the uniform CDF
     assert ks_distance([0.5], lambda x: np.asarray(x)) == pytest.approx(0.5, abs=1e-12)
