@@ -108,6 +108,13 @@ class MslcaFit:
 def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
 
+    Each sample is copied transposed into one C-ordered (R, q, n) stack, so
+    every column is one contiguous row: its mean is numpy's pairwise sum along
+    that row, more accurate than a running sum down the rows, and the
+    covariances are one batched product of the centred rows with their
+    transposes. Each row reduction and product acts on one sample's matrix
+    alone, so a sample gets the same bits in any stack.
+
     A constant column, one whose centred entries are all equal, gets zero
     variance and covariances, whatever its mean's round-off leaves there, so
     its block is singular at any block size. Raises CovarianceOverflowError
@@ -115,12 +122,12 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     ones make a variance subnormal (imprecise) or zero in a column that is not
     constant.
     """
-    centered = np.stack([data.rows for data in datasets])
-    n = centered.shape[1]
+    centered = np.array([data.rows.T for data in datasets])
+    n = centered.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
-        means = centered.mean(axis=1)
-        centered -= means[:, None, :]
-        covs = centered.swapaxes(1, 2) @ centered / n
+        means = centered.mean(axis=2)
+        centered -= means[:, :, None]
+        covs = centered @ centered.swapaxes(1, 2) / n
         # a constant column's variance is its mean's squared round-off, at most this
         constant_bound = (2.0 * n * np.finfo(float).eps * means) ** 2
     if not np.isfinite(covs).all():
@@ -130,7 +137,7 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     variances = np.diagonal(covs, axis1=1, axis2=2)
     underflow = variances < np.finfo(float).tiny
     if (variances <= constant_bound).any():
-        constant = np.ptp(centered, axis=1) == 0.0
+        constant = np.ptp(centered, axis=2) == 0.0
         underflow &= ~constant
         covs[constant[:, :, None] | constant[:, None, :]] = 0.0
     if underflow.any():
@@ -147,7 +154,8 @@ def _fit_stack(
 ) -> list[MslcaFit]:
     """Fit samples of one structure and size together, one fit per sample in order.
 
-    The samples are stacked into one (R, n, q) array: one centering, one
+    The samples are copied transposed into one (R, q, n) array, so each
+    column's pairwise mean runs along a contiguous row: one centering, one
     matrix product for the R covariances and one eigensolve per block and for
     T, each over the whole stack. Every fit's arrays are read-only views into
     the stacks, and each equals, bit for bit, the fit of its sample alone.

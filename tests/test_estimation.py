@@ -1,5 +1,7 @@
 """Empirical covariance arithmetic, fitting, alignment and whitening."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from mslca import (
     whiten,
 )
 from mslca.asymptotics import _require_whitened_data
-from mslca.estimation import _means_and_covs
+from mslca.estimation import _fit_stack, _means_and_covs
 from mslca.exceptions import CovarianceOverflowError
 from conftest import (
     blockdiag,
@@ -53,6 +55,53 @@ def test_empirical_cov_examples():
 
     two_point = Dataset(s, [[-1.0, -1.0], [1.0, 1.0]])
     assert np.array_equal(_means_and_covs([two_point])[1][0], [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_means_and_covs_match_exact_sums_and_stacks_change_no_bit():
+    # columns on large offsets, where a running sum down the rows loses about
+    # sqrt(n) eps of the mean; the oracle is the exactly rounded sum
+    eps = np.finfo(float).eps
+    structure = BlockStructure((2, 2))
+    rng = np.random.default_rng(127)
+    for n in (2000, 10000, 20000):
+        samples = []
+        for _ in range(4):
+            offsets = 1e8 + rng.uniform(-1e5, 1e5, 4)
+            mixing = rng.uniform(-1.0, 1.0, (4, 4)) * rng.uniform(1e2, 1e5, 4)
+            samples.append(Dataset(structure, offsets + rng.standard_normal((n, 4)) @ mixing))
+        means, covs = _means_and_covs(samples)
+        for data, mean, cov in zip(samples, means, covs):
+            exact = np.array([math.fsum(column) / n for column in data.rows.T])
+            centred = data.rows - exact  # exact: every entry is within a factor 2 of its mean
+            exact_cov = np.array(
+                [[math.fsum(centred[:, a] * centred[:, b]) / n for b in range(4)] for a in range(4)]
+            )
+            mean_abs = np.abs(data.rows).mean(axis=0)
+            ulps = np.abs(mean - exact) / (eps * mean_abs)
+            assert (ulps <= 3.0).all(), (n, ulps)
+            largest = np.diag(exact_cov).max()
+            np.testing.assert_allclose(cov, exact_cov, rtol=0, atol=1e-12 * largest)
+    # the chunk shapes of the perfbench workloads: a stacked fit is each
+    # sample's own fit, bit for bit
+    null_222 = CovarianceModel(BlockStructure((2, 2, 2)), np.eye(6))
+    whitened_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
+    chunks = [
+        [sample_gaussian(null_222, 2000, seed) for seed in range(8)],
+        [sample_student_t(null_222, 10.0, 5000, seed) for seed in range(3)],
+        [sample_gaussian(whitened_111, 10000, seed) for seed in range(3)],
+    ]
+    for samples in chunks:
+        for stacked, data in zip(_fit_stack(samples), samples):
+            alone = fit_mslca(data)
+            for a, b in (
+                (stacked.means, alone.means),
+                (stacked.vhat.v, alone.vhat.v),
+                (stacked.that, alone.that),
+                (stacked.solution.rho, alone.solution.rho),
+                (stacked.solution.beta, alone.solution.beta),
+            ):
+                assert np.array_equal(a, b)
+            assert stacked.s == alone.s
 
 
 def test_empirical_cov_divisor_is_n():
@@ -314,10 +363,13 @@ def test_covariance_underflow_is_named():
         fit_mslca(last_tiny)
     # a zero variance of a constant column is a singular block, not an underflow,
     # even where the rounded mean leaves the centred column nonzero
-    # (a 1x1 block included, whose own lambda_max is then zero too)
-    for value in (0.0, 3.3e-200, 1e-170, 0.1):
-        columns = np.column_stack([rows[:, :3], np.full(200, value)])
-        for dims, block in (((2, 2), 1), ((2, 1, 1), 2)):
-            with pytest.raises(NearSingularError) as caught:
-                fit_mslca(Dataset(BlockStructure(dims), columns))
-            assert caught.value.block == block, (value, dims)
+    # (a 1x1 block included, whose own lambda_max is then zero too), at lengths
+    # that cross numpy's 8- and 128-element blocks of pairwise summation
+    for n in (3, 129, 200, 10000):
+        head = sample_gaussian(model, n, 415).rows[:, :3]
+        for value in (0.0, 3.3e-200, 1e-170, 0.1, -7.7, 1e8):
+            columns = np.column_stack([head, np.full(n, value)])
+            for dims, block in (((2, 2), 1), ((2, 1, 1), 2)):
+                with pytest.raises(NearSingularError) as caught:
+                    fit_mslca(Dataset(BlockStructure(dims), columns))
+                assert caught.value.block == block, (n, value, dims)
