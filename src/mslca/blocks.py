@@ -5,8 +5,11 @@ A block structure partitions the coordinates of R^q into consecutive groups
 matrices plain (q, q) arrays; the structure object supplies offsets, slices,
 the mask of within-block entries and the order of the cross-block entries,
 so callers never hand-compute index arithmetic. The symmetric primitives
-also take a stack of matrices (leading axes before the last two) and treat
-each matrix exactly as they would treat it alone.
+(``require_symmetric``, ``sym_eig``, ``sym_power`` and ``psd_sqrt``) also
+take a stack of matrices (leading axes before the last two) and treat each
+matrix exactly as they would treat it alone. Only ``sym_eig`` orders and
+signs eigenvectors; the matrix functions rebuild Q f(Lambda) Q^T, which does
+not depend on either, from plain ``eigh``.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ class SymmetricEig:
     ``eigenvalues[j]``. In every eigenvector the entry of largest absolute
     value is positive (first such entry on ties), so repeated runs and
     downstream estimators are reproducible. For a stack of matrices both
-    arrays carry the stack's leading axes.
+    arrays carry the stack's leading axes. Only ``sym_eig`` pays for this
+    convention: ``sym_power`` and ``psd_sqrt`` do not need it.
     """
 
     eigenvalues: np.ndarray
@@ -152,6 +156,19 @@ def sym_eig(a: np.ndarray) -> SymmetricEig:
     return SymmetricEig(eigenvalues=values, eigenvectors=vectors)
 
 
+def _recompose(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Q diag(values) Q^T from ``eigh``'s ascending pairs, symmetrized.
+
+    The terms are summed from the largest eigenvalue down (the columns
+    reversed into one contiguous copy), the order ``sym_eig`` gives, so the
+    result equals the same product of ``sym_eig``'s eigenvectors bit for bit
+    (negating a column does not change it).
+    """
+    vectors = np.ascontiguousarray(vectors[..., ::-1])
+    product = (vectors * values[..., None, ::-1]) @ vectors.swapaxes(-1, -2)
+    return 0.5 * (product + product.swapaxes(-1, -2))
+
+
 def sym_power(
     a: np.ndarray, exponent: float, cond_floor: float = DEFAULT_COND_FLOOR
 ) -> np.ndarray:
@@ -168,33 +185,31 @@ def sym_power(
     """
     if not 0.0 <= cond_floor < 1.0:
         raise ValueError(f"cond_floor must lie in [0, 1), got {cond_floor}")
-    eig = sym_eig(a)
-    lam_min = eig.eigenvalues[..., -1]
-    lam_max = eig.eigenvalues[..., 0]
+    values, vectors = np.linalg.eigh(require_symmetric(a))
+    lam_min = values[..., 0]
+    lam_max = values[..., -1]
     bad = np.ravel(lam_min <= cond_floor * lam_max)
     if bad.any():
         first = np.flatnonzero(bad)[0]
         raise NearSingularError(np.ravel(lam_min)[first], np.ravel(lam_max)[first])
-    vectors = eig.eigenvectors
-    powered = (vectors * (eig.eigenvalues**exponent)[..., None, :]) @ vectors.swapaxes(-1, -2)
-    return 0.5 * (powered + powered.swapaxes(-1, -2))
+    return _recompose(vectors, values**exponent)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
+    """Symmetric square root of a positive semidefinite matrix (or a stack).
 
     Eigenvalues in [-PSD_NEG_RTOL * (1 + lambda_max), 0) are clamped to zero (round-off
-    on a singular PSD matrix); anything more negative raises ValueError.
+    on a singular PSD matrix); anything more negative raises ValueError
+    (for a stack, naming the first such matrix's lambda_min).
     Unlike ``sym_power`` this accepts singular input, as needed for sampling
-    from degenerate covariance models.
+    from degenerate covariance models. Like ``sym_power`` it works from
+    plain ``eigh``, without ``sym_eig``'s order and sign convention.
     """
-    eig = sym_eig(a)
-    lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    floor = -PSD_NEG_RTOL * (1.0 + lam_max)
-    if float(eig.eigenvalues[-1]) < floor:
-        raise ValueError(
-            f"matrix is not positive semidefinite: lambda_min = {eig.eigenvalues[-1]:.3e}"
-        )
-    clamped = np.clip(eig.eigenvalues, 0.0, None)
-    root = (eig.eigenvectors * np.sqrt(clamped)) @ eig.eigenvectors.T
-    return 0.5 * (root + root.T)
+    values, vectors = np.linalg.eigh(require_symmetric(a))
+    lam_min = values[..., 0]
+    floor = -PSD_NEG_RTOL * (1.0 + np.maximum(values[..., -1], 0.0))
+    bad = np.ravel(lam_min < floor)
+    if bad.any():
+        worst = np.ravel(lam_min)[np.flatnonzero(bad)[0]]
+        raise ValueError(f"matrix is not positive semidefinite: lambda_min = {worst:.3e}")
+    return _recompose(vectors, np.sqrt(np.clip(values, 0.0, None)))

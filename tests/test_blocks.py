@@ -239,12 +239,15 @@ def test_stacked_primitives_equal_per_matrix_calls_bit_for_bit():
     stack = _random_stack(rng, 5, 4)
     eig = sym_eig(stack)
     powered = sym_power(stack, -0.5)
+    root = psd_sqrt(stack)
     assert eig.eigenvalues.shape == (5, 4) and eig.eigenvectors.shape == (5, 4, 4)
+    assert root.shape == (5, 4, 4)
     for i in range(5):
         alone = sym_eig(stack[i])
         assert np.array_equal(eig.eigenvalues[i], alone.eigenvalues)
         assert np.array_equal(eig.eigenvectors[i], alone.eigenvectors)
         assert np.array_equal(powered[i], sym_power(stack[i], -0.5))
+        assert np.array_equal(root[i], psd_sqrt(stack[i]))
         assert np.array_equal(require_symmetric(stack)[i], require_symmetric(stack[i]))
 
 
@@ -273,3 +276,41 @@ def test_stacked_checks_run_per_matrix():
         alone.value.lambda_min,
         alone.value.lambda_max,
     )
+
+    indefinite = _random_stack(rng, 3, 2)
+    indefinite[1] = -np.eye(2)
+    with pytest.raises(ValueError, match=r"lambda_min = -1\.000e\+00"):
+        psd_sqrt(indefinite)
+    with pytest.raises(ValueError, match=r"lambda_min = -1\.000e\+00"):
+        psd_sqrt(indefinite[1])
+
+
+def _sym_eig_formula(a, f):
+    """Q f(Lambda) Q^T symmetrized, from sym_eig's ordered, signed eigenvectors."""
+    eig = sym_eig(a)
+    vectors = eig.eigenvectors
+    product = (vectors * f(eig.eigenvalues)[..., None, :]) @ vectors.swapaxes(-1, -2)
+    return 0.5 * (product + product.swapaxes(-1, -2))
+
+
+def _clamped_sqrt(values):
+    return np.sqrt(np.clip(values, 0.0, None))
+
+
+def test_matrix_functions_equal_the_sym_eig_formulas_bit_for_bit():
+    # Q f(Lambda) Q^T does not depend on the order or sign of Q's columns, and
+    # summing from the largest eigenvalue down keeps sym_eig's order. Matrices
+    # with exactly equal eigenvalues are left out: among tied terms eigh's
+    # reversed order and sym_eig's stable sort may sum in a different order,
+    # which changes only round-off.
+    rng = np.random.default_rng(31)
+    stacks = [_random_stack(rng, count, m) for count, m in ((8, 2), (3, 1), (3, 3), (5, 4))]
+    for stack in stacks:
+        values = np.linalg.eigvalsh(stack)
+        assert (np.diff(values, axis=-1) > 0).all()
+        for exponent in (-1.0, -0.5, 0.5):
+            expected = _sym_eig_formula(stack, lambda values: values**exponent)
+            assert np.array_equal(sym_power(stack, exponent), expected)
+        assert np.array_equal(psd_sqrt(stack), _sym_eig_formula(stack, _clamped_sqrt))
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(psd_sqrt(singular), _sym_eig_formula(singular, _clamped_sqrt))

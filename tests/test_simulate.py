@@ -497,7 +497,6 @@ def test_records_do_not_depend_on_chunk_length(kind, monkeypatch):
 
 
 def test_chunk_runs_one_eigensolve_per_block_and_one_for_t(monkeypatch):
-    import mslca.blocks
     import mslca.population
     import mslca.simulate
 
@@ -505,21 +504,29 @@ def test_chunk_runs_one_eigensolve_per_block_and_one_for_t(monkeypatch):
         kind="null-dist", model=NULL_222, sizes=(130, 300), replications=7, seed=53
     )
     monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", _chunk_budget(plan, 3))
-    calls = []
-    original = mslca.blocks.sym_eig
+    calls, t_calls = [], []
+    original_eigh = np.linalg.eigh
+    original_sym_eig = mslca.population.sym_eig
+
+    def counting_eigh(a):
+        calls.append(np.shape(a))
+        return original_eigh(a)
 
     def counting_sym_eig(a):
-        calls.append(np.shape(a))
-        return original(a)
+        t_calls.append(np.shape(a))
+        return original_sym_eig(a)
 
-    monkeypatch.setattr(mslca.blocks, "sym_eig", counting_sym_eig)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(mslca.population, "sym_eig", counting_sym_eig)
     run_experiment(plan)
-    # K + 1 = 4 eigensolves per chunk. At n=300 a chunk holds 3 cells, so
-    # 7 replications take 3 chunks; at n=130 it holds 3 * 300 // 130 = 6
-    # cells, so they take 2.
+    # K + 1 = 4 eigensolves per chunk, counted at LAPACK's eigh. At n=300 a
+    # chunk holds 3 cells, so 7 replications take 3 chunks; at n=130 it holds
+    # 3 * 300 // 130 = 6 cells, so they take 2. Only T's solve goes through
+    # sym_eig, once per chunk.
     assert len(calls) == 4 * (3 + 2)
     assert sorted({shape[0] for shape in calls}) == [1, 3, 6]
+    assert len(t_calls) == 3 + 2
+    assert all(shape[-1] == NULL_222.structure.total_dim for shape in t_calls)
 
 
 def test_near_singular_cell_raises_its_own_error(monkeypatch):
