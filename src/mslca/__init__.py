@@ -46,7 +46,6 @@ from .asymptotics import (
     c_tensor_gaussian,
     quad_form_pvalue,
     sigma_matrix,
-    z_operator,
 )
 from .noncorr import (
     TestReport,
@@ -92,7 +91,6 @@ __all__ = [
     "align_sign",
     "whiten",
     "EigenChiSquareDist",
-    "z_operator",
     "build_gamma",
     "c_tensor",
     "c_tensor_gaussian",

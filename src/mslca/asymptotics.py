@@ -6,8 +6,6 @@ theory: each block has identity covariance (data whitened, models
 
 Provided pieces:
 
-* ``z_operator`` -- the random operator whose covariance is the limit law of
-  sqrt(n) times the estimation error of the canonical operator.
 * ``build_gamma`` -- the d x d matrix of fourth moments of a whitened
   ``Dataset`` (a fit's ``whitened`` sample): the covariance of the stacked
   off-diagonal block entries (the limit covariance of the non-correlation
@@ -17,11 +15,11 @@ Provided pieces:
   up their Gram products over blocks of rows, so their working memory does
   not grow with n.
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
-  operator expressed in the eigenbasis. Both read the operator from one set
-  of eigenbasis quadratic forms, <beta_m, Z(x) beta_r> = x^T A_mr x: the
-  plug-in averages products of the forms over a whitened ``Dataset`` as a
-  Gram product, and the Gaussian version evaluates their second moments in
-  closed form.
+  operator Z in the eigenbasis. Z is defined once, by its eigenbasis forms
+  <beta_m, Z(x) beta_r> = x^T A_mr x, which check the eigen-relation they
+  rest on: the plug-in averages products of the forms over a whitened
+  ``Dataset`` as a Gram product, the Gaussian version evaluates their second
+  moments in closed form, and ``clt-check`` reads Z's entries from them.
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
@@ -96,27 +94,6 @@ def _require_whitened_data(rows: np.ndarray, structure: BlockStructure) -> None:
             raise ValueError(f"block {k} of the data is not whitened; whiten it first")
 
 
-def z_operator(x: np.ndarray, model: CovarianceModel) -> np.ndarray:
-    """Evaluate the limit-law random operator at one observation.
-
-    For a whitened-compatible model with off-diagonal part Psi, Z(x) is
-    off(x x^T) - (D Psi + Psi D) / 2, where off(.) keeps the off-diagonal
-    blocks and D is the block-diagonal part of x x^T: block (k, l), k != l,
-    is x_k x_l^T - (x_k x_k^T V_kl + V_kl x_l x_l^T) / 2 and diagonal blocks
-    vanish; the result is symmetric. Averaged over draws from the model its
-    expectation is zero. Raises ValueError unless x has length q.
-    """
-    _require_whitened_model(model)
-    q = model.structure.total_dim
-    x = np.asarray(x, dtype=float)
-    if x.shape != (q,):
-        raise ValueError(f"expected vector of length {q}, got shape {x.shape}")
-    mask = model.structure.diagonal_mask
-    outer = np.outer(x, x)
-    d_psi = np.where(mask, outer, 0.0) @ np.where(mask, 0.0, model.v)
-    return np.where(mask, 0.0, outer) - 0.5 * (d_psi + d_psi.T)
-
-
 class MomentAccumulator:
     """The checked entry for a sample whitened outside a fit.
 
@@ -176,13 +153,15 @@ def build_gamma(whitened: Dataset) -> np.ndarray:
 def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
     """The limit operator in the eigenbasis as quadratic forms in the observation.
 
-    Returns A with shape (q, q, q, q) such that <beta_m, Z(x) beta_r> =
-    x^T A[m, r] x for every x, with Z the ``z_operator``. By the eigen-relation
-    Psi beta_r = rho_r beta_r of the model's own solution, A[m, r] is
-    beta_m beta_r^T with its diagonal blocks scaled by -(rho_m + rho_r) / 2;
-    for diagonal blocks within ``WHITENED_MODEL_ATOL`` of the identity, it
-    matches the form read from Psi only to that order. Raises ValueError
-    unless the model is whitened-compatible and has the solution's blocks.
+    Returns A (q, q, q, q) with <beta_m, Z(x) beta_r> = x^T A[m, r] x for
+    every x: the one definition of the limit operator Z(x) = off(x x^T) -
+    (D Psi + Psi D) / 2, D the diagonal blocks of x x^T. By the eigen-relation
+    Psi beta_r = rho_r beta_r, which must hold within WHITENED_ATOL * (1 +
+    max|Psi|), A[m, r] is beta_m beta_r^T with its diagonal blocks scaled by
+    -(rho_m + rho_r) / 2; for diagonal blocks within ``WHITENED_MODEL_ATOL`` of
+    the identity, it (and so ``clt-check``'s Z) matches the Psi form only to
+    that order. Raises ValueError unless the model is whitened-compatible and
+    solved by the solution.
     """
     _require_whitened_model(model)
     structure = model.structure
@@ -191,8 +170,22 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
             f"solution has block dims {solution.structure.dims}, model has {structure.dims}"
         )
     beta, rho = solution.beta, solution.rho
+    psi = np.where(structure.diagonal_mask, 0.0, model.v)
+    residual = np.abs(psi @ beta - beta * rho).max()
+    if residual > WHITENED_ATOL * (1.0 + np.abs(psi).max()):
+        raise ValueError(f"solution breaks Psi beta = beta rho by {residual:.3e}")
     half_sums = -0.5 * (rho[:, None, None, None] + rho[None, :, None, None])
     return np.einsum("um,vr->mruv", beta, beta) * np.where(structure.diagonal_mask, half_sums, 1.0)
+
+
+def _cross_entry_forms(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:
+    """F (d, q, q) with x^T F[e] x entry e of Z(x), in ``BlockStructure.cross_entries`` order.
+
+    The eigenbasis forms rotated back: F[e] = sum_{m,r} beta[rows_e, m] beta[cols_e, r] A[m, r].
+    """
+    rows, cols = model.structure.cross_entries
+    beta = solution.beta
+    return np.einsum("em,er,mruv->euv", beta[rows], beta[cols], _eigenbasis_forms(model, solution))
 
 
 def c_tensor(
@@ -206,7 +199,7 @@ def c_tensor(
     matrix of the z values, the tensor is the Gram product z^T z / n,
     accumulated over row blocks (``_row_gram``), so its working memory does
     not grow with n. Raises ValueError unless the sample, the solution and the
-    model share one block structure.
+    model share one block structure and the solution solves the model.
     """
     if whitened.structure != model.structure:
         raise ValueError(
@@ -228,7 +221,7 @@ def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     observation, the eigenbasis forms x^T A_mr x of the limit operator that
     ``c_tensor`` averages. Gaussian moments give E[x^T A x * x^T B x] =
     tr(A V) tr(B V) + 2 tr(sym(A) V sym(B) V), and tr(A_mr V) is zero for the
-    model's own solution. Raises ValueError unless the solution has the model's blocks.
+    model's own solution. Raises ValueError unless the solution solves the model.
 
     Under any elliptical law with the same covariance, all these fourth
     moments scale by the common kurtosis factor, so the tensor for, say, a
@@ -265,18 +258,19 @@ def sigma_matrix(tensor: np.ndarray, solution: MslcaSolution) -> np.ndarray:
 class EigenChiSquareDist:
     """Law of a nonnegatively weighted sum of independent chi-square(1) terms.
 
-    Weights are stored nonincreasing and read-only. Sample fourth-moment
-    matrices can be marginally indefinite numerically, so values in
-    [WEIGHT_CLAMP_FLOOR, 0) are clamped to zero at construction; anything
-    more negative raises NegativeWeightError.
+    Weights, a nonempty 1-d array, are stored nonincreasing and read-only.
+    Sample fourth-moment matrices can be marginally indefinite numerically, so
+    values in [WEIGHT_CLAMP_FLOOR, 0) are clamped to zero at construction;
+    anything more negative raises NegativeWeightError.
     """
 
     weights: np.ndarray
 
     def __init__(self, weights):
-        weights = np.sort(np.asarray(weights, dtype=float))[::-1]
-        if weights.size == 0:
-            raise ValueError("need at least one weight")
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValueError(f"need a 1-d array of at least one weight, got shape {weights.shape}")
+        weights = np.sort(weights)[::-1]
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
         if weights[-1] < WEIGHT_CLAMP_FLOOR:

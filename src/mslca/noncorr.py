@@ -95,8 +95,8 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
     if scale == "plugin":
         return _kurtosis_scale(fit.whitened), "plugin"
     value = float(scale)
-    if not 0 < value < math.inf:
-        raise ValueError(f"scale must be a positive finite number, got {value}")
+    if isinstance(scale, (bool, np.bool_)) or not 0 < value < math.inf:
+        raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     return value, "user"
 
 
@@ -113,8 +113,8 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
 
     ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from
     ``fit.whitened``, which needs at least 30 rows), or an explicit positive
-    finite float. Exact asymptotic level requires an elliptical population
-    with the matching kurtosis scale.
+    finite float (a bool is refused). Exact asymptotic level requires an
+    elliptical population with the matching kurtosis scale.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -29,10 +29,10 @@ from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
 from .noncorr import chi2_test, degrees_of_freedom, general_test
 from .population import DEFAULT_GROUP_TOL, CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
+    _cross_entry_forms,
     _require_whitened_model,
     c_tensor_gaussian,
     sigma_matrix,
-    z_operator,
 )
 
 # Bytes of stacked sample that one chunk of cells may hold: 8 cells at
@@ -296,15 +296,17 @@ def _require_covariance_plan(plan: SimulationPlan) -> None:
 def _clt_check(plan: SimulationPlan):
     """Covariance of sqrt(n) * estimation error vs covariance of the limit operator.
 
-    For each replication, the off-diagonal block entries of the scaled error
-    are recorded alongside the same entries of the limit operator evaluated
-    at one fresh draw; their empirical covariances should agree. Needs a
-    whitened-compatible model, at least two replications and a limit operator
-    whose Gaussian E||Z||^2 exceeds round-off, since the discrepancy divides
-    by its covariance (an elliptical sampler scales it by a positive factor).
+    Each replication records the off-diagonal block entries of the scaled
+    error and of the limit operator at one fresh draw, read from forms built
+    at set-up (``_cross_entry_forms``); their empirical covariances should
+    agree. Needs a whitened-compatible model (checked at set-up only), two or
+    more replications and a limit operator whose Gaussian E||Z||^2 exceeds
+    round-off, since the discrepancy divides by its covariance (an elliptical
+    sampler scales it by a positive factor).
     """
     _require_covariance_plan(plan)
-    tensor = c_tensor_gaussian(plan.model, solve_mslca(plan.model))
+    solution = solve_mslca(plan.model)
+    tensor = c_tensor_gaussian(plan.model, solution)
     second_moment = float(np.einsum("mrmr->", tensor))
     if second_moment <= DEFAULT_GROUP_TOL:
         raise PlanPreconditionError(
@@ -312,13 +314,14 @@ def _clt_check(plan: SimulationPlan):
         )
     t_true = build_t(plan.model)
     rows_idx, cols_idx = plan.model.structure.cross_entries
+    forms = _cross_entry_forms(plan.model, solution)
 
     def record(rng, fit):
         err = np.sqrt(fit.n) * (fit.that - t_true)
         fresh = plan.sample(1, rng).rows[0]
         return {
             "t_entries": err[rows_idx, cols_idx].tolist(),
-            "z_entries": z_operator(fresh, plan.model)[rows_idx, cols_idx].tolist(),
+            "z_entries": np.einsum("euv,u,v->e", forms, fresh, fresh).tolist(),
         }
 
     def summarize(records):

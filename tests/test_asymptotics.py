@@ -1,5 +1,7 @@
-"""Limit-law machinery: Z operator, fourth moments, C coefficients, quad forms."""
+"""Limit-law machinery: Z operator forms, fourth moments, C coefficients, quad forms."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,13 +27,13 @@ from mslca import (
     sample_student_t,
     sigma_matrix,
     solve_mslca,
-    z_operator,
 )
 from mslca.asymptotics import (
     TAIL_ATOL,
     WHITENED_ATOL,
     WHITENED_MODEL_ATOL,
     MomentAccumulator,
+    _cross_entry_forms,
     _eigenbasis_forms,
     _require_whitened_data,
     _require_whitened_model,
@@ -66,23 +68,26 @@ WHITENED_213 = correlation_model(
 )
 
 
+def _z_entries(x, model):
+    """Entries of Z(x) in ``cross_entries`` order, each x^T F[e] x of ``_cross_entry_forms``."""
+    forms = _cross_entry_forms(model, solve_mslca(model))
+    return np.einsum("euv,u,v->e", forms, x, x)
+
+
 def test_z_operator_null_model_is_outer_product():
     model = CovarianceModel(BlockStructure((2, 1)), np.eye(3))
     x = np.array([1.0, -2.0, 3.0])
-    z = z_operator(x, model)
-    np.testing.assert_allclose(z[:2, 2], np.array([1.0, -2.0]) * 3.0, atol=0)
-    assert np.array_equal(z[:2, :2], np.zeros((2, 2)))
-    np.testing.assert_allclose(z, z.T, atol=0)
+    # the entries (2, 0) and (2, 1) of x x^T
+    np.testing.assert_allclose(_z_entries(x, model), np.array([1.0, -2.0]) * 3.0, atol=1e-15)
 
 
 def test_z_operator_scalar_formula():
     r = 0.4
     model = correlation_model((1, 1), {(1, 0): r})
     a, b = 1.3, -0.7
-    z = z_operator(np.array([a, b]), model)
+    (z,) = _z_entries(np.array([a, b]), model)
     expected = a * b - 0.5 * (a * a * r + r * b * b)
-    assert z[0, 1] == pytest.approx(expected, abs=1e-15)
-    assert z[1, 0] == pytest.approx(expected, abs=1e-15)
+    assert z == pytest.approx(expected, abs=1e-15)
 
 
 def _lower_pairs(structure):
@@ -179,12 +184,12 @@ def test_whitened_data_check_matches_per_block_oracle():
 
 def test_z_operator_requires_whitened_model():
     model = CovarianceModel(BlockStructure((1, 1)), np.diag([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        z_operator(np.zeros(2), model)
+    with pytest.raises(ValueError, match="whitened-compatible"):
+        _cross_entry_forms(model, solve_mslca(model))
 
 
 def _z_operator_per_pair(x, model):
-    """Reference for ``z_operator``: the limit operator assembled block pair by block pair."""
+    """Reference for the limit operator: Z(x) assembled block pair by block pair."""
     structure = model.structure
     parts = [x[structure.block_slice(k)] for k in range(structure.n_blocks)]
     z = np.zeros((structure.total_dim, structure.total_dim))
@@ -204,23 +209,20 @@ def test_z_operator_matches_per_pair_oracle():
     for _ in range(20):
         model = random_whitened_model(rng, random_structure(rng))
         x = rng.standard_normal(model.structure.total_dim)
-        expected = _z_operator_per_pair(x, model)
-        z = z_operator(x, model)
+        expected = _z_operator_per_pair(x, model)[model.structure.cross_entries]
+        z = _z_entries(x, model)
         np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        assert np.array_equal(z, z.T)
-        with pytest.raises(ValueError, match="length"):
-            z_operator(np.append(x, 0.0), model)
 
 
 def test_z_operator_zero_mean_monte_carlo():
     rng = np.random.default_rng(107)
     n = 6000
     data = sample_gaussian(WHITENED_111, n, rng)
-    draws = np.array([z_operator(row, WHITENED_111) for row in data.rows])
+    forms = _cross_entry_forms(WHITENED_111, solve_mslca(WHITENED_111))
+    draws = np.einsum("euv,iu,iv->ie", forms, data.rows, data.rows)
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
-    off = ~np.eye(3, dtype=bool)
-    assert np.all(np.abs(mean[off]) < 3 * se[off])
+    assert np.all(np.abs(mean) < 3 * se)
 
 
 def _whitened_sample(model, n, seed, sampler="gaussian", nu=None):
@@ -506,6 +508,47 @@ def test_c_tensors_refuse_mismatched_structures(dims, other):
         c_tensor(foreign_white, solution, model)
 
 
+def test_c_tensors_refuse_a_solution_of_another_model():
+    # the eigenbasis forms rest on Psi beta = beta rho; a foreign solution
+    # with the same blocks breaks it by far more than round-off
+    rng = np.random.default_rng(211)
+    structure = BlockStructure((2, 1, 3))
+    for _ in range(10):
+        model, other = (random_whitened_model(rng, structure) for _ in range(2))
+        white = _whitened_sample(model, 50, seed=int(rng.integers(1 << 30)))
+        foreign = solve_mslca(other)
+        with pytest.raises(ValueError, match="Psi beta = beta rho"):
+            c_tensor_gaussian(model, foreign)
+        with pytest.raises(ValueError, match="Psi beta = beta rho"):
+            c_tensor(white, foreign, model)
+    # the model's own solution passes up to its freedoms
+    structure = WHITENED_213.structure
+    q = structure.total_dim
+    # column signs: each entry [m, r, s, t] turns by its four signs
+    solution = solve_mslca(WHITENED_213)
+    signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+    negated = dataclasses.replace(
+        solution, beta=solution.beta * signs, alpha=solution.alpha * signs
+    )
+    expected = c_tensor_gaussian(WHITENED_213, solution) * np.einsum(
+        "m,r,s,t->mrst", signs, signs, signs, signs
+    )
+    np.testing.assert_allclose(c_tensor_gaussian(WHITENED_213, negated), expected, atol=1e-14)
+    white = _whitened_sample(WHITENED_213, 50, seed=227)
+    c_tensor(white, negated, WHITENED_213)
+    # any orthonormal basis of the null model's repeated eigenspace
+    null = CovarianceModel(structure, np.eye(q))
+    rotation = np.linalg.qr(rng.standard_normal((q, q)))[0]
+    rotated = dataclasses.replace(solve_mslca(null), beta=rotation, alpha=rotation)
+    c_tensor_gaussian(null, rotated)
+    c_tensor(_whitened_sample(null, 50, seed=229), rotated, null)
+    # diagonal blocks just inside the whitened tolerance, with their own solution
+    bumps = sum(_symmetric_bump(rng, structure, k, k) for k in range(structure.n_blocks))
+    near = CovarianceModel(structure, WHITENED_213.v + 0.9 * WHITENED_MODEL_ATOL * bumps)
+    c_tensor_gaussian(near, solve_mslca(near))
+    c_tensor(white, solve_mslca(near), near)
+
+
 def _gamma_one_shot(white):
     """``build_gamma`` as one Gram product over the whole (n, d) pair-product array."""
     rows, cols = white.structure.cross_entries
@@ -696,7 +739,7 @@ def test_limit_operator_products_equal_projected_z():
     solution = solve_mslca(WHITENED_111)
     _, g, data = _limit_operator_products_mc(WHITENED_111, solution, 5, seed=163)
     for i in range(5):
-        projected = solution.beta.T @ z_operator(data[i], WHITENED_111) @ solution.beta
+        projected = solution.beta.T @ _z_operator_per_pair(data[i], WHITENED_111) @ solution.beta
         np.testing.assert_allclose(g[i], projected, atol=1e-12)
 
 
@@ -883,6 +926,11 @@ def test_eigen_chi_square_dist_validation():
         EigenChiSquareDist([1.0, float("nan")])
     with pytest.raises(ValueError, match="at least one weight"):
         EigenChiSquareDist([])
+    # a scalar or a matrix of weights is refused by shape, not by numpy's sort
+    for bad in (1.0, np.ones((2, 2)), [[1.0, 0.5]]):
+        message = f"1-d array of at least one weight, got shape {np.shape(bad)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EigenChiSquareDist(bad)
 
 
 def _plugin_scale(data):

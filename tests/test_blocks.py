@@ -1,5 +1,7 @@
 """Block algebra and symmetric spectral primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,9 @@ def test_sym_eig_deterministic():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for shape in [(3,), (2, 3), (4, 2, 3)]:
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+            require_symmetric(np.zeros(shape))
 
 
 def test_sym_power_identity():

@@ -291,6 +291,34 @@ def test_run_clt_check_requires_whitened_model():
         run_experiment(plan)
 
 
+def test_clt_check_checks_its_model_at_set_up_only(monkeypatch):
+    # the model is checked before any cell runs; the cells read forms built
+    # from it, so the count of checks does not grow with the replications
+    import mslca.asymptotics
+    import mslca.simulate
+
+    calls = []
+    original = mslca.asymptotics._require_whitened_model
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(mslca.asymptotics, "_require_whitened_model", counting)
+    monkeypatch.setattr(mslca.simulate, "_require_whitened_model", counting)
+    counts = []
+    for replications in (2, 6):
+        calls.clear()
+        plan = SimulationPlan(
+            kind="clt-check", model=WHITENED_111, sizes=(30, 80), replications=replications
+        )
+        result = run_experiment(plan)
+        assert len(result.records) == 2 * replications
+        assert all(model is WHITENED_111 for model in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_run_coeff_clt_smoke_and_guard():
     plan = SimulationPlan(
         kind="coeff-clt", model=WHITENED_111, sizes=(2000,), replications=300, seed=7
