@@ -27,6 +27,10 @@ Provided pieces:
   numerically from the Laplace transform to within ``TAIL_ATOL``. The law
   is the one place that checks weights: round-off negatives down to
   ``WEIGHT_CLAMP_FLOOR`` become zero, anything lower is refused.
+* ``_chi2_sf`` -- the upper tail P(chi2_d >= x) for an integer d, summed in
+  closed form (a Poisson sum, plus an erfc term for odd d). It is the one
+  chi-square tail of the package: the chi-square route, the single-weight
+  law and the Monte Carlo references all read it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .blocks import BlockStructure
 from .estimation import Dataset
@@ -65,6 +68,11 @@ _CHUNK_ENTRIES = 1 << 18  # nodes x distinct weights evaluated at once
 _GRAM_BLOCK_BYTES = 8 << 20
 # Chernoff exponents tried, as fractions of their limit 1 / (2 lam_max).
 _CHERNOFF_GRID = np.concatenate([np.geomspace(1e-3, 0.5, 12), 1.0 - np.geomspace(0.4, 1e-4, 16)])
+# fdlibm's split of ln 2. n * _LN2_HI is exact for n < 2**21, so for y below
+# 1.4e6 the reduction r = y - n ln 2, with e**-y = 2**-n e**-r, loses nothing
+# to cancellation.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def _identity_gaps(cov: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -287,23 +295,65 @@ def quad_form_pvalue(dist: EigenChiSquareDist, observed: float) -> float:
     chi-square term whose degrees of freedom are their count. A statistic of
     0 gives exactly 1; with all weights zero a positive statistic gives
     exactly 0, and with one distinct weight lam of count m the tail is
-    ``chi2.sf(observed / lam, m)``. Any other law is inverted from its Laplace
+    ``_chi2_sf(m, observed / lam)``. Any other law is inverted from its Laplace
     transform by ``_inversion_sf``, whose aliasing and truncation errors are
-    bounded in advance; the result is clipped to [0, 1]. Deterministic.
+    bounded in advance; the result is clipped to [0, 1]. Deterministic. A
+    bool or a string is refused (ValueError) rather than read as a number.
     """
-    observed = float(observed)
-    if not 0.0 <= observed < math.inf:
-        raise ValueError(f"observed statistic must be finite and nonnegative, got {observed}")
-    if observed == 0.0:
+    x = math.nan if isinstance(observed, (bool, np.bool_, str, bytes)) else float(observed)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"observed statistic must be a finite nonnegative number, got {observed!r}")
+    if x == 0.0:
         return 1.0
     positive = dist.weights[dist.weights > 0.0]
     if positive.size == 0:
         return 0.0
     lam, mult = np.unique(positive, return_counts=True)
     if lam.size == 1:
-        return float(special.chdtrc(mult[0], observed / lam[0]))
-    p_value = _inversion_sf(lam[::-1], mult[::-1].astype(float), observed)
+        return _chi2_sf(int(mult[0]), x / lam[0])
+    p_value = _inversion_sf(lam[::-1], mult[::-1].astype(float), x)
     return min(1.0, max(0.0, p_value))
+
+
+def _chi2_sf(d: int, x: float) -> float:
+    """P(chi2_d >= x) for an integer d >= 1 and a float x >= 0.
+
+    With y = x / 2 the tail is e**-y * sum_{j < d/2} y**j / j! for even d and
+    erfc(sqrt(y)) + e**-y * sum_{j < (d-1)/2} y**(j+1/2) / Gamma(j+3/2) for
+    odd d (Abramowitz & Stegun 26.4.4 and 26.4.21). The terms are positive
+    and follow by t_j = t_{j-1} * y / j, or y / (j + 1/2) for odd d. The sum
+    is carried with a binary exponent, so e**-y never underflows however
+    large y and d are. A tail whose Chernoff bound for x > d,
+    exp(-(y - d/2 - (d/2) log(2y/d))), lies below e**-750, far beneath the
+    smallest double, is returned as exactly 0. O(d) time. Against 40-digit
+    arithmetic, the relative error stayed below 2e-14 for d <= 5001 and
+    x <= 12 d + 200 wherever the tail is at least 1e-300.
+    """
+    y = 0.5 * float(x)
+    if y == 0.0:
+        return 1.0
+    half = 0.5 * d
+    if y > half and (y == math.inf or y - half - half * math.log(y / half) > 750.0):
+        return 0.0
+    n = int(y / _LN2_HI + 0.5)
+    term = math.exp(n * _LN2_LO - (y - n * _LN2_HI))  # e**-y * 2**n
+    if d % 2:
+        head = math.erfc(math.sqrt(y))
+        term *= 2.0 * math.sqrt(y / math.pi)
+        j = 0.5
+    else:
+        head = 0.0
+        j = 0.0
+    total = 0.0
+    for _ in range(d // 2):
+        total += term
+        j += 1.0
+        term *= y / j
+        if total > 1e150:
+            total *= 2.0**-500
+            term *= 2.0**-500
+            n -= 500
+    return head + math.ldexp(total, -n)
 
 
 def _log_abs_laplace(lam: np.ndarray, mult: np.ndarray, sigma, u) -> np.ndarray:

@@ -18,13 +18,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .blocks import BlockStructure
 from .estimation import MslcaFit
 from .asymptotics import (
     TAIL_ATOL,
     EigenChiSquareDist,
+    _chi2_sf,
     _kurtosis_scale,
     build_gamma,
     quad_form_pvalue,
@@ -94,8 +94,8 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
         return _kurtosis_scale(fit.whitened), "plugin"
-    value = float(scale)
-    if isinstance(scale, (bool, np.bool_)) or not 0 < value < math.inf:
+    value = math.nan if isinstance(scale, (bool, np.bool_, str, bytes)) else float(scale)
+    if not 0 < value < math.inf:
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     return value, "user"
 
@@ -113,8 +113,8 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
 
     ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from
     ``fit.whitened``, which needs at least 30 rows), or an explicit positive
-    finite float (a bool is refused). Exact asymptotic level requires an
-    elliptical population with the matching kurtosis scale.
+    finite float (a bool or any other string is refused). Exact asymptotic
+    level requires an elliptical population with the matching kurtosis scale.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -124,7 +124,7 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
         fit,
         d,
         alpha,
-        lambda ns: special.chdtrc(d, ns / scale_value),
+        lambda ns: _chi2_sf(d, ns / scale_value),
         method="chi2",
         scale=scale_value,
         scale_provenance=provenance,

@@ -21,7 +21,7 @@ moved.
 
 The stored files are not reproduced byte for byte on every host: BLAS
 builds and CPUs round differently. On a 2-core x86-64 host with OpenBLAS
-0.3.31, a fresh ``golden_records.json`` differs from the stored one in 139
+0.3.31, a fresh ``golden_records.json`` differs from the stored one in 165
 floats, by at most 2.5e-12 relative, while ``golden_cli.json`` is
 identical. So the tests compare within rtol 1e-9 (``assert_matches_golden``),
 and a change that claims to keep the numbers bit for bit is checked by

@@ -1,4 +1,4 @@
-"""Limit-law machinery: Z operator forms, fourth moments, C coefficients, quad forms."""
+"""Limit-law machinery: Z operator forms, fourth moments, C coefficients, quad forms, chi-square tails."""
 
 import dataclasses
 import re
@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import mslca.asymptotics
 from mslca import (
@@ -33,6 +33,7 @@ from mslca.asymptotics import (
     WHITENED_ATOL,
     WHITENED_MODEL_ATOL,
     MomentAccumulator,
+    _chi2_sf,
     _cross_entry_forms,
     _eigenbasis_forms,
     _require_whitened_data,
@@ -890,6 +891,31 @@ def test_quad_form_pvalue_raises_when_budget_is_too_small(monkeypatch):
     monkeypatch.setattr(mslca.asymptotics, "_TERM_GRID", np.array([1, 2]))
     with pytest.raises(MslcaError, match="terms"):
         quad_form_pvalue(EigenChiSquareDist([1.0, 0.3]), 1.3)
+
+
+def test_quad_form_pvalue_refuses_bools_and_strings():
+    # float(True) and float("1.0") are 1.0: either would read as a statistic of 1
+    dist = EigenChiSquareDist([1.0, 0.5])
+    for bad in (True, np.True_, False, "1.0", b"1.0", np.str_("1.0"), -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite nonnegative number"):
+            quad_form_pvalue(dist, bad)
+    assert quad_form_pvalue(dist, np.float64(1.0)) == quad_form_pvalue(dist, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 13, 99, 600, 601, 2000, 5001])
+def test_chi2_sf_matches_scipy(d):
+    x = np.r_[0.0, 1e-300, np.linspace(0.01, 12 * d + 200, 3000)]
+    expected = special.chdtrc(d, x)
+    got = np.array([_chi2_sf(d, v) for v in x])
+    body = expected >= 1e-300
+    assert body.sum() > 100
+    # scipy's own far-tail error grows with d: 4.6e-12 at d = 5001 against 40-digit arithmetic
+    np.testing.assert_allclose(got[body], expected[body], rtol=1e-12 if d <= 601 else 1e-10, atol=0.0)
+    # below 1e-300 the tail only has to stay a tiny probability
+    assert np.all((got[~body] >= 0.0) & (got[~body] < 1e-290))
+    assert _chi2_sf(d, 0.0) == 1.0
+    assert _chi2_sf(d, np.inf) == 0.0
+    assert _chi2_sf(d, 1e308) == 0.0
 
 
 def test_quad_form_pvalue_deterministic():

@@ -736,8 +736,10 @@ def test_module_entry_point_sets_the_process_exit_status(gaussian_csv, tmp_path)
     assert good.stdout.startswith("nS=") and json.loads(out.read_text())["method"] == "chi2"
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly triples the import time; special.chdtr gives the same bits
-    result = _run_python("-c", "import mslca.cli, sys; print('scipy.stats' in sys.modules)")
+def test_importing_the_cli_loads_no_scipy_module():
+    # importing scipy.special alone took two thirds of a fresh CLI start;
+    # the package computes its chi-square tails itself
+    code = "import mslca, mslca.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -124,8 +124,8 @@ def test_chi2_route_scales():
     assert user.scale_provenance == "user"
     assert user.scale == 2.0
     assert user.p_value == pytest.approx(float(stats.chi2.sf(user.ns / 2.0, df=1)), rel=1e-12)
-    # float(True) is 1.0: a bool would otherwise run as a user scale of 1
-    for bad in (0.0, float("nan"), float("inf"), float("-inf"), True, np.True_):
+    # float(True) and float("2.0") are numbers: either would run as a user scale
+    for bad in (0.0, float("nan"), float("inf"), float("-inf"), True, np.True_, "2.0", "gaussan"):
         with pytest.raises(ValueError, match="positive finite"):
             chi2_test(fit, scale=bad)
     with pytest.raises(ValueError):
