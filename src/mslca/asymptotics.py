@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockStructure
+from .blocks import BlockStructure, _real
 from .estimation import Dataset
 from .exceptions import (
     InsufficientSampleError,
@@ -300,7 +300,7 @@ def quad_form_pvalue(dist: EigenChiSquareDist, observed: float) -> float:
     bounded in advance; the result is clipped to [0, 1]. Deterministic. A
     bool or a string is refused (ValueError) rather than read as a number.
     """
-    x = math.nan if isinstance(observed, (bool, np.bool_, str, bytes)) else float(observed)
+    x = _real(observed)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"observed statistic must be a finite nonnegative number, got {observed!r}")
     if x == 0.0:

@@ -37,6 +37,16 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """``value`` as a float; NaN for a bool or a string, so the caller's range check refuses it.
+
+    ``float`` would read True as 1.0 and "0.05" as 0.05.
+    """
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        return np.nan
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of R^q into consecutive blocks of sizes ``dims``.
@@ -169,26 +179,20 @@ def _recompose(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (product + product.swapaxes(-1, -2))
 
 
-def sym_power(
-    a: np.ndarray, exponent: float, cond_floor: float = DEFAULT_COND_FLOOR
-) -> np.ndarray:
+def sym_power(a: np.ndarray, exponent: float) -> np.ndarray:
     """Symmetric functional calculus: Q diag(lambda**exponent) Q^T.
 
     Intended for exponents -1, -1/2 and 1/2 on positive definite input; a
     stack of matrices is powered matrix by matrix.
-    Raises NearSingularError when lambda_min <= cond_floor * lambda_max
-    (for a stack, naming the first such matrix);
-    a near-singular block covariance signals collinear data and must surface
+    Raises NearSingularError when lambda_min <= DEFAULT_COND_FLOOR * lambda_max
+    (for a stack, naming the first such matrix); the floor, 1e-10, is fixed.
+    A near-singular block covariance signals collinear data and must surface
     as an error rather than silently inflate an inverse square root.
-    ``cond_floor`` must lie in [0, 1) (ValueError otherwise): a negative or
-    NaN floor would switch the guard off.
     """
-    if not 0.0 <= cond_floor < 1.0:
-        raise ValueError(f"cond_floor must lie in [0, 1), got {cond_floor}")
     values, vectors = np.linalg.eigh(require_symmetric(a))
     lam_min = values[..., 0]
     lam_max = values[..., -1]
-    bad = np.ravel(lam_min <= cond_floor * lam_max)
+    bad = np.ravel(lam_min <= DEFAULT_COND_FLOOR * lam_max)
     if bad.any():
         first = np.flatnonzero(bad)[0]
         raise NearSingularError(np.ravel(lam_min)[first], np.ravel(lam_max)[first])

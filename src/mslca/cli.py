@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .blocks import DEFAULT_COND_FLOOR, BlockStructure
+from .blocks import BlockStructure
 from .estimation import Dataset, fit_mslca
 from .exceptions import (
     CovarianceOverflowError,
@@ -35,7 +35,7 @@ from .exceptions import (
     PlanPreconditionError,
 )
 from .noncorr import chi2_test, general_test
-from .population import DEFAULT_GROUP_TOL, verify_constraints
+from .population import verify_constraints
 from .simulate import SimulationPlan, run_experiment
 
 EXIT_OK = 0
@@ -206,12 +206,7 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_fit(args) -> int:
-    if not (args.group_tol > 0 and math.isfinite(args.group_tol)):
-        raise InputError(f"--group-tol must be a positive finite number, got {args.group_tol}")
-    if not 0 < args.cond_floor < 1:
-        raise InputError(f"--cond-floor must be in (0, 1), got {args.cond_floor}")
-    data = load_dataset(args.data, args.blocks)
-    fit = fit_mslca(data, group_tol=args.group_tol, cond_floor=args.cond_floor)
+    fit = fit_mslca(load_dataset(args.data, args.blocks))
     diagnostics = verify_constraints(fit.vhat, fit.solution)
     payload = {
         "n": fit.n,
@@ -299,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--data", required=True, help="CSV file, one observation per row")
     fit_p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,3,2")
     fit_p.add_argument("--out", required=True, help="output JSON path")
-    fit_p.add_argument("--group-tol", type=float, default=DEFAULT_GROUP_TOL)
-    fit_p.add_argument("--cond-floor", type=float, default=DEFAULT_COND_FLOOR)
     fit_p.set_defaults(func=_cmd_fit)
 
     test_p = sub.add_parser("test", help="test mutual non-correlation of the blocks")

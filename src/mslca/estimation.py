@@ -7,10 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DEFAULT_COND_FLOOR, BlockStructure
+from .blocks import BlockStructure
 from .exceptions import CovarianceOverflowError, InsufficientSampleError
 from .population import (
-    DEFAULT_GROUP_TOL,
     CovarianceModel,
     MslcaSolution,
     _off_block_mass,
@@ -147,11 +146,7 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     return means, covs
 
 
-def _fit_stack(
-    datasets: list[Dataset],
-    group_tol: float = DEFAULT_GROUP_TOL,
-    cond_floor: float = DEFAULT_COND_FLOOR,
-) -> list[MslcaFit]:
+def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
     """Fit samples of one structure and size together, one fit per sample in order.
 
     The samples are copied transposed into one (R, q, n) array, so each
@@ -163,7 +158,7 @@ def _fit_stack(
     structure = datasets[0].structure
     means, covs = _means_and_covs(datasets)
     covs = _valid_covariances(covs)
-    that, solutions, inv_root = _solve(structure, covs, group_tol, cond_floor)
+    that, solutions, inv_root = _solve(structure, covs)
     means.flags.writeable = False
     return [
         MslcaFit(
@@ -179,20 +174,18 @@ def _fit_stack(
     ]
 
 
-def fit_mslca(
-    data: Dataset,
-    group_tol: float = DEFAULT_GROUP_TOL,
-    cond_floor: float = DEFAULT_COND_FLOOR,
-) -> MslcaFit:
+def fit_mslca(data: Dataset) -> MslcaFit:
     """Run the population pipeline on the empirical covariance.
 
-    Deterministic given the data. Raises NearSingularError naming the block
-    whose sample covariance is numerically singular (collinear columns), and
-    InsufficientSampleError for n < 2.
+    Deterministic given the data; it takes no tuning. Raises
+    NearSingularError naming the block whose sample covariance is numerically
+    singular (lambda_min <= 1e-10 * lambda_max, collinear columns), and
+    InsufficientSampleError for n < 2. The solution's eigenvalue groups use
+    the fixed tolerance of ``MslcaSolution``.
     """
     if data.n < 2:
         raise InsufficientSampleError(f"need at least 2 rows, got {data.n}")
-    return _fit_stack([data], group_tol, cond_floor)[0]
+    return _fit_stack([data])[0]
 
 
 def align_sign(bhat: np.ndarray, b: np.ndarray) -> np.ndarray:

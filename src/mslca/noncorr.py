@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockStructure
+from .blocks import BlockStructure, _real
 from .estimation import MslcaFit
 from .asymptotics import (
     TAIL_ATOL,
@@ -94,7 +94,7 @@ def _resolve_scale(scale, fit: MslcaFit) -> tuple[float, str]:
         return GAUSSIAN_SCALE, "gaussian-default"
     if scale == "plugin":
         return _kurtosis_scale(fit.whitened), "plugin"
-    value = math.nan if isinstance(scale, (bool, np.bool_, str, bytes)) else float(scale)
+    value = _real(scale)
     if not 0 < value < math.inf:
         raise ValueError(f"scale must be a positive finite number, got {scale!r}")
     return value, "user"
@@ -113,11 +113,13 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
 
     ``scale`` is "gaussian" (factor 1), "plugin" (kurtosis estimated from
     ``fit.whitened``, which needs at least 30 rows), or an explicit positive
-    finite float (a bool or any other string is refused). Exact asymptotic
-    level requires an elliptical population with the matching kurtosis scale.
+    finite float (a bool or any other string is refused). ``alpha`` is a
+    number in (0, 1), here and in ``general_test``; a bool or a string is
+    refused. Exact asymptotic level requires an elliptical population with
+    the matching kurtosis scale.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0 < _real(alpha) < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     scale_value, provenance = _resolve_scale(scale, fit)
     d = degrees_of_freedom(fit.structure)
     return _report(
@@ -143,8 +145,8 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
     p-value is deterministic and within ``TAIL_ATOL`` of the exact tail of
     that law (``quad_form_pvalue``).
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0 < _real(alpha) < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     d = degrees_of_freedom(fit.structure)
     if fit.n < 10 * d:
         warnings.warn(

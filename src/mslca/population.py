@@ -11,20 +11,12 @@ directions are Phi^{-1/2} times its orthonormal eigenvectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .blocks import (
-    DEFAULT_COND_FLOOR,
-    BlockStructure,
-    psd_sqrt,
-    require_symmetric,
-    sym_eig,
-    sym_power,
-)
+from .blocks import BlockStructure, psd_sqrt, require_symmetric, sym_eig, sym_power
 from .exceptions import NearSingularError
 
 DEFAULT_GROUP_TOL = 1e-8
@@ -86,13 +78,14 @@ class MslcaSolution:
 
     ``rho`` is nonincreasing; column j of ``beta`` is the orthonormal
     eigenvector paired with rho[j] and column j of ``alpha`` the canonical
-    direction Phi^{-1/2} beta_j. The groups are read off ``rho`` with
-    ``group_tol`` on first use and kept: ``groups`` partitions the indices
-    into eigenvalue-multiplicity groups, a group taking each next index whose
-    value is within group_tol * max(1, |v|) of its first value v (values
-    strictly decreasing across groups); ``group_values`` (read-only) holds
-    those first values; ``zero_group`` is the index of the first group whose
-    value is within group_tol of zero, whose directions are not identifiable
+    direction Phi^{-1/2} beta_j. The groups are read off ``rho`` with the
+    fixed tolerance DEFAULT_GROUP_TOL (1e-8) on first use and kept:
+    ``groups`` partitions the indices into eigenvalue-multiplicity groups, a
+    group taking each next index whose value is within
+    DEFAULT_GROUP_TOL * max(1, |v|) of its first value v (values strictly
+    decreasing across groups); ``group_values`` (read-only) holds those first
+    values; ``zero_group`` is the index of the first group whose value is
+    within DEFAULT_GROUP_TOL of zero, whose directions are not identifiable
     (any orthonormal basis of the null eigenspace solves the problem), or None.
     """
 
@@ -100,7 +93,6 @@ class MslcaSolution:
     rho: np.ndarray
     beta: np.ndarray
     alpha: np.ndarray
-    group_tol: float
 
     @cached_property
     def groups(self) -> tuple[tuple[int, ...], ...]:
@@ -109,7 +101,7 @@ class MslcaSolution:
         for j, value in enumerate(rho):
             if groups:
                 anchor = rho[groups[-1][0]]
-                if abs(anchor - value) <= self.group_tol * max(1.0, abs(anchor)):
+                if abs(anchor - value) <= DEFAULT_GROUP_TOL * max(1.0, abs(anchor)):
                     groups[-1].append(j)
                     continue
             groups.append([j])
@@ -124,7 +116,7 @@ class MslcaSolution:
     @cached_property
     def zero_group(self) -> int | None:
         values = self.group_values.tolist()
-        return next((i for i, value in enumerate(values) if abs(value) <= self.group_tol), None)
+        return next((i for i, value in enumerate(values) if abs(value) <= DEFAULT_GROUP_TOL), None)
 
     @property
     def is_simple(self) -> bool:
@@ -145,7 +137,7 @@ def build_phi(model: CovarianceModel) -> np.ndarray:
     return np.where(model.structure.diagonal_mask, model.v, 0.0)
 
 
-def _block_inv_sqrt(structure: BlockStructure, v: np.ndarray, cond_floor: float) -> np.ndarray:
+def _block_inv_sqrt(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
     """Phi^{-1/2} of each covariance of ``v`` (..., q, q), as a stack of the same shape.
 
     Each diagonal block is powered on its own, so a near-singular one is
@@ -155,7 +147,7 @@ def _block_inv_sqrt(structure: BlockStructure, v: np.ndarray, cond_floor: float)
     for k in range(structure.n_blocks):
         sl = structure.block_slice(k)
         try:
-            root[..., sl, sl] = sym_power(v[..., sl, sl], -0.5, cond_floor)
+            root[..., sl, sl] = sym_power(v[..., sl, sl], -0.5)
         except NearSingularError as err:
             raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
     return root
@@ -181,12 +173,12 @@ def build_t(model: CovarianceModel) -> np.ndarray:
     Block (k, l), k != l, is V_k^{-1/2} V_kl V_l^{-1/2}; diagonal blocks are
     exactly zero by construction.
     """
-    inv_root = _block_inv_sqrt(model.structure, model.v, DEFAULT_COND_FLOOR)
+    inv_root = _block_inv_sqrt(model.structure, model.v)
     return _assemble_t(model.structure, model.v, inv_root)
 
 
 def _solve(
-    structure: BlockStructure, v: np.ndarray, group_tol: float, cond_floor: float
+    structure: BlockStructure, v: np.ndarray
 ) -> tuple[np.ndarray, list[MslcaSolution], np.ndarray]:
     """Solve each covariance of a (R, q, q) stack at once.
 
@@ -194,9 +186,7 @@ def _solve(
     block-diagonal Phi^{-1/2}, each computed once and read-only; every
     eigensolve is one call over the whole stack.
     """
-    if not 0.0 < group_tol < math.inf:
-        raise ValueError(f"group_tol must be a positive finite number, got {group_tol}")
-    inv_root = _block_inv_sqrt(structure, v, cond_floor)
+    inv_root = _block_inv_sqrt(structure, v)
     t = _assemble_t(structure, v, inv_root)
     eig = sym_eig(t)
     beta = eig.eigenvectors
@@ -204,15 +194,14 @@ def _solve(
     for arr in (t, alpha, inv_root):
         arr.flags.writeable = False
     solutions = [
-        MslcaSolution(structure, eig.eigenvalues[i], beta[i], alpha[i], group_tol)
-        for i in range(v.shape[0])
+        MslcaSolution(structure, eig.eigenvalues[i], beta[i], alpha[i]) for i in range(v.shape[0])
     ]
     return t, solutions, inv_root
 
 
 def solve_mslca(model: CovarianceModel) -> MslcaSolution:
     """Solve the population analysis by spectral decomposition of T."""
-    return _solve(model.structure, model.v[None], DEFAULT_GROUP_TOL, DEFAULT_COND_FLOOR)[1][0]
+    return _solve(model.structure, model.v[None])[1][0]
 
 
 def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> ConstraintDiagnostics:

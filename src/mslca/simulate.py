@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .blocks import BlockStructure, _integer
+from .blocks import BlockStructure, _integer, _real
 from .estimation import Dataset, _fit_stack, align_sign
 from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
 from .noncorr import chi2_test, degrees_of_freedom, general_test
@@ -68,9 +68,9 @@ def sample_gaussian(model: CovarianceModel, n: int, seed) -> Dataset:
 
 
 def _require_nu(nu: float, what: str) -> None:
-    """ValueError for a non-finite nu, NuTooSmallError unless nu > 4."""
-    if not math.isfinite(nu):
-        raise ValueError(f"nu must be finite, got {nu}")
+    """ValueError for a non-finite nu (a bool or a string too), NuTooSmallError unless nu > 4."""
+    if not math.isfinite(_real(nu)):
+        raise ValueError(f"nu must be finite, got {nu!r}")
     if nu <= 4:
         raise NuTooSmallError(f"{what} needs nu > 4, got {nu}")
 
@@ -113,7 +113,8 @@ class SimulationPlan:
     """Everything needed to reproduce one experiment.
 
     ``sizes``, ``replications`` and ``seed`` must be integers; a float such
-    as 3.0 is refused (ValueError) rather than truncated. Sizes must be
+    as 3.0 is refused (ValueError) rather than truncated. ``alphas`` and
+    ``nu`` must be numbers; a bool or a string is refused. Sizes must be
     distinct, since summaries are keyed by size. The covariance must be
     positive semidefinite, since the samplers use its square root.
     """
@@ -132,7 +133,8 @@ class SimulationPlan:
         object.__setattr__(self, "sizes", tuple(_integer(s, "sizes") for s in self.sizes))
         object.__setattr__(self, "replications", _integer(self.replications, "replications"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        alphas = self.alphas
+        object.__setattr__(self, "alphas", tuple(_real(a) for a in alphas))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
@@ -155,11 +157,11 @@ class SimulationPlan:
         if self.seed < 0:
             raise PlanPreconditionError(f"seed must be nonnegative, got {self.seed}")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
-            raise ValueError(f"alphas must be nonempty and lie in (0, 1), got {self.alphas}")
+            raise ValueError(f"alphas must be nonempty and lie in (0, 1), got {alphas!r}")
         if any(m not in ("chi2", "general") for m in self.methods):
             raise ValueError(f"methods must be chi2/general, got {self.methods}")
-        if self.nu is not None and not math.isfinite(self.nu):
-            raise ValueError(f"nu must be finite, got {self.nu}")
+        if self.nu is not None and not math.isfinite(_real(self.nu)):
+            raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.sampler == "student-t":
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
@@ -386,9 +388,11 @@ def _null_dist(plan: SimulationPlan):
     Records per replication the statistic and p-values from the chi-square
     route at unit scale, at the sampler's true kurtosis scale, and (when
     requested in ``methods``) from the general route. Summaries report the
-    KS distance of the scale-corrected statistic to chi-square(d), the
-    empirical sizes at the requested levels, and the KS distance of the
-    correct-route p-values from uniform.
+    empirical sizes at the requested levels and the KS distance of the
+    scale-corrected statistic to chi-square(d). That distance is computed
+    once, as the KS distance of the correct-route p-values from uniform: the
+    p-value is 1 - F(x) and a KS distance is unchanged by a monotone map, so
+    it is reported under both ``ks_to_chi2`` and ``p_uniformity_ks``.
     """
     _require_null_model(plan.model)
     d = degrees_of_freedom(plan.model.structure)
@@ -407,12 +411,12 @@ def _null_dist(plan: SimulationPlan):
         return out
 
     def summarize(records):
-        ns = _column(records, "ns")
         p_scaled = _column(records, "p_chi2_scaled")
+        ks = ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0))
         summary = {
-            "mean_ns": float(ns.mean()),
-            "ks_to_chi2": ks_distance(ns / scale, lambda x: [1.0 - _chi2_sf(d, v) for v in x]),
-            "p_uniformity_ks": ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0)),
+            "mean_ns": float(_column(records, "ns").mean()),
+            "ks_to_chi2": ks,
+            "p_uniformity_ks": ks,
             "size_chi2": _rates(_column(records, "p_chi2"), plan.alphas),
             "size_chi2_scaled": _rates(p_scaled, plan.alphas),
         }

@@ -19,13 +19,13 @@ pin the numbers the package produces, so rewriting one is a change of
 behaviour: a refresh needs a line in CHANGES.md that says why the numbers
 moved.
 
-The stored files are not reproduced byte for byte on every host: BLAS
-builds and CPUs round differently. On a 2-core x86-64 host with OpenBLAS
-0.3.31, a fresh ``golden_records.json`` differs from the stored one in 165
-floats, by at most 2.5e-12 relative, while ``golden_cli.json`` is
-identical. So the tests compare within rtol 1e-9 (``assert_matches_golden``),
-and a change that claims to keep the numbers bit for bit is checked by
-writing both files before and after it on one host and comparing bytes.
+On a 2-core x86-64 host with OpenBLAS 0.3.31 the writer reproduces both
+stored files byte for byte. Other BLAS builds and CPUs may round the last
+bits differently, so the tests compare within rtol 1e-9
+(``assert_matches_golden``). A change that claims to keep the numbers bit
+for bit is checked by writing both files before and after it on one host
+and comparing bytes; a change that moves any value, even by round-off,
+rewrites the stored files, so that they stay byte-exact on that host.
 """
 
 import contextlib

@@ -211,19 +211,13 @@ def test_sym_power_near_singular():
     with pytest.raises(NearSingularError) as exc:
         sym_power(singular, -0.5)
     assert exc.value.lambda_max == pytest.approx(2.0, abs=1e-12)
-    # conditioning floor is configurable
-    a = np.diag([1.0, 1e-6])
-    sym_power(a, -0.5, cond_floor=1e-10)
-    with pytest.raises(NearSingularError):
-        sym_power(a, -0.5, cond_floor=1e-3)
-
-
-@pytest.mark.parametrize("cond_floor", [-1.0, float("nan"), 1.0, 2.0, float("inf")])
-def test_sym_power_rejects_cond_floor_outside_unit_interval(cond_floor):
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="cond_floor"):
-        sym_power(singular, -0.5, cond_floor=cond_floor)
-    sym_power(np.eye(2), -0.5, cond_floor=0.0)
+    # the conditioning floor is fixed: lambda_min <= 1e-10 * lambda_max raises
+    np.testing.assert_allclose(
+        sym_power(np.diag([1.0, 2e-10]), -0.5), np.diag([1.0, 2e-10**-0.5]), rtol=1e-12
+    )
+    with pytest.raises(NearSingularError) as exc:
+        sym_power(np.diag([1.0, 1e-10]), -0.5)
+    assert exc.value.lambda_min == 1e-10 and exc.value.lambda_max == 1.0
 
 
 def test_psd_sqrt_accepts_singular():

@@ -413,6 +413,7 @@ def test_test_command_flag_rules(gaussian_csv, tmp_path):
 @pytest.mark.parametrize(
     "command, flag, value",
     [
+        # the grouping tolerance and the conditioning floor are fixed, so the flags are unknown
         ("fit", "--group-tol", "0"),
         ("fit", "--cond-floor", "-1"),
         ("fit", "--cond-floor", "1"),
@@ -553,6 +554,11 @@ ZERO_VARIANCE_21 = correlation_model(
         # a limit operator that vanishes, exactly or up to round-off: exit 4
         ({"kind": "clt-check", "covariance": [[1.0, 1.0], [1.0, 1.0]]}, 4),
         ({"kind": "clt-check", "dims": [1, 1, 1], "covariance": np.ones((3, 3)).tolist()}, 4),
+        # a string or a bool where a number belongs: exit 2, on either sampler
+        ({"alphas": ["0.05"]}, 2),
+        ({"alphas": [True]}, 2),
+        ({"nu": True}, 2),
+        ({"sampler": "student-t", "nu": True}, 2),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):

@@ -1,6 +1,7 @@
 """Mutual non-correlation statistic and both test routes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_general_route_zero_statistic():
     assert report.gamma_eigenvalues is not None
     with pytest.raises(ValueError, match="alpha must be in"):
         general_test(fit, alpha=1.5)
+
+
+@pytest.mark.parametrize("test", [chi2_test, general_test], ids=["chi2", "general"])
+def test_tests_refuse_alpha_bools_and_strings(test):
+    # float("0.05") is 0.05 and float(True) is 1.0: neither may pass as a level
+    fit = fit_mslca(Dataset(BlockStructure((1, 1)), UNCORRELATED_ROWS))
+    for bad in ("0.05", b"0.05", np.str_("0.05"), True, np.True_, False):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0, 1), got {bad!r}")):
+            test(fit, alpha=bad)
+    assert test(fit, alpha=np.float64(0.05)).p_value == test(fit, alpha=0.05).p_value
 
 
 def test_general_route_close_to_chi2_under_gaussian_null():

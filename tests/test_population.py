@@ -374,23 +374,23 @@ def _oracle_groups(rho, group_tol):
 
 
 def _assert_groups_match_oracle(sol):
-    groups, group_values, zero_group = _oracle_groups(sol.rho, sol.group_tol)
+    groups, group_values, zero_group = _oracle_groups(sol.rho, DEFAULT_GROUP_TOL)
     assert sol.groups == groups
     assert np.array_equal(sol.group_values, group_values)
     assert sol.zero_group == zero_group
     assert sol.is_simple == all(len(g) == 1 for g in groups)
 
 
-def _spectrum_solution(rho, group_tol=DEFAULT_GROUP_TOL):
+def _spectrum_solution(rho):
     """A solution carrying a hand-made nonincreasing spectrum and identity directions."""
     rho = np.asarray(rho, dtype=float)
     eye = np.eye(rho.size)
-    return MslcaSolution(BlockStructure((1,) * rho.size), rho, eye, eye, group_tol)
+    return MslcaSolution(BlockStructure((1,) * rho.size), rho, eye, eye)
 
 
 def test_solution_fields_are_what_the_eigensolve_gives():
     names = [f.name for f in dataclasses.fields(MslcaSolution)]
-    assert names == ["structure", "rho", "beta", "alpha", "group_tol"]
+    assert names == ["structure", "rho", "beta", "alpha"]
 
 
 def test_derived_groups_match_oracle_on_random_models():
@@ -444,18 +444,6 @@ def test_group_values_are_read_only():
     assert not sol.group_values.flags.writeable
     with pytest.raises(ValueError):
         sol.group_values[0] = 0.0
-
-
-def test_fit_group_tol_changes_the_grouping():
-    data = sample_gaussian(equicorrelation_model(3, 0.5), 300, 403)
-    default = fit_mslca(data).solution
-    coarse = fit_mslca(data, group_tol=0.5).solution
-    assert coarse.group_tol == 0.5
-    assert np.array_equal(coarse.rho, default.rho)
-    assert default.groups == ((0,), (1,), (2,))
-    assert coarse.groups == ((0,), (1, 2))
-    _assert_groups_match_oracle(default)
-    _assert_groups_match_oracle(coarse)
 
 
 def test_groups_are_derived_on_first_read():

@@ -1,5 +1,7 @@
 """Samplers, RNG streams, plans and the Monte Carlo experiments."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -205,6 +207,24 @@ def test_plan_from_dict_rejects_unknown_keys():
         SimulationPlan.from_dict(raw)
 
 
+def test_plan_refuses_bools_and_strings_as_numbers():
+    # float() reads True as 1.0 and "0.05" as 0.05; each message names the value as given
+    plan = dict(kind="null-dist", model=NULL_222, sizes=(100,), replications=5)
+    for alphas in (["0.05"], [True], (0.05, np.True_), [b"0.1"]):
+        with pytest.raises(ValueError, match=re.escape(f"got {alphas!r}")):
+            SimulationPlan(**plan, alphas=alphas)
+    for sampler in ("gaussian", "student-t"):
+        for nu in (True, np.True_, "10", b"10"):
+            # a ValueError, not the NuTooSmallError that nu = 1.0 would raise
+            message = re.escape(f"nu must be finite, got {nu!r}")
+            with pytest.raises(ValueError, match=message) as exc:
+                SimulationPlan(**plan, sampler=sampler, nu=nu)
+            assert not isinstance(exc.value, NuTooSmallError)
+    with pytest.raises(ValueError, match="nu must be finite, got True"):
+        sample_student_t(NULL_222, True, 10, 0)
+    assert SimulationPlan(**plan, alphas=[np.float64(0.05), 0.1]).alphas == (0.05, 0.1)
+
+
 def test_plan_roundtrip():
     plan = SimulationPlan(
         kind="null-dist", model=NULL_222, sizes=(100, 200), replications=3,
@@ -367,6 +387,20 @@ def test_run_null_dist_smoke():
     assert 0.0 <= summary["size_chi2"]["0.05"] <= 0.15
     assert summary["p_uniformity_ks"] < 0.15
     assert len(result.records) == 200
+
+
+def test_null_dist_ks_to_chi2_is_the_statistics_ks_distance():
+    # computed from the p-values, it must equal the KS distance of nS / scale to chi-square(d)
+    plan = SimulationPlan(
+        kind="null-dist", model=NULL_222, sizes=(300,), replications=100, seed=11,
+        sampler="student-t", nu=8.0,
+    )
+    result = run_experiment(plan)
+    summary = result.summaries["300"]
+    statistic = np.array([r["ns"] for r in result.records]) / plan.true_scale
+    expected = stats.kstest(statistic, stats.chi2(12).cdf).statistic
+    assert summary["ks_to_chi2"] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert summary["p_uniformity_ks"] == summary["ks_to_chi2"]
 
 
 def test_run_null_dist_rejects_alternative_model():
