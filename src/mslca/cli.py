@@ -35,7 +35,7 @@ from .exceptions import (
     PlanPreconditionError,
 )
 from .noncorr import chi2_test, general_test
-from .population import verify_constraints
+from .population import CovarianceModel, verify_constraints
 from .simulate import SimulationPlan, run_experiment
 
 EXIT_OK = 0
@@ -207,12 +207,12 @@ def write_json(path: str, payload: dict) -> None:
 
 def _cmd_fit(args) -> int:
     fit = fit_mslca(load_dataset(args.data, args.blocks))
-    diagnostics = verify_constraints(fit.vhat, fit.solution)
+    diagnostics = verify_constraints(CovarianceModel(fit.structure, fit.vhat), fit.solution)
     payload = {
         "n": fit.n,
         "dims": list(fit.structure.dims),
         "means": fit.means.tolist(),
-        "vhat": fit.vhat.v.tolist(),
+        "vhat": fit.vhat.tolist(),
         "rho": fit.solution.rho.tolist(),
         "beta": fit.solution.beta.tolist(),
         "alpha_directions": fit.solution.alpha.tolist(),

@@ -7,15 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import BlockStructure
+from .blocks import BlockStructure, require_symmetric
 from .exceptions import CovarianceOverflowError, InsufficientSampleError
-from .population import (
-    CovarianceModel,
-    MslcaSolution,
-    _off_block_mass,
-    _solve,
-    _valid_covariances,
-)
+from .population import MslcaSolution, _off_block_mass, _solve
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,9 @@ class Dataset:
 class MslcaFit:
     """Empirical analysis of one dataset, which it keeps as ``data``.
 
-    ``vhat`` is the empirical covariance, with divisor n (not n - 1).
+    ``vhat`` is the empirical covariance, a read-only (q, q) array with
+    divisor n (not n - 1); ``CovarianceModel(fit.structure, fit.vhat)`` wraps
+    it where a model is needed.
     ``that`` is the estimated operator, whose diagonal blocks are exactly
     zero by construction, and ``s`` its non-correlation statistic, the summed
     squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
@@ -80,7 +76,7 @@ class MslcaFit:
 
     data: Dataset = field(repr=False)
     means: np.ndarray
-    vhat: CovarianceModel
+    vhat: np.ndarray
     that: np.ndarray
     solution: MslcaSolution
     inv_root: np.ndarray
@@ -92,7 +88,7 @@ class MslcaFit:
 
     @property
     def structure(self) -> BlockStructure:
-        return self.vhat.structure
+        return self.data.structure
 
     @cached_property
     def whitened(self) -> Dataset:
@@ -152,19 +148,22 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
     The samples are copied transposed into one (R, q, n) array, so each
     column's pairwise mean runs along a contiguous row: one centering, one
     matrix product for the R covariances and one eigensolve per block and for
-    T, each over the whole stack. Every fit's arrays are read-only views into
-    the stacks, and each equals, bit for bit, the fit of its sample alone.
+    T, each over the whole stack. The covariances, finite as
+    ``_means_and_covs`` returns them, are checked symmetric and symmetrized.
+    Every fit's arrays are read-only views into the stacks, and each equals,
+    bit for bit, the fit of its sample alone.
     """
     structure = datasets[0].structure
     means, covs = _means_and_covs(datasets)
-    covs = _valid_covariances(covs)
+    covs = require_symmetric(covs)
     that, solutions, inv_root = _solve(structure, covs)
-    means.flags.writeable = False
+    for arr in (means, covs):
+        arr.flags.writeable = False
     return [
         MslcaFit(
             data=datasets[i],
             means=means[i],
-            vhat=CovarianceModel._of_valid(structure, covs[i]),
+            vhat=covs[i],
             that=that[i],
             solution=solutions[i],
             inv_root=inv_root[i],

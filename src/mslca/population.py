@@ -22,25 +22,17 @@ from .exceptions import NearSingularError
 DEFAULT_GROUP_TOL = 1e-8
 
 
-def _valid_covariances(v: np.ndarray) -> np.ndarray:
-    """Finite, symmetric (each matrix within its own scale), symmetrized and read-only."""
-    if not np.isfinite(v).all():
-        raise ValueError("covariance has a non-finite entry")
-    v = require_symmetric(v)
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
     """Full covariance of the stacked vector, stored as one (q, q) matrix.
 
     Block (k, l) is the cross-covariance of sets k and l, read as
-    ``v[structure.block_slice(k), structure.block_slice(l)]``; finiteness and
-    symmetry are validated at construction. Positive definiteness of the
-    diagonal blocks is checked where it is actually needed (inverse square
-    roots), so that empirical covariances of degenerate samples remain
-    representable.
+    ``v[structure.block_slice(k), structure.block_slice(l)]``. The one
+    constructor checks the shape, finiteness and symmetry of every matrix it
+    is given and keeps ``v`` symmetrized and read-only. Positive definiteness
+    of the diagonal blocks is checked where it is actually needed (inverse
+    square roots), so that singular models, such as a fit's empirical
+    covariance of a degenerate sample, remain representable.
     """
 
     structure: BlockStructure
@@ -51,16 +43,10 @@ class CovarianceModel:
         v = np.asarray(v, dtype=float)
         if v.shape != (q, q):
             raise ValueError(f"covariance must have shape ({q}, {q}), got {v.shape}")
-        self._adopt(structure, _valid_covariances(v))
-
-    @classmethod
-    def _of_valid(cls, structure: BlockStructure, v: np.ndarray) -> "CovarianceModel":
-        """Wrap a matrix that ``_valid_covariances`` has passed, without checking it again."""
-        model = object.__new__(cls)
-        model._adopt(structure, v)
-        return model
-
-    def _adopt(self, structure: BlockStructure, v: np.ndarray) -> None:
+        if not np.isfinite(v).all():
+            raise ValueError("covariance has a non-finite entry")
+        v = require_symmetric(v)
+        v.flags.writeable = False
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "v", v)
 

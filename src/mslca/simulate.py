@@ -114,9 +114,11 @@ class SimulationPlan:
 
     ``sizes``, ``replications`` and ``seed`` must be integers; a float such
     as 3.0 is refused (ValueError) rather than truncated. ``alphas`` and
-    ``nu`` must be numbers; a bool or a string is refused. Sizes must be
-    distinct, since summaries are keyed by size. The covariance must be
-    positive semidefinite, since the samplers use its square root.
+    ``nu`` must be numbers, and so must every covariance entry read by
+    ``from_dict``; a bool or a string is refused. ``alphas`` and ``methods``
+    must be nonempty. Sizes must be distinct, since summaries are keyed by
+    size. The covariance must be positive semidefinite, since the samplers
+    use its square root.
     """
 
     kind: str
@@ -158,8 +160,8 @@ class SimulationPlan:
             raise PlanPreconditionError(f"seed must be nonnegative, got {self.seed}")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
             raise ValueError(f"alphas must be nonempty and lie in (0, 1), got {alphas!r}")
-        if any(m not in ("chi2", "general") for m in self.methods):
-            raise ValueError(f"methods must be chi2/general, got {self.methods}")
+        if not self.methods or any(m not in ("chi2", "general") for m in self.methods):
+            raise ValueError(f"methods must be chi2/general and nonempty, got {self.methods}")
         if self.nu is not None and not math.isfinite(_real(self.nu)):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.sampler == "student-t":
@@ -206,7 +208,12 @@ class SimulationPlan:
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")
         structure = BlockStructure(raw["dims"])
-        model = CovarianceModel(structure, np.asarray(raw["covariance"], dtype=float))
+        entries = np.asarray(raw["covariance"], dtype=object)
+        covariance = np.vectorize(_real, otypes=[float])(entries)
+        if not np.isfinite(covariance).all():
+            bad = entries[~np.isfinite(covariance)][0]
+            raise ValueError(f"covariance entries must be finite numbers, got {bad!r}")
+        model = CovarianceModel(structure, covariance)
         kwargs = {}
         for key in optional:
             if raw.get(key) is not None:

@@ -66,7 +66,7 @@ def test_fit_json_roundtrips_exactly(gaussian_csv, tmp_path):
     from mslca.cli import read_csv_matrix
 
     matrix = read_csv_matrix(str(gaussian_csv))
-    vhat = fit_mslca(Dataset(BlockStructure((1, 1, 1)), matrix)).vhat.v
+    vhat = fit_mslca(Dataset(BlockStructure((1, 1, 1)), matrix)).vhat
     assert np.array_equal(np.asarray(payload["vhat"]), vhat)
 
 
@@ -559,6 +559,10 @@ ZERO_VARIANCE_21 = correlation_model(
         ({"alphas": [True]}, 2),
         ({"nu": True}, 2),
         ({"sampler": "student-t", "nu": True}, 2),
+        ({"covariance": [["1", "0"], ["0", "1"]]}, 2),
+        ({"covariance": [[True, False], [False, True]]}, 2),
+        # a method list the run could not follow: exit 2, as for empty alphas
+        ({"kind": "power", "methods": []}, 2),
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):

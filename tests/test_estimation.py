@@ -95,19 +95,20 @@ def test_means_and_covs_match_exact_sums_and_stacks_change_no_bit():
             alone = fit_mslca(data)
             for a, b in (
                 (stacked.means, alone.means),
-                (stacked.vhat.v, alone.vhat.v),
+                (stacked.vhat, alone.vhat),
                 (stacked.that, alone.that),
                 (stacked.solution.rho, alone.solution.rho),
                 (stacked.solution.beta, alone.solution.beta),
             ):
                 assert np.array_equal(a, b)
             assert stacked.s == alone.s
+            assert type(stacked.vhat) is np.ndarray and not stacked.vhat.flags.writeable
 
 
 def test_empirical_cov_divisor_is_n():
     s = BlockStructure((1, 1))
     rows = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    vhat = fit_mslca(Dataset(s, rows)).vhat.v
+    vhat = fit_mslca(Dataset(s, rows)).vhat
     np.testing.assert_allclose(vhat, np.eye(2), atol=1e-15)  # divisor 4, not 3
 
 
@@ -117,7 +118,7 @@ def test_empirical_cov_monte_carlo_rate():
     errs = []
     for n in (500, 8000):
         data = sample_gaussian(model, n, rng)
-        errs.append(np.abs(fit_mslca(data).vhat.v - model.v).max())
+        errs.append(np.abs(fit_mslca(data).vhat - model.v).max())
     assert errs[1] < errs[0]
     assert errs[1] < 4 * np.sqrt(np.diag(model.v).max() ** 2 / 8000) * 4
 
@@ -210,7 +211,7 @@ def test_whiten_properties():
     model = random_spd_model(rng, BlockStructure((2, 3)))
     data = sample_gaussian(model, 400, rng)
     white = whiten(data)
-    vhat = fit_mslca(white).vhat.v
+    vhat = fit_mslca(white).vhat
     for k in range(2):
         sl = white.structure.block_slice(k)
         np.testing.assert_allclose(vhat[sl, sl], np.eye(white.structure.dims[k]), atol=1e-9)
@@ -276,8 +277,10 @@ def test_fit_carries_its_statistic_and_read_only_arrays():
     assert fit.s == s_statistic(fit.that, structure)
     assert fit.s == pytest.approx(0.5 * float(np.sum(fit.solution.rho**2)), rel=1e-12)
     solution = fit.solution
-    for arr in (fit.means, fit.vhat.v, fit.that, solution.rho, solution.alpha, fit.inv_root):
+    for arr in (fit.means, fit.vhat, fit.that, solution.rho, solution.alpha, fit.inv_root):
         assert not arr.flags.writeable
+    # the covariance is a plain array, as the other derived matrices are
+    assert type(fit.vhat) is np.ndarray and fit.vhat.shape == (5, 5)
 
 
 def test_fit_whitened_is_its_sample_whitened_read_only():
@@ -296,7 +299,7 @@ def test_fit_whitened_is_its_sample_whitened_read_only():
     slices = [structure.block_slice(k) for k in range(structure.n_blocks)]
     for sl in slices:
         np.testing.assert_allclose(
-            fit.inv_root[sl, sl], sym_power(fit.vhat.v[sl, sl], -0.5), rtol=0, atol=1e-12
+            fit.inv_root[sl, sl], sym_power(fit.vhat[sl, sl], -0.5), rtol=0, atol=1e-12
         )
     expected = np.hstack([(data.rows - fit.means)[:, sl] @ fit.inv_root[sl, sl] for sl in slices])
     np.testing.assert_allclose(white.rows, expected, rtol=0, atol=1e-12)

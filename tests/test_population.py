@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import mslca.population
 from mslca import (
     BlockStructure,
     CovarianceModel,
@@ -104,11 +105,20 @@ def cca_equivalence(model):
 
 
 def test_model_validation():
+    # one constructor checks every model; there is no unchecked way in
+    assert not hasattr(CovarianceModel, "_of_valid")
+    assert not hasattr(CovarianceModel, "_adopt")
+    assert not hasattr(mslca.population, "_valid_covariances")
     s = BlockStructure((1, 1))
     with pytest.raises(ValueError):
         CovarianceModel(s, np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
         CovarianceModel(s, np.eye(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        CovarianceModel(s, [[1.0, np.inf], [np.inf, 1.0]])
+    model = CovarianceModel(s, [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+    assert not model.v.flags.writeable
+    assert np.array_equal(model.v, model.v.T)
 
 
 def test_model_root_is_computed_once_and_read_only():

@@ -178,6 +178,8 @@ def test_plan_validation():
         SimulationPlan(
             kind="null-dist", model=NULL_222, sizes=(100,), replications=5, methods=("bogus",)
         )
+    with pytest.raises(ValueError, match=r"nonempty, got \(\)"):
+        SimulationPlan(kind="power", model=NULL_222, sizes=(100,), replications=5, methods=())
 
 
 def test_plan_rejects_removed_mc_draws_key():
@@ -223,6 +225,16 @@ def test_plan_refuses_bools_and_strings_as_numbers():
     with pytest.raises(ValueError, match="nu must be finite, got True"):
         sample_student_t(NULL_222, True, 10, 0)
     assert SimulationPlan(**plan, alphas=[np.float64(0.05), 0.1]).alphas == (0.05, 0.1)
+    # a plan's covariance entries follow the same rule
+    raw = SimulationPlan(**plan).to_dict()
+    for entry in ("0", False, np.False_, b"0"):
+        covariance = np.eye(6).tolist()
+        covariance[0][1] = covariance[1][0] = entry
+        message = re.escape(f"covariance entries must be finite numbers, got {entry!r}")
+        with pytest.raises(ValueError, match=message):
+            SimulationPlan.from_dict({**raw, "covariance": covariance})
+    as_ints = SimulationPlan.from_dict({**raw, "covariance": np.eye(6, dtype=int).tolist()})
+    assert as_ints.to_dict() == raw
 
 
 def test_plan_roundtrip():
