@@ -15,7 +15,9 @@ value bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import math
 import os
@@ -90,26 +92,25 @@ def read_csv_matrix(path: str) -> np.ndarray:
     non-finite cell raise InputError naming the path, the 1-based file line
     (blank lines count) and the column.
 
-    A plain numeric file (no quotes, no ``1_0``-style numbers) is parsed by
-    numpy's C reader; any other file, and every file with an error, goes
-    through the csv scan. Both give the same values and the same errors.
+    The bytes are read once, from a file or a pipe. A plain numeric UTF-8
+    file (no quotes, no ``1_0``-style numbers) is parsed from memory by numpy's
+    C reader; any other file, and every file with an error, is decoded whole
+    for the csv scan. Both give the same values and the same errors.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        if fh.seekable():  # a pipe is read once, by the scan
-            matrix = _read_plain(fh)
-            if matrix is not None:
-                return matrix
-            fh.seek(0)
-        return _scan_csv(path, fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    matrix = _read_plain(raw)
+    if matrix is None:
+        matrix = _scan_csv(path, io.StringIO(raw.decode("utf-8-sig"), newline=""))
+    return matrix
 
 
-def _has_long_line(raw: bytes, limit: int) -> bool:
-    """Whether a line of ``raw``, counted in bytes between newlines, is longer than ``limit``.
+def _has_long_line(raw: bytes, limit: int, start: int = 0) -> bool:
+    """Whether a line of ``raw[start:]``, in bytes between newlines, is longer than ``limit``.
 
     Each step finds the last newline within limit + 1 bytes of a line start:
     with none, that line is too long; else every line up to it is short.
     """
-    start = 0
     while len(raw) - start > limit:
         end = raw.rfind(b"\n", start, start + limit + 1)
         if end < 0:
@@ -118,46 +119,46 @@ def _has_long_line(raw: bytes, limit: int) -> bool:
     return False
 
 
-def _read_plain(fh) -> np.ndarray | None:
-    """np.loadtxt's matrix of a plain numeric file, or None for the csv scan.
+def _read_plain(raw: bytes) -> np.ndarray | None:
+    """np.loadtxt's matrix of a plain numeric file's bytes, or None for the csv scan.
 
-    Returns None unless the matrix is what the scan would return: it has a
-    row, every entry is finite, and no line is longer than the csv field
-    limit (counted in bytes between newlines, which is never shorter).
+    Returns None unless the matrix is what the scan would return: the bytes
+    after a leading BOM are UTF-8, no line is longer than the csv field limit
+    (counted in bytes between newlines, which is never shorter), each CR is
+    followed by LF (numpy ends lines at LF alone, the scan at CR too), and the
+    matrix has a row and only finite entries. The header search decodes only
+    the first rows.
     """
-    raw = fh.buffer.read()
-    if _has_long_line(raw, csv.field_size_limit()):
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    if (_has_long_line(raw, csv.field_size_limit(), start)
+            or any(space in raw for space in _LOADTXT_ONLY_SPACES)
+            or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"))):
         return None
-    if any(space in raw for space in _LOADTXT_ONLY_SPACES):
-        return None
-    del raw  # not held while np.loadtxt builds the matrix
-    fh.seek(0)
+    body = io.BytesIO(raw)
+    body.seek(start)
     try:
-        reader = csv.reader(fh)
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
         first = next((row for row in reader if row), None)
         if first is None:
             return None
         skip = reader.line_num if _is_header(first) else 0
-        fh.seek(0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a header-only file
-            matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float,
-                                skiprows=skip)
-    except (ValueError, csv.Error):
+            matrix = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float,
+                                skiprows=skip, encoding="utf-8")
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
     if len(matrix) == 0 or not np.isfinite(matrix).all():
         return None
     return matrix
 
 
-def _scan_csv(path: str, fh=None) -> np.ndarray:
-    """Read the CSV with the csv module, raising InputError at the first bad cell.
+def _scan_csv(path: str, fh) -> np.ndarray:
+    """Read the CSV text ``fh`` with the csv module, raising InputError at the first bad cell.
 
-    Reads the open ``fh`` when given, else opens ``path``.
+    ``fh`` yields the file's text with its line endings kept (``newline=""``);
+    ``path`` only names the file in messages.
     """
-    if fh is None:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _scan_csv(path, fh)
     reader = csv.reader(fh)
     rows, lines = [], []
     for row in reader:

@@ -22,6 +22,16 @@ from .exceptions import NearSingularError
 DEFAULT_GROUP_TOL = 1e-8
 
 
+def _entry(value) -> float:
+    """A covariance entry as a float; ValueError naming it unless it is a real number."""
+    try:
+        if value is not None and not isinstance(value, (bool, np.bool_, str, bytes)):
+            return float(value)
+    except TypeError:  # a list from ragged rows, a dict
+        pass
+    raise ValueError(f"covariance entries must be finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Full covariance of the stacked vector, stored as one (q, q) matrix.
@@ -29,7 +39,8 @@ class CovarianceModel:
     Block (k, l) is the cross-covariance of sets k and l, read as
     ``v[structure.block_slice(k), structure.block_slice(l)]``. The one
     constructor checks the shape, finiteness and symmetry of every matrix it
-    is given and keeps ``v`` symmetrized and read-only. Positive definiteness
+    is given and keeps ``v`` symmetrized and read-only. An entry must be a
+    number: a bool, a string, bytes or None is refused. Positive definiteness
     of the diagonal blocks is checked where it is actually needed (inverse
     square roots), so that singular models, such as a fit's empirical
     covariance of a degenerate sample, remain representable.
@@ -40,11 +51,13 @@ class CovarianceModel:
 
     def __init__(self, structure: BlockStructure, v: np.ndarray):
         q = structure.total_dim
+        if not (isinstance(v, np.ndarray) and v.dtype.kind in "iuf"):
+            v = np.vectorize(_entry, otypes=[float])(np.asarray(v, dtype=object))
         v = np.asarray(v, dtype=float)
         if v.shape != (q, q):
             raise ValueError(f"covariance must have shape ({q}, {q}), got {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("covariance has a non-finite entry")
+            raise ValueError(f"covariance has a non-finite entry: {v[~np.isfinite(v)][0]}")
         v = require_symmetric(v)
         v.flags.writeable = False
         object.__setattr__(self, "structure", structure)

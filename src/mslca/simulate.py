@@ -85,8 +85,8 @@ def sample_student_t(model: CovarianceModel, nu: float, n: int, seed) -> Dataset
     ``sample_gaussian``. Requires a finite nu > 4 so fourth moments exist.
     """
     _require_nu(nu, "student-t sampler")
-    gauss, rng = _gaussian_rows(model, n, seed)
-    rows = gauss * np.sqrt((nu - 2.0) / rng.chisquare(nu, size=n))[:, None]
+    rows, rng = _gaussian_rows(model, n, seed)
+    rows *= np.sqrt((nu - 2.0) / rng.chisquare(nu, size=n))[:, None]
     return Dataset._from_fresh(model.structure, rows)
 
 
@@ -114,11 +114,11 @@ class SimulationPlan:
 
     ``sizes``, ``replications`` and ``seed`` must be integers; a float such
     as 3.0 is refused (ValueError) rather than truncated. ``alphas`` and
-    ``nu`` must be numbers, and so must every covariance entry read by
-    ``from_dict``; a bool or a string is refused. ``alphas`` and ``methods``
-    must be nonempty. Sizes must be distinct, since summaries are keyed by
-    size. The covariance must be positive semidefinite, since the samplers
-    use its square root.
+    ``nu`` must be numbers, and so must every covariance entry (checked by
+    ``CovarianceModel``); a bool or a string is refused. ``alphas`` and
+    ``methods`` must be nonempty. Sizes must be distinct, since summaries are
+    keyed by size. The covariance must be positive semidefinite, since the
+    samplers use its square root.
     """
 
     kind: str
@@ -207,24 +207,10 @@ class SimulationPlan:
         unknown = sorted(key for key in raw if key not in required + optional)
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")
-        structure = BlockStructure(raw["dims"])
-        entries = np.asarray(raw["covariance"], dtype=object)
-        covariance = np.vectorize(_real, otypes=[float])(entries)
-        if not np.isfinite(covariance).all():
-            bad = entries[~np.isfinite(covariance)][0]
-            raise ValueError(f"covariance entries must be finite numbers, got {bad!r}")
-        model = CovarianceModel(structure, covariance)
-        kwargs = {}
-        for key in optional:
-            if raw.get(key) is not None:
-                kwargs[key] = raw[key]
-        return cls(
-            kind=raw["kind"],
-            model=model,
-            sizes=raw["sizes"],
-            replications=raw["replications"],
-            **kwargs,
-        )
+        model = CovarianceModel(BlockStructure(raw["dims"]), raw["covariance"])
+        kwargs = {key: raw[key] for key in optional if raw.get(key) is not None}
+        return cls(kind=raw["kind"], model=model, sizes=raw["sizes"],
+                   replications=raw["replications"], **kwargs)
 
 
 @dataclass(frozen=True)

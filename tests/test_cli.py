@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, CSV handling, JSON reports."""
 
+import builtins
 import csv
 import gzip
+import io
 import json
 import os
 import subprocess
@@ -162,6 +164,13 @@ def test_bad_csv_exit_2_names_path_and_position(tmp_path, capsys, command, conte
     assert not out.exists()
 
 
+def test_decode_error_gives_the_offset_in_the_file(tmp_path, capsys):
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"1.0,2.0\n" * 2000 + b"3.0,\xff\n")
+    assert main(["fit", "--data", str(path), "--blocks", "1,1", "--out", str(tmp_path / "o.json")]) == 2
+    _assert_one_error_line(capsys, str(path), "can't decode byte 0xff in position 16004")
+
+
 @pytest.mark.parametrize(
     "first_row, fragment",
     [
@@ -246,7 +255,25 @@ _READER_CORPUS = {
     "one-column.csv": b"1\n2\n3.5\n",
     "trailing-comma.csv": b"1,2,\n3,4.5,\n",
     "compressed.csv.gz": gzip.compress(b"1,2\n3,4.5\n", mtime=0),
+    # how the bytes are decoded: UTF-8 throughout, one BOM dropped, lines
+    # ending where Python's text layer ends them
+    "utf8-header.csv": "température,x\n1,2\n3,4.5\n".encode(),
+    "lone-0x85.csv": b"1\x85,2\n3,4.5\n",
+    "late-0x85.csv": b"1,2\n" * 3000 + b"3\x85,4.5\n",
+    "utf8-next-line.csv": "1\x85,2\n3,4.5\n".encode(),
+    "latin1-header.csv": b"temp\xe9rature,x\n1,2\n3,4.5\n",
+    "bom-crlf.csv": b"\xef\xbb\xbf1,2\r\n3,4.5\r\n",
+    "two-boms.csv": b"\xef\xbb\xbf\xef\xbb\xbf1,2\n3,4.5\n",
+    "cr-header-then-lf.csv": b"x,y\r1,2\r3,4.5\r\n5,6\n",
+    "cr-in-header.csv": b"a\rb,c\n1,2\n3,4.5\n",
 }
+
+
+def _scan(path):
+    """The csv scan of the whole file decoded as UTF-8 after an optional BOM: the reference."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig")
+    return mslca.cli._scan_csv(path, io.StringIO(text, newline=""))
 
 
 def _read_outcome(reader, path):
@@ -265,22 +292,26 @@ def test_read_csv_matrix_agrees_with_the_scan(tmp_path, name):
         path.mkdir()
     elif name in _READER_CORPUS:
         path.write_bytes(_READER_CORPUS[name])
-    expected = _read_outcome(mslca.cli._scan_csv, path)
+    expected = _read_outcome(_scan, path)
     assert _read_outcome(mslca.cli.read_csv_matrix, path) == expected
 
 
-@pytest.mark.parametrize(
-    "name", ["wide.csv", "crlf-header.csv", "bom-header.csv", "blank-lines-before-header.csv"]
-)
-def test_plain_numeric_csv_never_reaches_the_scan(tmp_path, monkeypatch, name):
-    path = tmp_path / name
-    path.write_bytes(_READER_CORPUS[name])
-    expected = mslca.cli._scan_csv(str(path))
-
+def _refuse_the_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("the csv scan ran on a plain numeric file")
 
     monkeypatch.setattr(mslca.cli, "_scan_csv", refuse)
+
+
+@pytest.mark.parametrize(
+    "name", ["wide.csv", "crlf-header.csv", "bom-header.csv", "blank-lines-before-header.csv",
+             "utf8-header.csv", "bom-crlf.csv"]
+)
+def test_plain_numeric_csv_never_reaches_the_scan(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_bytes(_READER_CORPUS[name])
+    expected = _scan(str(path))
+    _refuse_the_scan(monkeypatch)
     assert mslca.cli.read_csv_matrix(str(path)).tobytes() == expected.tobytes()
 
 
@@ -312,15 +343,14 @@ def test_plain_reader_line_limit_boundary(tmp_path, monkeypatch, newline, ending
     assert bool(calls) == scanned
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_read_csv_matrix_reads_a_named_pipe_once(tmp_path):
+def _read_through_a_named_pipe(tmp_path, content):
     fifo = tmp_path / "data.csv"
     os.mkfifo(fifo)
     done = threading.Event()
 
     def write():
         try:
-            fifo.write_bytes(b"x,y\n1,2\n3,4.5\n")
+            fifo.write_bytes(content)
         except BrokenPipeError:
             pass
         if not done.wait(30):
@@ -334,7 +364,40 @@ def test_read_csv_matrix_reads_a_named_pipe_once(tmp_path):
         done.set()
         writer.join(60)
     assert not writer.is_alive()
+    return matrix
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_csv_matrix_reads_a_named_pipe_once(tmp_path, monkeypatch):
+    # a plain numeric file from a pipe takes numpy's reader, as from a regular file
+    _refuse_the_scan(monkeypatch)
+    matrix = _read_through_a_named_pipe(tmp_path, b"x,y\n1,2\n3,4.5\n")
     assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_csv_matrix_scans_a_named_pipe_once(tmp_path):
+    matrix = _read_through_a_named_pipe(tmp_path, b'x,y\n"1",2\n3,4.5\n')
+    assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+
+
+@pytest.mark.parametrize("name", ["wide.csv", "quoted-cells.csv", "non-utf8.csv", "empty.csv"])
+def test_read_csv_matrix_opens_the_path_once(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_bytes(_READER_CORPUS[name])
+    expected = _read_outcome(_scan, path)
+    opened = []
+    builtin_open = open
+
+    def recorded(file, *args, **kwargs):
+        if file == str(path):
+            opened.append(args)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recorded)
+    assert _read_outcome(mslca.cli.read_csv_matrix, path) == expected
+    monkeypatch.undo()
+    assert len(opened) == 1
 
 
 @pytest.mark.parametrize("command", ["fit", "test", "simulate"])
@@ -561,6 +624,8 @@ ZERO_VARIANCE_21 = correlation_model(
         ({"sampler": "student-t", "nu": True}, 2),
         ({"covariance": [["1", "0"], ["0", "1"]]}, 2),
         ({"covariance": [[True, False], [False, True]]}, 2),
+        ({"covariance": [[1.0, 0.0], [0.0]]}, 2),
+        ({"covariance": [[1.0, None], [None, 1.0]]}, 2),
         # a method list the run could not follow: exit 2, as for empty alphas
         ({"kind": "power", "methods": []}, 2),
     ],

@@ -1,6 +1,7 @@
 """Population solver: construction, spectral solution, structural claims."""
 
 import dataclasses
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,31 @@ def test_model_validation():
     model = CovarianceModel(s, [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
     assert not model.v.flags.writeable
     assert np.array_equal(model.v, model.v.T)
+
+
+def test_model_refuses_entries_that_are_not_numbers(monkeypatch):
+    # float() reads True as 1.0 and "1" as 1.0; the message names the entry as given
+    s = BlockStructure((1, 1))
+    for entry in (True, False, np.True_, np.False_, "1", "0", b"1", None, [0.0], {}):
+        for v in ([[1.0, entry], [entry, 1.0]], np.array([[1.0, entry], [entry, 1.0]], dtype=object)):
+            with pytest.raises(ValueError, match=re.escape(f"got {entry!r}")):
+                CovarianceModel(s, v)
+    for v in (np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]])):
+        with pytest.raises(ValueError, match="covariance entries must be finite numbers"):
+            CovarianceModel(s, v)
+    with pytest.raises(ValueError, match=re.escape("got [1.0, 0.0]")):
+        CovarianceModel(s, [[1.0, 0.0], [0.0]])  # ragged rows are entries of a vector
+    # numbers of any kind in a list, and an int or float array, read as before
+    mixed = [[np.float32(2.0), 1], [np.int64(1), 2.0]]
+    assert CovarianceModel(s, mixed).v.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+    def refuse(value):
+        raise AssertionError("an int or float array went through the per-entry check")
+
+    monkeypatch.setattr(mslca.population, "_entry", refuse)
+    for dtype in (float, np.float32, int, np.int8, np.uint16):
+        v = np.array([[2, 1], [1, 2]], dtype=dtype)
+        assert CovarianceModel(s, v).v.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
 
 def test_model_root_is_computed_once_and_read_only():

@@ -237,6 +237,20 @@ def test_plan_refuses_bools_and_strings_as_numbers():
     assert as_ints.to_dict() == raw
 
 
+@pytest.mark.parametrize(
+    "covariance, entry",
+    [([[1, 0], [0]], "[1, 0]"), ([[1, None], [None, 1]], "None"), ([[1, {}], [{}, 1]], "{}")],
+    ids=["ragged", "null", "object"],
+)
+def test_plan_names_a_covariance_that_is_no_matrix_of_numbers(covariance, entry):
+    # a ValueError naming the covariance, not float()'s TypeError
+    raw = {"kind": "null-dist", "dims": [1, 1], "covariance": covariance, "sizes": [100],
+           "replications": 5}
+    message = re.escape(f"covariance entries must be finite numbers, got {entry}")
+    with pytest.raises(ValueError, match=message):
+        SimulationPlan.from_dict(raw)
+
+
 def test_plan_roundtrip():
     plan = SimulationPlan(
         kind="null-dist", model=NULL_222, sizes=(100, 200), replications=3,
