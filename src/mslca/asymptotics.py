@@ -11,9 +11,11 @@ Provided pieces:
   off-diagonal block entries (the limit covariance of the non-correlation
   statistic's Gaussian vector), returned as a plain array whose eigenvalues
   are the weights of the general route's weighted chi-square law.
-  Both fourth-moment estimators here (this and the plug-in ``c_tensor``) add
-  up their Gram products over blocks of rows, so their working memory does
-  not grow with n.
+  Both fourth-moment estimators here (this and the plug-in ``c_tensor``) walk
+  the sample transposed, one observation per column as a fit's ``whitened``
+  sample holds it, and add up their Gram products over blocks of columns
+  written into one reused feature buffer, so their working memory does not
+  grow with n.
 * ``c_tensor`` / ``c_tensor_gaussian`` -- second moments of the limit
   operator Z in the eigenbasis. Z is defined once, by its eigenbasis forms
   <beta_m, Z(x) beta_r> = x^T A_mr x, which check the eigen-relation they
@@ -117,22 +119,31 @@ class MomentAccumulator:
         return dataset
 
 
-def _row_gram(rows: np.ndarray, features, width: int) -> np.ndarray:
-    """Sum over the rows x_i of f(x_i) f(x_i)^T, for f = ``features`` with ``width`` values.
+def _row_gram(sample: np.ndarray, features, width: int) -> np.ndarray:
+    """Sum over the observations x_i of f(x_i) f(x_i)^T, for f = ``features`` with ``width`` values.
 
-    ``features`` maps consecutive rows to their (rows, width) feature array.
-    Blocks of rows holding at most ``_GRAM_BLOCK_BYTES`` of features have
-    their Gram products added in row order, so working memory is one block
-    and the sum; a sample that fits in one block gets exactly f.T @ f.
+    ``sample`` holds one observation per column, (q, n), as a fit's
+    ``whitened`` rows do seen transposed. ``features(x, out)`` writes the
+    features of consecutive columns x into the (width, len) array ``out``.
+    Blocks of columns holding at most ``_GRAM_BLOCK_BYTES`` of features have
+    their Gram products f f^T added in column order. Every block, the last
+    partial one too, writes into one feature buffer, so working memory is
+    that buffer and the sum; a sample that fits in one block gets exactly
+    f @ f.T. A C-ordered (n, q) sample seen transposed is read through its
+    strided blocks, never copied.
     """
-    step = max(1, _GRAM_BLOCK_BYTES // (8 * width))
+    n = sample.shape[1]
+    step = max(1, min(n, _GRAM_BLOCK_BYTES // (8 * width)))
+    buffer = np.empty((width, step))
 
     def block_gram(start: int) -> np.ndarray:
-        f = features(rows[start : start + step])
-        return f.T @ f
+        block = sample[:, start : start + step]
+        f = buffer[:, : block.shape[1]]
+        features(block, f)
+        return f @ f.T
 
     gram = block_gram(0)
-    for start in range(step, rows.shape[0], step):
+    for start in range(step, n, step):
         gram += block_gram(start)
     return gram
 
@@ -145,16 +156,25 @@ def build_gamma(whitened: Dataset) -> np.ndarray:
     (rows r, cols c). Entry [a, b] is the sample mean of
     x_{r_a} x_{c_a} x_{r_b} x_{c_b}; as a Gram matrix of pair products it is
     symmetric positive semidefinite up to round-off. It is accumulated over
-    row blocks (``_row_gram``), so its working memory does not grow with n.
+    blocks of observations of the transposed (q, n) sample (``_row_gram``),
+    so its working memory does not grow with n. In that order the products
+    of block k with every coordinate before it are one run of features,
+    which one broadcast product writes into the feature buffer.
     """
-    rows, cols = whitened.structure.cross_entries
+    structure = whitened.structure
+    # the runs of ``cross_entries``: block k against every coordinate before it
+    blocks = [structure.block_slice(k) for k in range(1, structure.n_blocks)]
 
-    def pair_products(x: np.ndarray) -> np.ndarray:
-        stacked = x[:, rows]
-        stacked *= x[:, cols]  # in place: one product array fewer at peak
-        return stacked
+    def pair_products(x: np.ndarray, out: np.ndarray) -> None:
+        end = 0
+        for block in blocks:
+            run = out[end : end + block.start * (block.stop - block.start)]
+            end += len(run)
+            run = run.reshape(block.start, -1, x.shape[1])  # splits an axis: a view
+            np.multiply(x[None, block], x[: block.start, None], out=run)
 
-    matrix = _row_gram(whitened.rows, pair_products, rows.size) / whitened.n
+    width = structure.cross_entries[0].size
+    matrix = _row_gram(whitened.rows.T, pair_products, width) / whitened.n
     return 0.5 * (matrix + matrix.T)
 
 
@@ -203,11 +223,12 @@ def c_tensor(
 
     Entry [m, r, s, t] is the sample mean, over the whitened sample, of
     z_mr z_st, where z_mr = x^T A[m, r] x is the observation's value of the
-    eigenbasis forms that ``c_tensor_gaussian`` also uses. With the (n, q^2)
-    matrix of the z values, the tensor is the Gram product z^T z / n,
-    accumulated over row blocks (``_row_gram``), so its working memory does
-    not grow with n. Raises ValueError unless the sample, the solution and the
-    model share one block structure and the solution solves the model.
+    eigenbasis forms that ``c_tensor_gaussian`` also uses. With the (q^2, n)
+    matrix of the z values, the tensor is the Gram product z z^T / n,
+    accumulated over blocks of observations (``_row_gram``), so its working
+    memory does not grow with n. Raises ValueError unless the sample, the
+    solution and the model share one block structure and the solution solves
+    the model.
     """
     if whitened.structure != model.structure:
         raise ValueError(
@@ -216,10 +237,10 @@ def c_tensor(
     q = whitened.structure.total_dim
     forms = _eigenbasis_forms(model, solution).reshape(q * q, q * q)
 
-    def form_values(x: np.ndarray) -> np.ndarray:
-        return (x[:, :, None] * x[:, None, :]).reshape(len(x), q * q) @ forms.T
+    def form_values(x: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(forms, (x[:, None, :] * x[None, :, :]).reshape(q * q, -1), out=out)
 
-    return (_row_gram(whitened.rows, form_values, q * q) / whitened.n).reshape(q, q, q, q)
+    return (_row_gram(whitened.rows.T, form_values, q * q) / whitened.n).reshape(q, q, q, q)
 
 
 def c_tensor_gaussian(model: CovarianceModel, solution: MslcaSolution) -> np.ndarray:

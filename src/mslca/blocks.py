@@ -37,14 +37,19 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(value) -> float:
-    """``value`` as a float; NaN for a bool or a string, so the caller's range check refuses it.
+def _real(value, refused=np.nan):
+    """``value`` as a float, or ``refused`` unless it is a real number.
 
-    ``float`` would read True as 1.0 and "0.05" as 0.05.
+    The default NaN fails the caller's range check. ``float`` would read True
+    as 1.0 and "0.05" as 0.05, so bools and strings are refused; None, a list
+    or a dict, for which it raises TypeError, are refused too.
     """
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        return np.nan
-    return float(value)
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    return refused
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,16 @@ class BlockStructure:
         The one definition of the order of the stacked off-diagonal entries,
         and so of Gamma's rows and columns: pairs (k, l), l < k, run in the
         order (1,0), (2,0), (2,1), (3,0), ...; within a pair, entries (i, j)
-        run with the row index i fastest.
+        run with the row index i fastest. So the entries of block k against
+        every coordinate before it are one run, with block k's index
+        fastest; ``build_gamma`` writes each such run with one broadcast
+        product.
         """
         rows, cols = [], []
         for k in range(1, self.n_blocks):
-            for l in range(k):
-                sk, sl = self.block_slice(k), self.block_slice(l)
-                rows.append(np.tile(np.arange(sk.start, sk.stop), self.dims[l]))
-                cols.append(np.repeat(np.arange(sl.start, sl.stop), self.dims[k]))
+            block = self.block_slice(k)  # against the pairs (k, 0), ..., (k, k-1) at once
+            rows.append(np.tile(np.arange(block.start, block.stop), block.start))
+            cols.append(np.repeat(np.arange(block.start), self.dims[k]))
         entries = (np.concatenate(rows), np.concatenate(cols))
         for index in entries:
             index.flags.writeable = False

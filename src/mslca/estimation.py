@@ -69,9 +69,11 @@ class MslcaFit:
     squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
     is Phi^{-1/2}, the read-only block-diagonal matrix whose diagonal blocks
     are the inverse square roots of those of ``vhat``; ``whitened`` is
-    ``data`` centred by ``means`` and mapped through it. The non-correlation
-    tests therefore take only the fit: their moments come from its
-    ``whitened`` sample.
+    ``data`` centred by ``means`` and mapped through it. The fit keeps the
+    centred sample its covariance was computed from, a read-only (q, n)
+    view into the stack of ``_means_and_covs``, and whitens from it. The
+    non-correlation tests therefore take only the fit: their moments come
+    from its ``whitened`` sample.
     """
 
     data: Dataset = field(repr=False)
@@ -81,6 +83,7 @@ class MslcaFit:
     solution: MslcaSolution
     inv_root: np.ndarray
     s: float
+    _centred: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -94,21 +97,24 @@ class MslcaFit:
     def whitened(self) -> Dataset:
         """The fitted sample centred by ``means`` and mapped through ``inv_root``.
 
-        Built on first use and kept, read-only. Its within-block covariances
-        are the identity, the standing normalization of the asymptotic theory.
+        Built on first use and kept, read-only: ``inv_root`` times the fit's
+        centred (q, n) sample, seen transposed as (n, q) rows, so its columns
+        are contiguous. Its within-block covariances are the identity, the
+        standing normalization of the asymptotic theory.
         """
-        return Dataset._from_fresh(self.structure, (self.data.rows - self.means) @ self.inv_root)
+        return Dataset._from_fresh(self.structure, (self.inv_root @ self._centred).T)
 
 
-def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """Column means (R, q) and divisor-n covariances (R, q, q) of same-shape samples.
+def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means (R, q), divisor-n covariances (R, q, q) and the centred (R, q, n) stack.
 
     Each sample is copied transposed into one C-ordered (R, q, n) stack, so
     every column is one contiguous row: its mean is numpy's pairwise sum along
     that row, more accurate than a running sum down the rows, and the
     covariances are one batched product of the centred rows with their
     transposes. Each row reduction and product acts on one sample's matrix
-    alone, so a sample gets the same bits in any stack.
+    alone, so a sample gets the same bits in any stack. The centred stack is
+    returned too, for the fits to whiten from.
 
     A constant column, one whose centred entries are all equal, gets zero
     variance and covariances, whatever its mean's round-off leaves there, so
@@ -139,7 +145,7 @@ def _means_and_covs(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
         raise CovarianceOverflowError(
             "the sample covariance underflows the float range; rescale the data"
         )
-    return means, covs
+    return means, covs, centered
 
 
 def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
@@ -150,14 +156,14 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
     matrix product for the R covariances and one eigensolve per block and for
     T, each over the whole stack. The covariances, finite as
     ``_means_and_covs`` returns them, are checked symmetric and symmetrized.
-    Every fit's arrays are read-only views into the stacks, and each equals,
-    bit for bit, the fit of its sample alone.
+    Every fit's arrays, its centred sample included, are read-only views into
+    the stacks, and each equals, bit for bit, the fit of its sample alone.
     """
     structure = datasets[0].structure
-    means, covs = _means_and_covs(datasets)
+    means, covs, centred = _means_and_covs(datasets)
     covs = require_symmetric(covs)
     that, solutions, inv_root = _solve(structure, covs)
-    for arr in (means, covs):
+    for arr in (means, covs, centred):
         arr.flags.writeable = False
     return [
         MslcaFit(
@@ -168,6 +174,7 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
             solution=solutions[i],
             inv_root=inv_root[i],
             s=s,
+            _centred=centred[i],
         )
         for i, s in enumerate(_off_block_mass(structure, that).tolist())
     ]

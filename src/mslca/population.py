@@ -16,20 +16,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import BlockStructure, psd_sqrt, require_symmetric, sym_eig, sym_power
+from .blocks import BlockStructure, _real, psd_sqrt, require_symmetric, sym_eig, sym_power
 from .exceptions import NearSingularError
 
 DEFAULT_GROUP_TOL = 1e-8
 
 
 def _entry(value) -> float:
-    """A covariance entry as a float; ValueError naming it unless it is a real number."""
-    try:
-        if value is not None and not isinstance(value, (bool, np.bool_, str, bytes)):
-            return float(value)
-    except TypeError:  # a list from ragged rows, a dict
-        pass
-    raise ValueError(f"covariance entries must be finite numbers, got {value!r}")
+    """A covariance entry as a float; ValueError naming it unless ``_real`` reads it."""
+    number = _real(value, None)
+    if number is None:  # a bool, a string, None, a list from ragged rows, a dict
+        raise ValueError(f"covariance entries must be finite numbers, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

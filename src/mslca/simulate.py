@@ -495,6 +495,7 @@ def run_experiment(plan: SimulationPlan) -> ExperimentResult:
             samples = [plan.sample(n, rng) for rng in rngs]
             for rep, rng, fit in zip(reps, rngs, _chunk_fits(samples)):
                 cells.append({"n": n, "rep": rep, **record(rng, fit)})
+            del samples, fit  # a fit holds its chunk's centred stack: free it before the next draw
         summaries[str(n)] = summarize(cells)
         records.extend(cells)
     meta = {

@@ -12,6 +12,7 @@ import mslca.asymptotics
 from mslca import (
     BlockStructure,
     CovarianceModel,
+    Dataset,
     EigenChiSquareDist,
     InsufficientSampleError,
     MslcaError,
@@ -241,7 +242,6 @@ def test_accumulator_rejects_raw_data():
     rng = np.random.default_rng(109)
     model = correlation_model((1, 1), {(1, 0): 0.0})
     data = sample_gaussian(model, 200, rng)
-    from mslca import Dataset
 
     white = fit_mslca(data).whitened
     assert MomentAccumulator.from_whitened(white) is white
@@ -343,6 +343,13 @@ def _build_gamma_per_pair(white):
     return 0.5 * (matrix + matrix.T)
 
 
+def _c_ordered(white):
+    """The whitened sample as a C-ordered ``Dataset`` from outside a fit."""
+    outside = Dataset(white.structure, np.ascontiguousarray(white.rows))
+    assert outside.rows.flags.c_contiguous and not white.rows.flags.c_contiguous
+    return outside
+
+
 def test_build_gamma_matches_per_pair_oracle():
     rng = np.random.default_rng(179)
     for i in range(10):
@@ -353,6 +360,9 @@ def test_build_gamma_matches_per_pair_oracle():
             data = sample_student_t(model, 9.0, 200, rng)
         white = fit_mslca(data).whitened
         np.testing.assert_allclose(build_gamma(white), _build_gamma_per_pair(white), rtol=1e-12)
+        outside = _c_ordered(white)
+        np.testing.assert_allclose(build_gamma(outside), _build_gamma_per_pair(outside), rtol=1e-12)
+        assert np.array_equal(build_gamma(outside), build_gamma(white))
 
 
 def test_build_gamma_gaussian_null_near_identity():
@@ -568,24 +578,29 @@ def _c_tensor_one_shot(white, solution, model):
 
 
 def test_row_gram_walks_the_rows_in_blocks(monkeypatch):
-    # 200 rows and 5 features in blocks of 37 rows: five full blocks, then 15
+    # 200 rows and 5 features in blocks of 37 rows: five full blocks, then 15;
+    # the walker sees the rows transposed, one observation per column
     rows = np.random.default_rng(181).standard_normal((200, 3))
     full = np.column_stack([rows, rows[:, :2] * rows[:, 1:]])
 
-    def features(x):
-        lengths.append(len(x))
-        return np.column_stack([x, x[:, :2] * x[:, 1:]])
+    def features(x, out):
+        lengths.append(x.shape[1])
+        buffers.add(out.__array_interface__["data"][0])
+        out[:3] = x
+        out[3:] = x[:2] * x[1:]
 
-    for budget in (37 * 8 * 5, 37 * 8 * 5 + 39):
-        monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", budget)
-        lengths = []
-        gram = _row_gram(rows, features, 5)
-        assert lengths == [37] * 5 + [15]
-        np.testing.assert_allclose(gram, full.T @ full, rtol=1e-12)
-    monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", 1)  # below one row: a row a block
-    lengths = []
-    np.testing.assert_allclose(_row_gram(rows, features, 5), full.T @ full, rtol=1e-12)
-    assert lengths == [1] * 200
+    for sample in (np.ascontiguousarray(rows.T), rows.T):  # a whitened-like and a C-ordered sample
+        for budget in (37 * 8 * 5, 37 * 8 * 5 + 39):
+            monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", budget)
+            lengths, buffers = [], set()
+            gram = _row_gram(sample, features, 5)
+            assert lengths == [37] * 5 + [15]
+            assert len(buffers) == 1  # the last, partial block reuses the buffer
+            np.testing.assert_allclose(gram, full.T @ full, rtol=1e-12)
+        monkeypatch.setattr(mslca.asymptotics, "_GRAM_BLOCK_BYTES", 1)  # below one row: a row a block
+        lengths, buffers = [], set()
+        np.testing.assert_allclose(_row_gram(sample, features, 5), full.T @ full, rtol=1e-12)
+        assert lengths == [1] * 200 and len(buffers) == 1
 
 
 def test_gram_estimators_over_several_row_blocks_match_oracles(monkeypatch):
@@ -604,6 +619,8 @@ def test_gram_estimators_over_several_row_blocks_match_oracles(monkeypatch):
         np.testing.assert_allclose(gamma, _gamma_one_shot(white), rtol=1e-12)
         assert np.array_equal(gamma, gamma.T)
         assert np.array_equal(build_gamma(white), gamma)
+        # a C-ordered sample is transposed block by block into the same features
+        assert np.array_equal(build_gamma(_c_ordered(white)), gamma)
     for model in (WHITENED_111, WHITENED_222, WHITENED_213):
         solution = solve_mslca(model)
         white = _whitened_sample(model, 300, seed=193, sampler="t", nu=9.0)
@@ -619,6 +636,7 @@ def test_gram_estimators_over_several_row_blocks_match_oracles(monkeypatch):
                 _c_coefficient(white, solution, model, m, r, s, t), rel=1e-12, abs=1e-12 * top
             )
         assert np.array_equal(c_tensor(white, solution, model), tensor)
+        assert np.array_equal(c_tensor(_c_ordered(white), solution, model), tensor)
 
 
 def test_gram_estimators_in_one_block_are_the_one_shot_formulas():
@@ -632,6 +650,9 @@ def test_gram_estimators_in_one_block_are_the_one_shot_formulas():
         tensor = c_tensor(white, solution, model)
         assert np.array_equal(tensor, _c_tensor_one_shot(white, solution, model))
         assert np.array_equal(c_tensor(white, solution, model), tensor)
+        outside = _c_ordered(white)
+        assert np.array_equal(build_gamma(outside), _gamma_one_shot(outside))
+        assert np.array_equal(c_tensor(outside, solution, model), tensor)
 
 
 @pytest.mark.parametrize("estimator", ["gamma", "c-tensor"])
@@ -643,24 +664,27 @@ def test_gram_working_memory_does_not_grow_with_n(monkeypatch, estimator):
         white = _whitened_sample(model, 20000, seed=199)
         result_bytes = 8 * white.structure.cross_entries[0].size ** 2
 
-        def run():
-            return build_gamma(white)
+        def run(sample):
+            return build_gamma(sample)
     else:
         solution = solve_mslca(WHITENED_222)
         white = _whitened_sample(WHITENED_222, 20000, seed=199)
         result_bytes = 8 * WHITENED_222.structure.total_dim ** 4
 
-        def run():
-            return c_tensor(white, solution, WHITENED_222)
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one block's features and their factors, and a few result-sized arrays;
-    # the whole-sample products held two n x width arrays (45.8 MB for Gamma here)
-    assert peak < 3 * budget + 4 * result_bytes
+        def run(sample):
+            return c_tensor(sample, solution, WHITENED_222)
+    # a fit's whitened sample, and a C-ordered one from outside a fit, which
+    # is transposed one block at a time rather than copied whole
+    for sample in (white, _c_ordered(white)):
+        tracemalloc.start()
+        try:
+            run(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's features and their factors, and a few result-sized arrays;
+        # the whole-sample products held two n x width arrays (45.8 MB for Gamma here)
+        assert peak < 3 * budget + 4 * result_bytes
 
 
 def _eigenbasis_forms_from_psi(model, solution):
@@ -896,7 +920,9 @@ def test_quad_form_pvalue_raises_when_budget_is_too_small(monkeypatch):
 def test_quad_form_pvalue_refuses_bools_and_strings():
     # float(True) and float("1.0") are 1.0: either would read as a statistic of 1
     dist = EigenChiSquareDist([1.0, 0.5])
-    for bad in (True, np.True_, False, "1.0", b"1.0", np.str_("1.0"), -1.0, float("nan"), float("inf")):
+    bad_values = (True, np.True_, False, "1.0", b"1.0", np.str_("1.0"), None, [1.0], {},
+                  -1.0, float("nan"), float("inf"))
+    for bad in bad_values:
         with pytest.raises(ValueError, match="finite nonnegative number"):
             quad_form_pvalue(dist, bad)
     assert quad_form_pvalue(dist, np.float64(1.0)) == quad_form_pvalue(dist, 1)
@@ -968,8 +994,6 @@ TWO_POINT = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
 def test_elliptical_scale_plugin_two_point_design():
-    from mslca import Dataset
-
     data = Dataset(BlockStructure((1, 1)), np.tile(TWO_POINT, (10, 1)))
     assert _plugin_scale(data) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -984,8 +1008,6 @@ def test_elliptical_scale_plugin_gaussian_and_t():
 
 
 def test_elliptical_scale_plugin_whitens_the_sample_first():
-    from mslca import Dataset
-
     # a scaled or shifted two-point design whitens back to the design itself
     for rows in (2.0 * np.tile(TWO_POINT, (10, 1)), 1.0 + np.tile(TWO_POINT, (10, 1))):
         assert _plugin_scale(Dataset(BlockStructure((1, 1)), rows)) == pytest.approx(
@@ -994,8 +1016,6 @@ def test_elliptical_scale_plugin_whitens_the_sample_first():
 
 
 def test_elliptical_scale_plugin_needs_thirty_rows():
-    from mslca import Dataset
-
     data = Dataset(BlockStructure((1, 1)), np.tile(TWO_POINT, (2, 1)))
     with pytest.raises(InsufficientSampleError):
         _plugin_scale(data)

@@ -638,6 +638,17 @@ def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, cod
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alphas", [[None], [[0.05]]], ids=["null", "nested"])
+def test_simulate_plan_names_alphas_that_are_not_numbers(tmp_path, capsys, alphas):
+    # float() raised TypeError for these, and the message named neither alphas nor the value
+    config = _null_plan_config(tmp_path, alphas=alphas)
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alphas" in err and repr(alphas) in err
+    assert not out.exists()
+
+
 def test_simulate_opens_out_before_any_cell(tmp_path, capsys, monkeypatch):
     def no_run(plan):
         raise AssertionError("the plan ran before --out was opened")

@@ -13,6 +13,7 @@ from mslca import (
     NearSingularError,
     SimulationPlan,
     align_sign,
+    build_gamma,
     fit_mslca,
     psd_sqrt,
     run_experiment,
@@ -69,8 +70,10 @@ def test_means_and_covs_match_exact_sums_and_stacks_change_no_bit():
             offsets = 1e8 + rng.uniform(-1e5, 1e5, 4)
             mixing = rng.uniform(-1.0, 1.0, (4, 4)) * rng.uniform(1e2, 1e5, 4)
             samples.append(Dataset(structure, offsets + rng.standard_normal((n, 4)) @ mixing))
-        means, covs = _means_and_covs(samples)
-        for data, mean, cov in zip(samples, means, covs):
+        means, covs, stacks = _means_and_covs(samples)
+        for data, mean, cov, stack in zip(samples, means, covs, stacks):
+            # the stack the fits whiten from is each sample less its means
+            assert np.array_equal(stack, (data.rows - mean).T)
             exact = np.array([math.fsum(column) / n for column in data.rows.T])
             centred = data.rows - exact  # exact: every entry is within a factor 2 of its mean
             exact_cov = np.array(
@@ -103,6 +106,10 @@ def test_means_and_covs_match_exact_sums_and_stacks_change_no_bit():
                 assert np.array_equal(a, b)
             assert stacked.s == alone.s
             assert type(stacked.vhat) is np.ndarray and not stacked.vhat.flags.writeable
+            # the whitened sample and its fourth moments, read from the stack
+            assert np.array_equal(stacked.whitened.rows, alone.whitened.rows)
+            assert not stacked.whitened.rows.flags.writeable
+            assert np.array_equal(build_gamma(stacked.whitened), build_gamma(alone.whitened))
 
 
 def test_empirical_cov_divisor_is_n():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -147,12 +148,15 @@ def test_general_route_zero_statistic():
 
 @pytest.mark.parametrize("test", [chi2_test, general_test], ids=["chi2", "general"])
 def test_tests_refuse_alpha_bools_and_strings(test):
-    # float("0.05") is 0.05 and float(True) is 1.0: neither may pass as a level
+    # float("0.05") is 0.05 and float(True) is 1.0: neither may pass as a level;
+    # float(None) and float([0.05]) raise TypeError, which must not escape either
     fit = fit_mslca(Dataset(BlockStructure((1, 1)), UNCORRELATED_ROWS))
-    for bad in ("0.05", b"0.05", np.str_("0.05"), True, np.True_, False):
+    for bad in ("0.05", b"0.05", np.str_("0.05"), True, np.True_, False, None, [0.05], {}):
         with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0, 1), got {bad!r}")):
             test(fit, alpha=bad)
-    assert test(fit, alpha=np.float64(0.05)).p_value == test(fit, alpha=0.05).p_value
+    # a numpy scalar, a 0-d array and a Decimal are real numbers
+    for good in (np.float64(0.05), np.array(0.05), Decimal("0.05")):
+        assert test(fit, alpha=good).p_value == test(fit, alpha=0.05).p_value
 
 
 def test_general_route_close_to_chi2_under_gaussian_null():

@@ -212,11 +212,11 @@ def test_plan_from_dict_rejects_unknown_keys():
 def test_plan_refuses_bools_and_strings_as_numbers():
     # float() reads True as 1.0 and "0.05" as 0.05; each message names the value as given
     plan = dict(kind="null-dist", model=NULL_222, sizes=(100,), replications=5)
-    for alphas in (["0.05"], [True], (0.05, np.True_), [b"0.1"]):
+    for alphas in (["0.05"], [True], (0.05, np.True_), [b"0.1"], [None], [[0.05]], [{}]):
         with pytest.raises(ValueError, match=re.escape(f"got {alphas!r}")):
             SimulationPlan(**plan, alphas=alphas)
     for sampler in ("gaussian", "student-t"):
-        for nu in (True, np.True_, "10", b"10"):
+        for nu in (True, np.True_, "10", b"10", [10.0]):
             # a ValueError, not the NuTooSmallError that nu = 1.0 would raise
             message = re.escape(f"nu must be finite, got {nu!r}")
             with pytest.raises(ValueError, match=message) as exc:
