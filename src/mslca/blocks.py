@@ -15,6 +15,7 @@ not depend on either, from plain ``eigh``.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,18 +53,29 @@ def _real(value, refused=np.nan):
     return refused
 
 
+def _items(value, name: str) -> tuple:
+    """``value``'s items; ValueError for a string, bytes, a mapping or a non-iterable."""
+    if not isinstance(value, (str, bytes, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of R^q into consecutive blocks of sizes ``dims``.
 
-    Each size must be an integer (numpy integers included); a float such as
-    1.9 or a bool is refused with ValueError rather than truncated.
+    ``dims`` is a list (any iterable but a string, bytes or a mapping) and
+    each size an integer (numpy integers included); a float such as 1.9 or
+    a bool is refused with ValueError rather than truncated.
     """
 
     dims: tuple[int, ...]
 
     def __init__(self, dims) -> None:
-        object.__setattr__(self, "dims", tuple(_integer(p, "dims") for p in dims))
+        object.__setattr__(self, "dims", tuple(_integer(p, "dims") for p in _items(dims, "dims")))
         if len(self.dims) < 2:
             raise ValueError("need at least 2 blocks")
         if any(p < 1 for p in self.dims):

@@ -24,6 +24,7 @@ import os
 import sys
 import traceback
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -220,11 +221,7 @@ def _cmd_fit(args) -> int:
         "groups": [list(g) for g in fit.solution.groups],
         "group_values": fit.solution.group_values.tolist(),
         "zero_group": fit.solution.zero_group,
-        "diagnostics": {
-            "max_unit_violation": diagnostics.max_unit_violation,
-            "max_orthogonality_violation": diagnostics.max_orthogonality_violation,
-            "rho_sum": float(fit.solution.rho.sum()),
-        },
+        "diagnostics": {**asdict(diagnostics), "rho_sum": float(fit.solution.rho.sum())},
     }
     write_json(args.out, payload)
     return EXIT_OK

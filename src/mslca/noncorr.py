@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,22 +60,12 @@ class TestReport:
     p_value_error_bound: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "S": self.s,
-            "nS": self.ns,
-            "method": self.method,
-            "scale": self.scale,
-            "scale_provenance": self.scale_provenance,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "gamma_eigenvalues": (
-                None if self.gamma_eigenvalues is None else list(self.gamma_eigenvalues)
-            ),
-            "p_value_error_bound": self.p_value_error_bound,
-        }
+        """The report's fields, with ``s`` and ``ns`` as ``S`` and ``nS``."""
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        report["S"], report["nS"] = report.pop("s"), report.pop("ns")
+        if self.gamma_eigenvalues is not None:
+            report["gamma_eigenvalues"] = list(self.gamma_eigenvalues)
+        return report
 
     def summary_line(self) -> str:
         return f"nS={self.ns} d={self.d} p={self.p_value} reject={self.reject}"

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .blocks import BlockStructure, _integer, _real
+from .blocks import BlockStructure, _integer, _items, _real
 from .estimation import Dataset, _fit_stack, align_sign
 from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
 from .noncorr import chi2_test, degrees_of_freedom, general_test
@@ -112,13 +112,15 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
 class SimulationPlan:
     """Everything needed to reproduce one experiment.
 
-    ``sizes``, ``replications`` and ``seed`` must be integers; a float such
-    as 3.0 is refused (ValueError) rather than truncated. ``alphas`` and
-    ``nu`` must be numbers, and so must every covariance entry (checked by
-    ``CovarianceModel``); a bool or a string is refused. ``alphas`` and
-    ``methods`` must be nonempty. Sizes must be distinct, since summaries are
-    keyed by size. The covariance must be positive semidefinite, since the
-    samplers use its square root.
+    ``sizes``, ``alphas`` and ``methods`` must be lists (any iterable but a
+    string, bytes or a mapping). ``sizes``, ``replications`` and ``seed``
+    must be integers; a float such as 3.0 is refused (ValueError) rather
+    than truncated. ``alphas`` and ``nu`` must be numbers, and so must every
+    covariance entry (checked by ``CovarianceModel``); a bool or a string is
+    refused. ``alphas`` and ``methods`` must be nonempty. Sizes must be
+    distinct, since summaries are keyed by size. The covariance must be
+    positive semidefinite, since the samplers use its square root. ``kind``
+    must be a kind's name; any other value, a list included, is refused.
     """
 
     kind: str
@@ -132,13 +134,14 @@ class SimulationPlan:
     methods: tuple[str, ...] = ("chi2",)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(_integer(s, "sizes") for s in self.sizes))
+        sizes = _items(self.sizes, "sizes")
+        object.__setattr__(self, "sizes", tuple(_integer(s, "sizes") for s in sizes))
         object.__setattr__(self, "replications", _integer(self.replications, "replications"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         alphas = self.alphas
-        object.__setattr__(self, "alphas", tuple(_real(a) for a in alphas))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if self.kind not in _KINDS:
+        object.__setattr__(self, "alphas", tuple(_real(a) for a in _items(alphas, "alphas")))
+        object.__setattr__(self, "methods", _items(self.methods, "methods"))
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.sampler not in ("gaussian", "student-t"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
@@ -184,33 +187,28 @@ class SimulationPlan:
         return student_t_kurtosis_scale(self.nu)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": list(self.model.structure.dims),
-            "covariance": self.model.v.tolist(),
-            "sizes": list(self.sizes),
-            "replications": self.replications,
-            "sampler": self.sampler,
-            "nu": self.nu,
-            "seed": self.seed,
-            "alphas": list(self.alphas),
-            "methods": list(self.methods),
-        }
+        """The plan's fields, tuples as lists, with the model as ``dims`` and ``covariance``."""
+        plan = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
+        plan.update(dims=self.model.structure.dims, covariance=self.model.v.tolist())
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in plan.items()}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulationPlan":
-        required = ("kind", "dims", "covariance", "sizes", "replications")
-        optional = ("sampler", "nu", "seed", "alphas", "methods")
+        """The plan of ``to_dict``'s keys; a field with a default may be absent or ``null``."""
+        required, optional = [], []
+        for f in fields(cls):
+            keys = ("dims", "covariance") if f.name == "model" else (f.name,)
+            (required if f.default is MISSING else optional).extend(keys)
         missing = [key for key in required if key not in raw]
         if missing:
             raise KeyError(f"plan config is missing keys: {missing}")
         unknown = sorted(key for key in raw if key not in required + optional)
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")
-        model = CovarianceModel(BlockStructure(raw["dims"]), raw["covariance"])
-        kwargs = {key: raw[key] for key in optional if raw.get(key) is not None}
-        return cls(kind=raw["kind"], model=model, sizes=raw["sizes"],
-                   replications=raw["replications"], **kwargs)
+        kwargs = {key: raw[key] for key in required}
+        kwargs.update({key: raw[key] for key in optional if raw.get(key) is not None})
+        model = CovarianceModel(BlockStructure(kwargs.pop("dims")), kwargs.pop("covariance"))
+        return cls(model=model, **kwargs)
 
 
 @dataclass(frozen=True)

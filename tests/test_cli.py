@@ -581,6 +581,19 @@ ZERO_VARIANCE_111 = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
 ZERO_VARIANCE_21 = correlation_model(
     (2, 1), {(1, 0): 0.5 * np.array([np.cos(0.3), np.sin(0.3)])}
 ).v.tolist()
+# a list key given as no list, and a kind given as a list: exit 2, with a
+# message that names the key and the value
+NOT_A_LIST = [
+    {"sizes": 100},
+    {"alphas": 0.05},
+    {"dims": 3},
+    {"sizes": None},
+    {"dims": None},
+    {"methods": "general"},
+    {"sizes": "50"},
+    {"methods": {"chi2": 1}},
+    {"kind": ["null-dist"]},
+]
 
 
 @pytest.mark.parametrize(
@@ -628,14 +641,52 @@ ZERO_VARIANCE_21 = correlation_model(
         ({"covariance": [[1.0, None], [None, 1.0]]}, 2),
         # a method list the run could not follow: exit 2, as for empty alphas
         ({"kind": "power", "methods": []}, 2),
+        *[(overrides, 2) for overrides in NOT_A_LIST],
     ],
 )
 def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, code):
     config = _null_plan_config(tmp_path, **overrides)
     out = tmp_path / "o.json"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if overrides in NOT_A_LIST:
+        [(key, value)] = overrides.items()
+        assert key in err and repr(value) in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("kind", "unknown experiment kind None"),
+        ("covariance", "covariance entries must be finite numbers, got None"),
+        ("replications", "replications must be an integer, got None"),
+    ],
+)
+def test_simulate_plan_null_required_value_is_refused_by_its_check(tmp_path, capsys, key, message):
+    # null stands for the default only where a key has one; a required key's
+    # null reaches the check of its value
+    config = _null_plan_config(tmp_path, **{key: None})
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, f"malformed config: {message}")
+    assert not out.exists()
+
+
+def test_simulate_plan_null_optional_value_takes_the_default(tmp_path):
+    out = tmp_path / "default.json"
+    assert main(["simulate", "--config", str(_null_plan_config(tmp_path, seed=0)),
+                 "--out", str(out)]) == 0
+    default = json.loads(out.read_text())
+    for key in ("seed", "nu"):
+        out = tmp_path / f"{key}.json"
+        config = _null_plan_config(tmp_path, **{"seed": 0, key: None})
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["plan"] == default["plan"] and result["plan"]["seed"] == 0
+        assert result["plan"]["nu"] is None
+        assert result["records"] == default["records"]
 
 
 @pytest.mark.parametrize("alphas", [[None], [[0.05]]], ids=["null", "nested"])
