@@ -26,6 +26,7 @@ from .exceptions import NearSingularError
 DEFAULT_COND_FLOOR = 1e-10
 SYMMETRY_RTOL = 1e-12
 PSD_NEG_RTOL = 1e-10
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def _integer(value, name: str) -> int:
@@ -135,6 +136,7 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
     ``a`` is a square matrix or a stack of them (shape (..., m, m)); each
     matrix is checked against its own scale. Symmetrizing after the check
     kills round-off accumulation without masking genuinely asymmetric inputs.
+    A NaN, an inf or an entry above half the float range raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -142,6 +144,8 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
     a_t = a.swapaxes(-1, -2)
     if a.size:
         scale = 1.0 + np.abs(a).max(axis=(-2, -1))
+        if not scale.max() < _HALF_MAX:  # NaN fails too; above it a + a.T may overflow
+            raise ValueError(f"non-finite or too large entry: max|A| = {np.abs(a).max():.3e}")
         gap = np.abs(a - a_t).max(axis=(-2, -1))
         bad = gap > SYMMETRY_RTOL * scale
         if bad.any():
@@ -169,7 +173,7 @@ class SymmetricEig:
 def sym_eig(a: np.ndarray) -> SymmetricEig:
     """Eigendecomposition of a symmetric matrix (or a stack) with deterministic conventions.
 
-    Raises ``ValueError`` for non-symmetric input and propagates
+    Raises ``ValueError`` for non-symmetric or non-finite input and propagates
     ``numpy.linalg.LinAlgError`` if the underlying solver fails to converge.
     """
     a = require_symmetric(a)

@@ -59,7 +59,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MslcaFit:
-    """Empirical analysis of one dataset, which it keeps as ``data``.
+    """Empirical analysis of one dataset, which it holds once, as a centred copy.
 
     ``vhat`` is the empirical covariance, a read-only (q, q) array with
     divisor n (not n - 1); ``CovarianceModel(fit.structure, fit.vhat)`` wraps
@@ -68,15 +68,13 @@ class MslcaFit:
     zero by construction, and ``s`` its non-correlation statistic, the summed
     squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
     is Phi^{-1/2}, the read-only block-diagonal matrix whose diagonal blocks
-    are the inverse square roots of those of ``vhat``; ``whitened`` is
-    ``data`` centred by ``means`` and mapped through it. The fit keeps the
-    centred sample its covariance was computed from, a read-only (q, n)
-    view into the stack of ``_means_and_covs``, and whitens from it. The
-    non-correlation tests therefore take only the fit: their moments come
-    from its ``whitened`` sample.
+    are the inverse square roots of those of ``vhat``. The fit holds its
+    sample only as ``_centred``, the read-only (q, n) copy its covariance
+    was computed from, not the fitted ``Dataset``; ``n`` is its column
+    count. The tests take only the fit and read its ``whitened`` sample.
     """
 
-    data: Dataset = field(repr=False)
+    structure: BlockStructure
     means: np.ndarray
     vhat: np.ndarray
     that: np.ndarray
@@ -87,20 +85,15 @@ class MslcaFit:
 
     @property
     def n(self) -> int:
-        return self.data.n
-
-    @property
-    def structure(self) -> BlockStructure:
-        return self.data.structure
+        return self._centred.shape[1]
 
     @cached_property
     def whitened(self) -> Dataset:
-        """The fitted sample centred by ``means`` and mapped through ``inv_root``.
+        """``inv_root`` times the centred sample, seen transposed as (n, q) rows.
 
-        Built on first use and kept, read-only: ``inv_root`` times the fit's
-        centred (q, n) sample, seen transposed as (n, q) rows, so its columns
-        are contiguous. Its within-block covariances are the identity, the
-        standing normalization of the asymptotic theory.
+        Built on first use and kept, read-only; its columns are contiguous and
+        its within-block covariances are the identity, the standing
+        normalization of the asymptotic theory.
         """
         return Dataset._from_fresh(self.structure, (self.inv_root @ self._centred).T)
 
@@ -167,7 +160,7 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
         arr.flags.writeable = False
     return [
         MslcaFit(
-            data=datasets[i],
+            structure=structure,
             means=means[i],
             vhat=covs[i],
             that=that[i],

@@ -54,9 +54,10 @@ class CovarianceModel:
         v = np.asarray(v, dtype=float)
         if v.shape != (q, q):
             raise ValueError(f"covariance must have shape ({q}, {q}), got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"covariance has a non-finite entry: {v[~np.isfinite(v)][0]}")
-        v = require_symmetric(v)
+        try:
+            v = require_symmetric(v)
+        except ValueError as err:
+            raise ValueError(f"covariance: {err}") from None
         v.flags.writeable = False
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "v", v)

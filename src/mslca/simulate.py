@@ -4,11 +4,10 @@ Each experiment draws replications from per-(size, replication) RNG streams
 spawned off the master seed, so results are bit-reproducible and independent
 of execution order. ``run_experiment`` is the one replication loop: every
 cell samples from its own stream, the cells of a size are fitted a chunk at
-a time as one stack of matrices, each cell's stream and fit (which keeps its
-sample) go to its kind's record function, and each size's records go to the
-kind's summary function. A kind supplies only its set-up (preconditions,
-raised as PlanPreconditionError before any cell runs, and reference
-quantities), record and summary.
+a time as one stack of matrices, each cell's stream and fit go to its kind's
+record function, and each size's records go to the kind's summary function.
+A kind supplies only its set-up (preconditions, raised as PlanPreconditionError
+before any cell runs, and reference quantities), record and summary.
 Chi-square references come from the closed-form tail ``_chi2_sf`` rather
 than from simulation, which keeps the checks non-circular.
 """
@@ -171,6 +170,8 @@ class SimulationPlan:
             if self.nu is None:
                 raise ValueError("student-t sampler needs nu")
             _require_nu(self.nu, "student-t sampler")
+        elif self.nu is not None:
+            raise ValueError(f"nu applies only to sampler 'student-t', got sampler {self.sampler!r}")
         # the samplers' square root of V, computed once; raises ValueError unless V is PSD
         self.model.root
 

@@ -175,6 +175,31 @@ def test_sym_eig_rejects_asymmetric():
             require_symmetric(np.zeros(shape))
 
 
+@pytest.mark.parametrize(
+    "primitive",
+    [require_symmetric, sym_eig, lambda a: sym_power(a, -0.5), psd_sqrt],
+    ids=["require_symmetric", "sym_eig", "sym_power", "psd_sqrt"],
+)
+def test_symmetric_primitives_refuse_non_finite_and_huge_entries(primitive):
+    # a NaN or an inf fails no tolerance comparison, and a + a.T overflows
+    # above half the float range; each is a ValueError, not a NaN result
+    for value in (np.nan, np.inf, -np.inf):
+        for entry in ((1, 1), (0, 2)):
+            a = np.eye(3)
+            a[entry] = a[entry[::-1]] = value
+            message = rf"non-finite or too large entry: max\|A\| = {abs(value)}"
+            with pytest.raises(ValueError, match=message):
+                primitive(a)
+            with pytest.raises(ValueError, match="non-finite or too large entry"):
+                primitive(np.stack([np.eye(3), a]))
+    for huge in ([[1e308, 0.0], [0.0, 1.0]], [[1.0, 1e308], [-1e308, 1.0]]):
+        with pytest.raises(ValueError, match=r"too large entry: max\|A\| = 1\.000e\+308"):
+            primitive(np.array(huge))
+    # below half the float range the sum is finite and the matrix is kept
+    large = np.diag([8e307, 1.0])
+    assert np.array_equal(require_symmetric(large), large)
+
+
 def test_sym_power_identity():
     assert np.array_equal(sym_power(np.eye(3), -0.5), np.eye(3))
 

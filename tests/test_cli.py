@@ -674,6 +674,27 @@ def test_simulate_plan_null_required_value_is_refused_by_its_check(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"covariance": [[1e308, 0.0], [0.0, 1.0]], "sizes": [50], "replications": 3},
+         "covariance: non-finite or too large entry: max|A| = 1.000e+308"),
+        ({"nu": 5}, "nu applies only to sampler 'student-t', got sampler 'gaussian'"),
+        ({"sampler": "gaussian", "nu": 9.0}, "nu applies only to sampler 'student-t'"),
+    ],
+    ids=["huge-covariance", "nu-without-sampler", "nu-with-gaussian"],
+)
+def test_simulate_plan_refuses_a_huge_covariance_and_a_stray_nu(tmp_path, capsys, overrides, message):
+    # a finite covariance whose symmetrization overflows, and a nu the
+    # Gaussian sampler would ignore, are bad input: exit 2, not exit 1 or a
+    # quiet Gaussian run
+    config = _null_plan_config(tmp_path, **overrides)
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    _assert_one_error_line(capsys, f"malformed config: {message}")
+    assert not out.exists()
+
+
 def test_simulate_plan_null_optional_value_takes_the_default(tmp_path):
     out = tmp_path / "default.json"
     assert main(["simulate", "--config", str(_null_plan_config(tmp_path, seed=0)),

@@ -1,6 +1,8 @@
 """Empirical covariance arithmetic, fitting, alignment and whitening."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -135,9 +137,25 @@ def test_fit_two_point_design():
     data = Dataset(s, [[-1.0, -1.0], [1.0, 1.0]])
     fit = fit_mslca(data)
     np.testing.assert_allclose(fit.solution.rho, [1.0, -1.0], atol=1e-12)
-    # the fit keeps its sample, not a copy, and leaves it out of its repr
-    assert fit.data is data and fit.n == 2
+    # the fit keeps no reference to its sample and leaves no copy in its repr
+    assert fit.n == 2
     assert "data=" not in repr(fit)
+
+
+def test_fit_keeps_no_reference_to_its_sample():
+    # the fit keeps only the centred copy of its sample, so the caller's can go
+    rng = np.random.default_rng(115)
+    structure = BlockStructure((2, 1, 3))
+    data = sample_student_t(random_spd_model(rng, structure), 9.0, 200, rng)
+    expected = whiten(data).rows
+    fit = fit_mslca(data)
+    sample, rows = weakref.ref(data), weakref.ref(data.rows)
+    del data
+    gc.collect()
+    assert sample() is None and rows() is None
+    assert not hasattr(fit, "data")
+    assert fit.n == 200 and fit.structure == structure
+    assert np.array_equal(fit.whitened.rows, expected)
 
 
 def test_fit_collinear_block_raises_with_block_index():

@@ -117,6 +117,9 @@ def test_model_validation():
         CovarianceModel(s, np.eye(3))
     with pytest.raises(ValueError, match="non-finite"):
         CovarianceModel(s, [[1.0, np.inf], [np.inf, 1.0]])
+    # finite entries whose symmetrization a + a.T would leave the float range
+    with pytest.raises(ValueError, match="covariance: non-finite or too large entry"):
+        CovarianceModel(s, [[1e308, 0.0], [0.0, 1.0]])
     model = CovarianceModel(s, [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
     assert not model.v.flags.writeable
     assert np.array_equal(model.v, model.v.T)

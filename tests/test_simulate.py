@@ -193,6 +193,22 @@ def test_plan_rejects_removed_mc_draws_key():
         SimulationPlan.from_dict(raw)
 
 
+def test_plan_refuses_nu_without_the_student_t_sampler():
+    # the Gaussian sampler has no nu: a plan that sets one would run Gaussian
+    # while echoing it, so it is refused, naming both keys
+    plan = dict(kind="null-dist", model=NULL_222, sizes=(100,), replications=5)
+    message = "nu applies only to sampler 'student-t', got sampler 'gaussian'"
+    for nu in (5, 9.0, 3):
+        with pytest.raises(ValueError, match=message) as exc:
+            SimulationPlan(**plan, nu=nu)
+        assert not isinstance(exc.value, NuTooSmallError)
+    raw = SimulationPlan(**plan).to_dict()
+    with pytest.raises(ValueError, match="nu applies only"):
+        SimulationPlan.from_dict({**raw, "nu": 5})
+    assert SimulationPlan(**plan, nu=None).nu is None
+    assert SimulationPlan(**plan, sampler="student-t", nu=5).nu == 5
+
+
 def test_plan_rejects_sizes_not_above_largest_block():
     # a centered sample of n rows has rank at most n - 1, so n = 3 cannot
     # support a 3-dimensional block; the plan fails before any cell runs
