@@ -1,15 +1,15 @@
 """Command-line front end: fit, test and simulate with JSON reports.
 
 Exit codes: 0 success, 1 internal error, 2 bad input (CSV/flags/config, an
-unreadable or non-UTF-8 input, an unwritable --out, or a sample whose
-covariance over- or underflows), 3 near-singular block covariance, 4
-simulation-plan precondition violation. CSV errors name the 1-based file line
-and column. Every command is deterministic given its inputs; a simulation plan
-without a seed uses 0, never the wall clock. ``test --method general`` inverts
-the weighted chi-square tail numerically; the report's ``p_value_error_bound``
-(1e-10) bounds the absolute error of its p-value. Floats in JSON use Python's
-shortest round-trip representation, so re-parsing an output reconstructs every
-value bit-for-bit.
+unreadable or non-UTF-8 input, an unwritable --out, a sample whose
+covariance over- or underflows, or an input too large for memory), 3
+near-singular block covariance, 4 simulation-plan precondition violation. CSV
+errors name the 1-based file line and column. Every command is deterministic
+given its inputs; a simulation plan without a seed uses 0, never the wall
+clock. ``test --method general`` inverts the weighted chi-square tail
+numerically; the report's ``p_value_error_bound`` (1e-10) bounds the absolute
+error of its p-value. Floats in JSON use Python's shortest round-trip
+representation, so re-parsing an output reconstructs every value bit-for-bit.
 """
 
 from __future__ import annotations
@@ -331,6 +331,9 @@ def main(argv=None) -> int:
     except (NuTooSmallError, PlanPreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PLAN_PRECONDITION
+    except MemoryError as err:
+        print(f"error: not enough memory: {str(err) or 'the input is too large'}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -10,6 +10,14 @@ A kind supplies only its set-up (preconditions, raised as PlanPreconditionError
 before any cell runs, and reference quantities), record and summary.
 Chi-square references come from the closed-form tail ``_chi2_sf`` rather
 than from simulation, which keeps the checks non-circular.
+
+``null-dist`` and ``power`` share one record and summary of the test routes
+(``_routes``): every cell records ``p_chi2`` (nS against chi-square(d)), and
+"general" in ``methods`` adds ``p_general``; other kinds ignore ``methods``.
+``null-dist`` adds ``ns`` and ``p_chi2_scaled`` (nS over the sampler's true
+kurtosis scale). Each size reports each route's rejection rates at ``alphas``,
+as ``size_{route}`` (``null-dist``, with ``mean_ns`` and the KS distance) or
+``rejection_{route}`` (``power``).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from . import __version__
 from .blocks import BlockStructure, _integer, _items, _real
 from .estimation import Dataset, _fit_stack, align_sign
 from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
-from .noncorr import chi2_test, degrees_of_freedom, general_test
+from .noncorr import degrees_of_freedom, general_test
 from .population import DEFAULT_GROUP_TOL, CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
     _chi2_sf,
@@ -117,9 +125,10 @@ class SimulationPlan:
     than truncated. ``alphas`` and ``nu`` must be numbers, and so must every
     covariance entry (checked by ``CovarianceModel``); a bool or a string is
     refused. ``alphas`` and ``methods`` must be nonempty. Sizes must be
-    distinct, since summaries are keyed by size. The covariance must be
-    positive semidefinite, since the samplers use its square root. ``kind``
-    must be a kind's name; any other value, a list included, is refused.
+    distinct, since summaries are keyed by size, and small enough for numpy
+    to index an n-row sample. The covariance must be positive semidefinite,
+    since the samplers use its square root. ``kind`` must be a kind's name;
+    any other value, a list included, is refused.
     """
 
     kind: str
@@ -152,6 +161,9 @@ class SimulationPlan:
             raise ValueError(f"sizes must all be >= 2, got {self.sizes}")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError(f"sizes must not repeat, got {self.sizes}")
+        q = self.model.structure.total_dim
+        if max(self.sizes) * q * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"sizes: a {max(self.sizes)} x {q} sample is too large for numpy")
         max_dim = max(self.model.structure.dims)
         if any(s <= max_dim for s in self.sizes):
             # a centered sample of n rows has rank at most n - 1
@@ -230,10 +242,6 @@ def _column(records: list[dict], key: str) -> np.ndarray:
     return np.array([record[key] for record in records])
 
 
-def _rates(p_values: np.ndarray, alphas: tuple[float, ...]) -> dict[str, float]:
-    return {str(a): float(np.mean(p_values < a)) for a in alphas}
-
-
 def _consistency(plan: SimulationPlan):
     """Estimation error of the operator, coefficients and directions vs n.
 
@@ -263,12 +271,8 @@ def _consistency(plan: SimulationPlan):
 
     def summarize(records):
         return {
-            "median_t_error": float(np.median(_column(records, "t_error"))),
-            "median_rho_errors": np.median(_column(records, "rho_errors"), axis=0).tolist(),
-            "median_beta_errors": np.median(_column(records, "beta_errors"), axis=0).tolist(),
-            "median_group_projector_errors": np.median(
-                _column(records, "group_projector_errors"), axis=0
-            ).tolist(),
+            f"median_{key}": np.median(_column(records, key), axis=0).tolist()
+            for key in ("t_error", "rho_errors", "beta_errors", "group_projector_errors")
         }
 
     return record, summarize
@@ -374,73 +378,66 @@ def _require_null_model(model: CovarianceModel) -> None:
                 raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
 
 
+def _routes(plan: SimulationPlan, scales: dict[str, float], prefix: str):
+    """Record ``p_{route}`` per route (nS / scale or general); rate them as ``{prefix}_{route}``."""
+    d = degrees_of_freedom(plan.model.structure)
+    include_general = "general" in plan.methods
+    routes = [*scales, "general"] if include_general else list(scales)
+
+    def record(rng, fit):
+        ns = fit.n * fit.s
+        out = {f"p_{route}": _chi2_sf(d, ns / scale) for route, scale in scales.items()}
+        if include_general:
+            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
+        return out
+
+    def summarize(records):
+        p_values = {route: _column(records, f"p_{route}") for route in routes}
+        return {
+            f"{prefix}_{route}": {str(a): float(np.mean(p < a)) for a in plan.alphas}
+            for route, p in p_values.items()
+        }
+
+    return record, summarize
+
+
 def _null_dist(plan: SimulationPlan):
     """Null distribution of n * statistic vs its chi-square limit.
 
-    Records per replication the statistic and p-values from the chi-square
-    route at unit scale, at the sampler's true kurtosis scale, and (when
-    requested in ``methods``) from the general route. Summaries report the
-    empirical sizes at the requested levels and the KS distance of the
+    Besides ``mean_ns`` and the sizes, reports the KS distance of the
     scale-corrected statistic to chi-square(d). That distance is computed
     once, as the KS distance of the correct-route p-values from uniform: the
     p-value is 1 - F(x) and a KS distance is unchanged by a monotone map, so
     it is reported under both ``ks_to_chi2`` and ``p_uniformity_ks``.
     """
     _require_null_model(plan.model)
-    d = degrees_of_freedom(plan.model.structure)
-    scale = plan.true_scale
-    include_general = "general" in plan.methods
+    route_record, route_summary = _routes(
+        plan, {"chi2": 1.0, "chi2_scaled": plan.true_scale}, "size"
+    )
 
     def record(rng, fit):
-        ns = fit.n * fit.s
-        out = {
-            "ns": ns,
-            "p_chi2": _chi2_sf(d, ns),
-            "p_chi2_scaled": _chi2_sf(d, ns / scale),
-        }
-        if include_general:
-            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
-        return out
+        return {"ns": fit.n * fit.s, **route_record(rng, fit)}
 
     def summarize(records):
-        p_scaled = _column(records, "p_chi2_scaled")
-        ks = ks_distance(p_scaled, lambda u: np.clip(u, 0.0, 1.0))
-        summary = {
+        ks = ks_distance(_column(records, "p_chi2_scaled"), lambda u: np.clip(u, 0.0, 1.0))
+        return {
             "mean_ns": float(_column(records, "ns").mean()),
             "ks_to_chi2": ks,
             "p_uniformity_ks": ks,
-            "size_chi2": _rates(_column(records, "p_chi2"), plan.alphas),
-            "size_chi2_scaled": _rates(p_scaled, plan.alphas),
+            **route_summary(records),
         }
-        if include_general:
-            summary["size_general"] = _rates(_column(records, "p_general"), plan.alphas)
-        return summary
 
     return record, summarize
 
 
 def _power(plan: SimulationPlan):
-    """Rejection rates per size and method.
+    """Rejection rates ``rejection_{route}`` per size, at unit chi-square scale.
 
     Intended for models violating the null; on a null model the rates reduce
     to empirical sizes, which is still well defined and occasionally useful,
     so no guard is imposed.
     """
-    include_general = "general" in plan.methods
-
-    def record(rng, fit):
-        out = {"p_chi2": chi2_test(fit, scale="gaussian", alpha=plan.alphas[0]).p_value}
-        if include_general:
-            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
-        return out
-
-    def summarize(records):
-        summary = {"rejection_chi2": _rates(_column(records, "p_chi2"), plan.alphas)}
-        if include_general:
-            summary["rejection_general"] = _rates(_column(records, "p_general"), plan.alphas)
-        return summary
-
-    return record, summarize
+    return _routes(plan, {"chi2": 1.0}, "rejection")
 
 
 # Each kind's set-up checks its precondition, computes its reference

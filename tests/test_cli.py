@@ -681,18 +681,44 @@ def test_simulate_plan_null_required_value_is_refused_by_its_check(tmp_path, cap
          "covariance: non-finite or too large entry: max|A| = 1.000e+308"),
         ({"nu": 5}, "nu applies only to sampler 'student-t', got sampler 'gaussian'"),
         ({"sampler": "gaussian", "nu": 9.0}, "nu applies only to sampler 'student-t'"),
+        ({"sizes": [2**62]}, f"sizes: a {2**62} x 2 sample is too large for numpy"),
     ],
-    ids=["huge-covariance", "nu-without-sampler", "nu-with-gaussian"],
+    ids=["huge-covariance", "nu-without-sampler", "nu-with-gaussian", "size-too-large"],
 )
 def test_simulate_plan_refuses_a_huge_covariance_and_a_stray_nu(tmp_path, capsys, overrides, message):
-    # a finite covariance whose symmetrization overflows, and a nu the
-    # Gaussian sampler would ignore, are bad input: exit 2, not exit 1 or a
-    # quiet Gaussian run
+    # a finite covariance whose symmetrization overflows, a nu the Gaussian
+    # sampler would ignore and a size numpy cannot index are bad input: exit
+    # 2, not exit 1 or a quiet Gaussian run; the size is refused before any
+    # sample is drawn
     config = _null_plan_config(tmp_path, **overrides)
     out = tmp_path / "o.json"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     _assert_one_error_line(capsys, f"malformed config: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, shown",
+    [(MemoryError("Unable to allocate 6.4 KiB"), "Unable to allocate 6.4 KiB"),
+     (MemoryError(), "the input is too large")],
+    ids=["numpy-message", "no-message"],
+)
+def test_simulate_out_of_memory_exits_2_and_leaves_out_as_found(
+    tmp_path, capsys, monkeypatch, error, shown
+):
+    # a sample numpy cannot allocate raises MemoryError in the sampler
+    def out_of_memory(plan, n, rng):
+        raise error
+
+    monkeypatch.setattr(mslca.cli.SimulationPlan, "sample", out_of_memory)
+    config = _null_plan_config(tmp_path)
+    out = tmp_path / "o.json"
+    for old in (None, "old"):
+        if old is not None:
+            out.write_text(old)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        _assert_one_error_line(capsys, f"error: not enough memory: {shown}")
+        assert (out.read_text() if out.exists() else None) == old
 
 
 def test_simulate_plan_null_optional_value_takes_the_default(tmp_path):

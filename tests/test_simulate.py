@@ -218,6 +218,17 @@ def test_plan_rejects_sizes_not_above_largest_block():
     SimulationPlan(kind="null-dist", model=model, sizes=(50, 4), replications=5)
 
 
+def test_plan_refuses_a_size_numpy_cannot_index():
+    # n rows of q floats must stay below numpy's largest array; the plan
+    # checks the product, so no sample is ever drawn at such a size
+    model = CovarianceModel(BlockStructure((1, 1)), np.eye(2))
+    plan = dict(kind="null-dist", model=model, replications=2)
+    for size in (2**59, 2**62):
+        with pytest.raises(ValueError, match=f"sizes: a {size} x 2 sample is too large"):
+            SimulationPlan(**plan, sizes=(100, size))
+    assert SimulationPlan(**plan, sizes=(2**59 - 1,)).sizes == (2**59 - 1,)
+
+
 def test_plan_from_dict_rejects_unknown_keys():
     raw = SimulationPlan(kind="power", model=NULL_222, sizes=(100,), replications=5).to_dict()
     raw["method"] = ["general"]
@@ -521,6 +532,62 @@ def test_run_power_null_model_reduces_to_size():
     plan = SimulationPlan(kind="power", model=model, sizes=(400,), replications=200, seed=13)
     rate = run_experiment(plan).summaries["400"]["rejection_chi2"]["0.05"]
     assert abs(rate - 0.05) < 0.05
+
+
+def test_null_dist_and_power_record_the_same_route_p_values():
+    # both kinds record the chi-square route at unit scale and the general
+    # route through one record, so a null plan gives them the same p-values
+    plan = dict(
+        model=NULL_222, sizes=(150, 200), replications=5, seed=23, sampler="student-t",
+        nu=9.0, methods=("chi2", "general"),
+    )
+    null = run_experiment(SimulationPlan(kind="null-dist", **plan)).records
+    power = run_experiment(SimulationPlan(kind="power", **plan)).records
+    assert len(null) == len(power) == 10
+    for a, b in zip(null, power):
+        assert (a["n"], a["rep"]) == (b["n"], b["rep"])
+        assert a["p_chi2"] == b["p_chi2"] and a["p_general"] == b["p_general"]
+        assert a["p_chi2_scaled"] != a["p_chi2"]
+
+
+def test_power_chi2_p_value_is_the_chi2_tests():
+    from mslca import chi2_test, fit_mslca
+
+    plan = SimulationPlan(
+        kind="power", model=WHITENED_111, sizes=(120, 300), replications=4, seed=5
+    )
+    records = run_experiment(plan).records
+    assert len(records) == 8
+    for record in records:
+        rng = rng_stream(plan.seed, plan.sizes.index(record["n"]), record["rep"])
+        fit = fit_mslca(plan.sample(record["n"], rng))
+        assert record["p_chi2"] == chi2_test(fit, scale="gaussian").p_value
+
+
+@pytest.mark.parametrize("methods", [("chi2",), ("chi2", "general"), ("general",)])
+def test_test_kinds_summarize_exactly_the_routes_they_record(methods):
+    # the chi-square route is always recorded; "general" in methods adds the general route
+    general = ["general"] if "general" in methods else []
+    expected = {
+        "null-dist": (["chi2", "chi2_scaled", *general], "size", ["ns"],
+                      ["mean_ns", "ks_to_chi2", "p_uniformity_ks"]),
+        "power": (["chi2", *general], "rejection", [], []),
+    }
+    for kind, (routes, prefix, own_records, own_summaries) in expected.items():
+        plan = SimulationPlan(
+            kind=kind, model=NULL_222, sizes=(150,), replications=6, seed=2,
+            alphas=(0.05, 0.5), methods=methods,
+        )
+        result = run_experiment(plan)
+        for record in result.records:
+            assert list(record) == ["n", "rep", *own_records, *(f"p_{r}" for r in routes)]
+        summary = result.summaries["150"]
+        assert list(summary) == [*own_summaries, *(f"{prefix}_{r}" for r in routes)]
+        for route in routes:
+            p_values = np.array([record[f"p_{route}"] for record in result.records])
+            assert summary[f"{prefix}_{route}"] == {
+                "0.05": float(np.mean(p_values < 0.05)), "0.5": float(np.mean(p_values < 0.5))
+            }
 
 
 def test_experiments_are_reproducible_and_exchangeable():
