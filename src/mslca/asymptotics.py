@@ -25,14 +25,17 @@ Provided pieces:
 * ``sigma_matrix`` -- asymptotic covariance of the canonical coefficients
   (simple spectra only).
 * ``EigenChiSquareDist`` / ``quad_form_pvalue`` -- the law of a weighted sum
-  of independent one-degree chi-squares and its upper tail, inverted
-  numerically from the Laplace transform to within ``TAIL_ATOL``. The law
-  is the one place that checks weights: round-off negatives down to
-  ``WEIGHT_CLAMP_FLOOR`` become zero, anything lower is refused.
+  of independent one-degree chi-squares and its upper tail, to within
+  ``TAIL_ATOL``. The tail lies between two exact chi-square tails, of the
+  largest weight times a chi-square counting that weight and one counting
+  every positive weight; where they differ by more than ``TAIL_ATOL`` it is
+  inverted numerically from the Laplace transform. The law is the one place
+  that checks weights: round-off negatives down to ``WEIGHT_CLAMP_FLOOR``
+  become zero, anything lower is refused.
 * ``_chi2_sf`` -- the upper tail P(chi2_d >= x) for an integer d, summed in
   closed form (a Poisson sum, plus an erfc term for odd d). It is the one
-  chi-square tail of the package: the chi-square route, the single-weight
-  law and the Monte Carlo references all read it.
+  chi-square tail of the package: the chi-square route, the weighted tail's
+  bracket and the Monte Carlo references all read it.
 """
 
 from __future__ import annotations
@@ -310,30 +313,35 @@ class EigenChiSquareDist:
 
 
 def quad_form_pvalue(dist: EigenChiSquareDist, observed: float) -> float:
-    """Upper-tail probability P(sum_i w_i chi2_1 >= observed), within TAIL_ATOL.
+    """Upper-tail probability P(Q >= observed) of Q = sum_i w_i chi2_1, within TAIL_ATOL.
 
     Zero weights are dropped and equal weights merged into one scaled
-    chi-square term whose degrees of freedom are their count. A statistic of
-    0 gives exactly 1; with all weights zero a positive statistic gives
-    exactly 0, and with one distinct weight lam of count m the tail is
-    ``_chi2_sf(m, observed / lam)``. Any other law is inverted from its Laplace
-    transform by ``_inversion_sf``, whose aliasing and truncation errors are
-    bounded in advance; the result is clipped to [0, 1]. Deterministic. A
-    bool or a string is refused (ValueError) rather than read as a number.
+    chi-square term whose degrees of freedom are their count. With all
+    weights zero Q is 0, so the tail is exactly 1 at 0 and exactly 0 above.
+    Otherwise, with lam the largest weight, m its count and M the count of
+    positive weights, lam chi2(m) <= Q <= lam chi2(M), so the tail lies
+    between the exact tails ``_chi2_sf(m, observed / lam)`` and
+    ``_chi2_sf(M, observed / lam)``. Where they agree within TAIL_ATOL the
+    upper one is returned: for one distinct weight (m = M) that is the tail
+    itself, at a statistic of 0 it is exactly 1, and far below or above the
+    body of Q it is 1 or a tail below TAIL_ATOL. Any other case is inverted
+    from the Laplace transform by ``_inversion_sf``, whose aliasing and
+    truncation errors are bounded in advance, and clipped to the bracket.
+    Deterministic. A bool or a string is refused (ValueError) rather than
+    read as a number.
     """
     x = _real(observed)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"observed statistic must be a finite nonnegative number, got {observed!r}")
-    if x == 0.0:
-        return 1.0
     positive = dist.weights[dist.weights > 0.0]
     if positive.size == 0:
-        return 0.0
+        return 1.0 if x == 0.0 else 0.0
     lam, mult = np.unique(positive, return_counts=True)
-    if lam.size == 1:
-        return _chi2_sf(int(mult[0]), x / lam[0])
-    p_value = _inversion_sf(lam[::-1], mult[::-1].astype(float), x)
-    return min(1.0, max(0.0, p_value))
+    y = x / float(lam[-1])  # a float quotient overflows to inf quietly, a tail of 0
+    lower, upper = _chi2_sf(int(mult[-1]), y), _chi2_sf(positive.size, y)
+    if upper - lower <= TAIL_ATOL:
+        return upper
+    return min(upper, max(lower, _inversion_sf(lam[::-1], mult[::-1].astype(float), x)))
 
 
 def _chi2_sf(d: int, x: float) -> float:

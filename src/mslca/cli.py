@@ -6,10 +6,14 @@ covariance over- or underflows, or an input too large for memory), 3
 near-singular block covariance, 4 simulation-plan precondition violation. CSV
 errors name the 1-based file line and column. Every command is deterministic
 given its inputs; a simulation plan without a seed uses 0, never the wall
-clock. ``test --method general`` inverts the weighted chi-square tail
-numerically; the report's ``p_value_error_bound`` (1e-10) bounds the absolute
+clock. A warning that the warning filters let through is printed once per
+distinct message, as one ``warning:`` line on stderr. ``test --method
+general`` reads the weighted chi-square tail off two exact chi-square tails
+that bracket it, inverting it numerically where they differ by more than
+1e-10; the report's ``p_value_error_bound`` (1e-10) bounds the absolute
 error of its p-value. Floats in JSON use Python's shortest round-trip
-representation, so re-parsing an output reconstructs every value bit-for-bit.
+representation, so re-parsing an output reconstructs every value
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -264,7 +268,7 @@ def _cmd_simulate(args) -> int:
         raise InputError("config must be a JSON object")
     try:
         plan = SimulationPlan.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         raise InputError(f"malformed config: {err}")
     # Open --out before any cell runs, so an unwritable path fails first; a
     # failed run leaves --out as it found it.
@@ -316,8 +320,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_BAD_INPUT if err.code else EXIT_OK
+    shown = set()
+
+    def show_once(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     try:
-        return args.func(args)
+        # the caller's warning filters still decide what is shown or raised
+        with warnings.catch_warnings():
+            warnings.showwarning = show_once
+            return args.func(args)
     except (InputError, InsufficientSampleError, CovarianceOverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -214,7 +214,7 @@ class SimulationPlan:
             (required if f.default is MISSING else optional).extend(keys)
         missing = [key for key in required if key not in raw]
         if missing:
-            raise KeyError(f"plan config is missing keys: {missing}")
+            raise ValueError(f"plan config is missing keys: {missing}")
         unknown = sorted(key for key in raw if key not in required + optional)
         if unknown:
             raise ValueError(f"plan config has unknown keys: {unknown}")

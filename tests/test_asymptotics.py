@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from mslca.asymptotics import (
     _chi2_sf,
     _cross_entry_forms,
     _eigenbasis_forms,
+    _inversion_sf,
     _require_whitened_data,
     _require_whitened_model,
     _row_gram,
@@ -834,6 +836,54 @@ def test_quad_form_pvalue_all_zero_weights():
     assert quad_form_pvalue(dist, 3.0) == 0.0
 
 
+def _bracket(weights, x):
+    """The exact tails of lam chi2(m) and lam chi2(M), which bound P(Q >= x) below and above."""
+    positive = np.asarray(weights, dtype=float)
+    positive = positive[positive > 0.0]
+    lam = positive.max()
+    with np.errstate(over="ignore"):  # x / lam = inf is a tail of 0
+        y = x / lam
+    return _chi2_sf(int(np.sum(positive == lam)), y), _chi2_sf(positive.size, y)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [0.5, 1.0, 2.0], [1e-200, 2e-200]])
+def test_quad_form_pvalue_decides_the_extremes_from_its_bracket(weights):
+    # far below and far above the body of Q the two exact tails agree within
+    # TAIL_ATOL, so the tail is decided without the inversion and its overflows
+    dist = EigenChiSquareDist(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-300, 1e-307, 1e-308, 5e-324):
+            assert quad_form_pvalue(dist, x) == 1.0
+        p = quad_form_pvalue(dist, 1e300)
+        assert _bracket(weights, 1e300)[0] <= p <= TAIL_ATOL
+        for x in np.r_[0.0, np.geomspace(1e-300, 1e300, 241)]:
+            lower, upper = _bracket(weights, x)
+            assert lower <= quad_form_pvalue(dist, x) <= upper
+
+
+def test_quad_form_pvalue_is_the_inversion_inside_a_wide_bracket():
+    rng = np.random.default_rng(312)
+    inside = 0
+    for _ in range(30):
+        lam = rng.uniform(0.05, 3.0, size=int(rng.integers(2, 13)))
+        mult = rng.integers(1, 4, size=lam.size)
+        weights = np.repeat(lam, mult)
+        dist = EigenChiSquareDist(weights)
+        order = np.argsort(lam)[::-1]
+        for x in weights.sum() * np.array([0.05, 0.5, 1.0, 2.0, 4.0]):
+            lower, upper = _bracket(weights, x)
+            if upper - lower <= TAIL_ATOL:
+                continue
+            p = quad_form_pvalue(dist, x)
+            inverted = _inversion_sf(lam[order], mult[order].astype(float), x)
+            assert lower <= p <= upper
+            if lower <= inverted <= upper:
+                assert p == inverted
+                inside += 1
+    assert inside > 100
+
+
 def test_quad_form_pvalue_chi2_twelve_quantile():
     # 21.0261 is the 0.95 quantile of chi-square(12), rounded to 4 decimals
     dist = EigenChiSquareDist(np.ones(12))
@@ -845,6 +895,11 @@ def test_quad_form_pvalue_single_weight_scaling():
     dist = EigenChiSquareDist([lam, 0.0])
     expected = float(stats.chi2.sf(x / lam, df=1))
     assert quad_form_pvalue(dist, x) == pytest.approx(expected, rel=1e-14)
+    # one distinct weight closes the bracket: the tail is _chi2_sf itself
+    for lam, m in ((2.5, 1), (0.3, 2), (1.0, 7), (1e-3, 600)):
+        dist = EigenChiSquareDist(np.r_[np.full(m, lam), 0.0])
+        for x in (0.0, 1e-300, 1e-3 * lam, lam, 2.5 * m * lam, 40.0 * m * lam, 1e300):
+            assert quad_form_pvalue(dist, x) == _chi2_sf(m, x / lam)
 
 
 def test_quad_form_pvalue_grid_against_chi2_cdf():
@@ -857,8 +912,9 @@ def test_quad_form_pvalue_grid_against_chi2_cdf():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 12, 600])
 def test_quad_form_pvalue_equal_weights_match_chi2(d):
-    # alternate weights differ by 1e-13, so d >= 2 runs the inversion sum, not
-    # the single-weight shortcut; that moves the exact tail by far less than 1e-8
+    # alternate weights differ by 1e-13, so for d >= 2 the bracket of exact
+    # tails is wide in the body of Q and the inversion sum runs there; that
+    # moves the exact tail by far less than 1e-8
     weights = 1.0 + 1e-13 * (np.arange(d) % 2)
     dist = EigenChiSquareDist(weights)
     for level in (1e-9, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-9):

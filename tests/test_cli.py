@@ -459,6 +459,32 @@ def test_test_command_general_route(tmp_path):
     assert report["p_value_error_bound"] == 1e-10
 
 
+SMALL_N_WARNING = "warning: n = 25 is small for estimating a 4x4 fourth-moment matrix (recommended n >= 40)\n"
+
+
+@pytest.mark.filterwarnings("default")
+def test_small_sample_warning_is_one_stderr_line_per_message(tmp_path, capsys):
+    # the general route warns below n = 10 d; the CLI prints the message once,
+    # as one line without a source location, in every cell of a plan too
+    model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
+    path = tmp_path / "small.csv"
+    write_csv(path, sample_gaussian(model, 25, 43).rows.tolist())
+    out = tmp_path / "report.json"
+    argv = ["test", "--data", str(path), "--blocks", "2,2", "--method", "general", "--out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == SMALL_N_WARNING
+    report = json.loads(out.read_text())
+    assert captured.out == f"nS={report['nS']} d=4 p={report['p_value']} reject={report['reject']}\n"
+    config = _null_plan_config(
+        tmp_path, dims=[2, 2], covariance=np.eye(4).tolist(), sizes=[25], replications=4,
+        methods=["chi2", "general"],
+    )
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", SMALL_N_WARNING)
+    assert len(json.loads(out.read_text())["records"]) == 4
+
+
 def test_test_command_flag_rules(gaussian_csv, tmp_path):
     out = tmp_path / "report.json"
     base = ["test", "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)]
@@ -653,6 +679,26 @@ def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, cod
     if overrides in NOT_A_LIST:
         [(key, value)] = overrides.items()
         assert key in err and repr(value) in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        ({"kind": "power", "dims": [1, 1], "covariance": [[1, 0], [0, 1]], "replications": 3},
+         "error: malformed config: plan config is missing keys: ['sizes']\n"),
+        ({"kind": "power", "dims": [1, 1], "covariance": [[1, 0], [0, 1]], "replications": 3,
+          "sizes": [50], "size": [50]},
+         "error: malformed config: plan config has unknown keys: ['size']\n"),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_simulate_plan_with_missing_or_unknown_keys_is_one_plain_line(tmp_path, capsys, config, line):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
     assert not out.exists()
 
 

@@ -6,7 +6,10 @@
 must keep the numbers has to keep these: floats within rtol 1e-9 and atol
 1e-12, integers, strings and booleans exactly (``assert_matches_golden``).
 ``data/write_golden.py`` wrote the file; the last test runs it again and
-compares both files it writes with the stored ones.
+compares both files it writes with the stored ones. A ``mslca test`` stdout
+line in ``golden_cli.json`` prints the floats of its report in full, so it is
+checked exactly against the summary line of its own report, and the report is
+what is compared with the stored one.
 """
 
 import json
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import mslca
 from mslca import SimulationPlan, run_experiment
 from conftest import assert_matches_golden
 
@@ -34,9 +38,24 @@ def test_records_and_summaries_match_golden(entry):
     assert_matches_golden(summaries, entry["summaries"], "summaries")
 
 
+def _without_stdout(golden_cli, where):
+    """``golden_cli`` with each test's stdout dropped, once it equals its report's summary line."""
+    tests = []
+    for entry in golden_cli["test"]:
+        fields = dict(entry["report"])
+        fields["s"], fields["ns"] = fields.pop("S"), fields.pop("nS")
+        summary = mslca.TestReport(**fields).summary_line() + "\n"
+        assert entry["stdout"] == summary, f"{where} {' '.join(entry['args'])} stdout"
+        tests.append({key: value for key, value in entry.items() if key != "stdout"})
+    return {**golden_cli, "test": tests}
+
+
 def test_writer_reproduces_stored_goldens(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["write_golden.py", str(tmp_path)])
     runpy.run_path(str(DATA / "write_golden.py"), run_name="__main__")
     for name in ("golden_records.json", "golden_cli.json"):
         written = json.loads((tmp_path / name).read_text())
-        assert_matches_golden(written, json.loads((DATA / name).read_text()), name)
+        stored = json.loads((DATA / name).read_text())
+        if name == "golden_cli.json":
+            written, stored = _without_stdout(written, "written"), _without_stdout(stored, "stored")
+        assert_matches_golden(written, stored, name)

@@ -285,7 +285,7 @@ def test_plan_roundtrip():
     )
     again = SimulationPlan.from_dict(plan.to_dict())
     assert again.to_dict() == plan.to_dict()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         SimulationPlan.from_dict({"kind": "null-dist"})
 
 
