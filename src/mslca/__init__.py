@@ -2,7 +2,8 @@
 
 Population and empirical solvers for the joint canonical analysis of K >= 2
 variable sets, asymptotic machinery for the estimators, tests of mutual
-non-correlation, and a reproducible Monte Carlo verification harness.
+non-correlation, and a reproducible Monte Carlo verification harness. No module
+of the package imports ``numpy.ma``.
 """
 
 __version__ = "0.1.0"

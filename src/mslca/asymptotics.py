@@ -54,7 +54,7 @@ from .exceptions import (
     NegativeWeightError,
     RepeatedEigenvaluesError,
 )
-from .population import CovarianceModel, MslcaSolution
+from .population import CovarianceModel, MslcaSolution, _require_same_structure
 
 WEIGHT_CLAMP_FLOOR = -1e-8
 WHITENED_ATOL = 1e-6
@@ -65,7 +65,10 @@ WHITENED_MODEL_ATOL = 1e-8
 TAIL_ATOL = 1e-10
 # Term counts the tail plan may choose, about 2**(i / 4) up to the budget of
 # 2**22 terms, and the highest summation-by-parts order of its error bound.
-_TERM_GRID = np.unique(np.ceil(2.0 ** (np.arange(89) / 4.0))).astype(np.int64)
+# The ceilings never decrease from 1, so keeping each one above the one
+# before it drops the repeats (``np.unique`` would import ``numpy.ma``).
+_TERM_GRID = np.ceil(2.0 ** (np.arange(89) / 4.0)).astype(np.int64)
+_TERM_GRID = _TERM_GRID[np.diff(_TERM_GRID, prepend=0) > 0]
 _MAX_ORDER = 12
 _CHUNK_ENTRIES = 1 << 18  # nodes x distinct weights evaluated at once
 # Bytes of one row block's features in a fourth-moment Gram (``_row_gram``).
@@ -195,11 +198,8 @@ def _eigenbasis_forms(model: CovarianceModel, solution: MslcaSolution) -> np.nda
     solved by the solution.
     """
     _require_whitened_model(model)
+    _require_same_structure(model, solution)
     structure = model.structure
-    if solution.structure != structure:
-        raise ValueError(
-            f"solution has block dims {solution.structure.dims}, model has {structure.dims}"
-        )
     beta, rho = solution.beta, solution.rho
     psi = np.where(structure.diagonal_mask, 0.0, model.v)
     residual = np.abs(psi @ beta - beta * rho).max()

@@ -202,12 +202,22 @@ def solve_mslca(model: CovarianceModel) -> MslcaSolution:
     return _solve(model.structure, model.v[None])[1][0]
 
 
+def _require_same_structure(model: CovarianceModel, solution: MslcaSolution) -> None:
+    """Raise ValueError unless the solution has the model's block structure."""
+    if solution.structure != model.structure:
+        raise ValueError(
+            f"solution has block dims {solution.structure.dims}, model has {model.structure.dims}"
+        )
+
+
 def verify_constraints(model: CovarianceModel, solution: MslcaSolution) -> ConstraintDiagnostics:
     """Worst violations of the unit-variance and blockwise-uncorrelated constraints.
 
     Entry (i, j) of alpha^T Phi alpha is sum_k <alpha_k^(i), V_k alpha_k^(j)>:
-    its diagonal must be 1 and its off-diagonal 0.
+    its diagonal must be 1 and its off-diagonal 0. Raises ValueError unless
+    the solution has the model's block structure.
     """
+    _require_same_structure(model, solution)
     gram = solution.alpha.T @ build_phi(model) @ solution.alpha
     unit = float(np.abs(np.diag(gram) - 1.0).max())
     off = gram - np.diag(np.diag(gram))

@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +22,29 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(mslca, name), name
+
+
+# Run in a fresh interpreter, so that no earlier test has loaded numpy.ma.
+_NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+import mslca, mslca.cli
+rows = np.random.default_rng(0).standard_normal((200, 6))
+fit = mslca.fit_mslca(mslca.Dataset(mslca.BlockStructure((2, 2, 2)), rows))
+mslca.chi2_test(fit, scale="plugin")
+mslca.general_test(fit)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_import_fit_and_tests_leave_numpy_ma_unloaded():
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _name_counts(tree):

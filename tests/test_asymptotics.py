@@ -967,6 +967,14 @@ def test_quad_form_pvalue_near_zero_weights_stay_cheap():
         assert abs(quad_form_pvalue(dist, x) - quad_form_pvalue(leading, x)) < 1e-7
 
 
+def test_term_grid_is_the_unique_ceilings():
+    expected = np.unique(np.ceil(2.0 ** (np.arange(89) / 4.0))).astype(np.int64)
+    grid = mslca.asymptotics._TERM_GRID
+    assert grid.dtype == expected.dtype and grid.shape == expected.shape
+    assert grid.tolist() == expected.tolist()
+    assert grid[-1] == 1 << 22
+
+
 def test_quad_form_pvalue_raises_when_budget_is_too_small(monkeypatch):
     monkeypatch.setattr(mslca.asymptotics, "_TERM_GRID", np.array([1, 2]))
     with pytest.raises(MslcaError, match="terms"):

@@ -292,6 +292,17 @@ def test_verify_constraints_identity_model():
     assert diag.max_orthogonality_violation == 0.0
 
 
+@pytest.mark.parametrize("other", [(1, 3), (1, 2)], ids=["same-q", "other-q"])
+def test_verify_constraints_refuses_another_block_structure(other):
+    # with the same q the Gram product runs and certified a foreign
+    # solution; with another q it failed inside matmul
+    model = CovarianceModel(BlockStructure((2, 2)), np.eye(4))
+    foreign = solve_mslca(CovarianceModel(BlockStructure(other), np.eye(sum(other))))
+    message = re.escape(f"solution has block dims {other}, model has (2, 2)")
+    with pytest.raises(ValueError, match=message):
+        verify_constraints(model, foreign)
+
+
 def test_trace_and_bounds_random_models():
     rng = np.random.default_rng(43)
     for _ in range(30):
