@@ -41,7 +41,7 @@ from .exceptions import (
     NuTooSmallError,
     PlanPreconditionError,
 )
-from .noncorr import chi2_test, general_test
+from .noncorr import _ROUTES
 from .population import CovarianceModel, verify_constraints
 from .simulate import SimulationPlan, run_experiment
 
@@ -246,16 +246,13 @@ def _parse_scale(raw: str):
 
 
 def _cmd_test(args) -> int:
-    if args.method == "general" and args.scale is not None:
+    if args.method != "chi2" and args.scale is not None:
         raise InputError("--scale only applies to --method chi2")
     if not 0 < args.alpha < 1:
         raise InputError(f"--alpha must be in (0, 1), got {args.alpha}")
     fit = fit_mslca(load_dataset(args.data, args.blocks))
-    if args.method == "chi2":
-        scale = _parse_scale(args.scale) if args.scale is not None else "gaussian"
-        report = chi2_test(fit, scale=scale, alpha=args.alpha)
-    else:
-        report = general_test(fit, alpha=args.alpha)
+    options = {} if args.scale is None else {"scale": _parse_scale(args.scale)}
+    report = _ROUTES[args.method](fit, args.alpha, **options)
     write_json(args.out, report.to_dict())
     print(report.summary_line())
     return EXIT_OK
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     test_p = sub.add_parser("test", help="test mutual non-correlation of the blocks")
     test_p.add_argument("--data", required=True)
     test_p.add_argument("--blocks", required=True)
-    test_p.add_argument("--method", choices=("chi2", "general"), default="chi2")
+    test_p.add_argument("--method", choices=_ROUTES, default="chi2")
     test_p.add_argument("--scale", default=None, help="chi2 route: gaussian | plugin | positive float")
     test_p.add_argument("--alpha", type=float, default=0.05)
     test_p.add_argument("--out", required=True)

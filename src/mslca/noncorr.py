@@ -8,7 +8,8 @@ general weighted chi-square law driven by estimated fourth moments. Both
 read fourth moments of one sample, whitened with the fit's own means and
 block roots, so each test takes only the fit and reads its ``whitened``
 ``Dataset``, which the fit builds once and keeps. The statistic itself is
-``MslcaFit.s``.
+``MslcaFit.s``. ``_ROUTES`` maps each method name to its route; the CLI, the
+simulation plans and their records read the route set from it alone.
 """
 
 from __future__ import annotations
@@ -113,13 +114,8 @@ def chi2_test(fit: MslcaFit, scale="gaussian", alpha: float = 0.05) -> TestRepor
     scale_value, provenance = _resolve_scale(scale, fit)
     d = degrees_of_freedom(fit.structure)
     return _report(
-        fit,
-        d,
-        alpha,
-        lambda ns: _chi2_sf(d, ns / scale_value),
-        method="chi2",
-        scale=scale_value,
-        scale_provenance=provenance,
+        fit, d, alpha, lambda ns: _chi2_sf(d, ns / scale_value),
+        method="chi2", scale=scale_value, scale_provenance=provenance,
     )
 
 
@@ -146,13 +142,14 @@ def general_test(fit: MslcaFit, alpha: float = 0.05) -> TestReport:
         )
     dist = EigenChiSquareDist(np.linalg.eigvalsh(build_gamma(fit.whitened)))
     return _report(
-        fit,
-        d,
-        alpha,
-        lambda ns: quad_form_pvalue(dist, ns),
-        method="general",
-        scale=None,
-        scale_provenance=None,
-        gamma_eigenvalues=dist.weights,
-        p_value_error_bound=TAIL_ATOL,
+        fit, d, alpha, lambda ns: quad_form_pvalue(dist, ns), method="general", scale=None,
+        scale_provenance=None, gamma_eigenvalues=dist.weights, p_value_error_bound=TAIL_ATOL,
     )
+
+
+# Method name -> route(fit, alpha, **options) -> TestReport. Each entry calls
+# its test by its module-level name, so a rebound name reaches every caller.
+_ROUTES = {
+    "chi2": lambda fit, alpha, scale="gaussian": chi2_test(fit, scale, alpha),
+    "general": lambda fit, alpha: general_test(fit, alpha),
+}

@@ -12,8 +12,9 @@ Chi-square references come from the closed-form tail ``_chi2_sf`` rather
 than from simulation, which keeps the checks non-circular.
 
 ``null-dist`` and ``power`` share one record and summary of the test routes
-(``_routes``): every cell records ``p_chi2`` (nS against chi-square(d)), and
-"general" in ``methods`` adds ``p_general``; other kinds ignore ``methods``.
+(``_routes``), whose set is ``noncorr._ROUTES``: every cell records ``p_chi2``
+(nS against chi-square(d)), and each other method in ``methods`` adds
+``p_{method}``; other kinds ignore ``methods``.
 ``null-dist`` adds ``ns`` and ``p_chi2_scaled`` (nS over the sampler's true
 kurtosis scale). Each size reports each route's rejection rates at ``alphas``,
 as ``size_{route}`` (``null-dist``, with ``mean_ns`` and the KS distance) or
@@ -32,7 +33,7 @@ from . import __version__
 from .blocks import BlockStructure, _integer, _items, _real
 from .estimation import Dataset, _fit_stack, align_sign
 from .exceptions import MslcaError, NuTooSmallError, PlanPreconditionError
-from .noncorr import degrees_of_freedom, general_test
+from .noncorr import _ROUTES, degrees_of_freedom
 from .population import DEFAULT_GROUP_TOL, CovarianceModel, build_t, solve_mslca
 from .asymptotics import (
     _chi2_sf,
@@ -174,8 +175,9 @@ class SimulationPlan:
             raise PlanPreconditionError(f"seed must be nonnegative, got {self.seed}")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
             raise ValueError(f"alphas must be nonempty and lie in (0, 1), got {alphas!r}")
-        if not self.methods or any(m not in ("chi2", "general") for m in self.methods):
-            raise ValueError(f"methods must be chi2/general and nonempty, got {self.methods}")
+        routes = tuple(_ROUTES)  # not the dict: an unhashable method is refused, not a TypeError
+        if not self.methods or any(m not in routes for m in self.methods):
+            raise ValueError(f"methods must be {'/'.join(routes)} and nonempty, got {self.methods}")
         if self.nu is not None and not math.isfinite(_real(self.nu)):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.sampler == "student-t":
@@ -270,8 +272,10 @@ def _consistency(plan: SimulationPlan):
         }
 
     def summarize(records):
+        # np.median's value, from the two middle rows; np.median would import numpy.ma
+        middle = [(len(records) - 1) // 2, len(records) // 2]
         return {
-            f"median_{key}": np.median(_column(records, key), axis=0).tolist()
+            f"median_{key}": np.sort(_column(records, key), axis=0)[middle].mean(axis=0).tolist()
             for key in ("t_error", "rho_errors", "beta_errors", "group_projector_errors")
         }
 
@@ -378,21 +382,24 @@ def _require_null_model(model: CovarianceModel) -> None:
                 raise PlanPreconditionError(f"model violates the null: block ({k}, {l}) is nonzero")
 
 
-def _routes(plan: SimulationPlan, scales: dict[str, float], prefix: str):
-    """Record ``p_{route}`` per route (nS / scale or general); rate them as ``{prefix}_{route}``."""
+def _routes(plan: SimulationPlan, prefix: str, **chi2_scales: float):
+    """Record ``p_{route}`` per route and rate it as ``{prefix}_{route}``.
+
+    The routes are chi2 and each of ``chi2_scales`` (nS / scale), then each
+    other method of ``_ROUTES`` that the plan lists, in table order.
+    """
     d = degrees_of_freedom(plan.model.structure)
-    include_general = "general" in plan.methods
-    routes = [*scales, "general"] if include_general else list(scales)
+    scales = {"chi2": 1.0, **chi2_scales}
+    methods = [m for m in _ROUTES if m != "chi2" and m in plan.methods]
 
     def record(rng, fit):
         ns = fit.n * fit.s
         out = {f"p_{route}": _chi2_sf(d, ns / scale) for route, scale in scales.items()}
-        if include_general:
-            out["p_general"] = general_test(fit, alpha=plan.alphas[0]).p_value
+        out.update({f"p_{m}": _ROUTES[m](fit, plan.alphas[0]).p_value for m in methods})
         return out
 
     def summarize(records):
-        p_values = {route: _column(records, f"p_{route}") for route in routes}
+        p_values = {route: _column(records, f"p_{route}") for route in [*scales, *methods]}
         return {
             f"{prefix}_{route}": {str(a): float(np.mean(p < a)) for a in plan.alphas}
             for route, p in p_values.items()
@@ -411,9 +418,7 @@ def _null_dist(plan: SimulationPlan):
     it is reported under both ``ks_to_chi2`` and ``p_uniformity_ks``.
     """
     _require_null_model(plan.model)
-    route_record, route_summary = _routes(
-        plan, {"chi2": 1.0, "chi2_scaled": plan.true_scale}, "size"
-    )
+    route_record, route_summary = _routes(plan, "size", chi2_scaled=plan.true_scale)
 
     def record(rng, fit):
         return {"ns": fit.n * fit.s, **route_record(rng, fit)}
@@ -437,7 +442,7 @@ def _power(plan: SimulationPlan):
     to empirical sizes, which is still well defined and occasionally useful,
     so no guard is imposed.
     """
-    return _routes(plan, {"chi2": 1.0}, "rejection")
+    return _routes(plan, "rejection")
 
 
 # Each kind's set-up checks its precondition, computes its reference

@@ -33,6 +33,10 @@ rows = np.random.default_rng(0).standard_normal((200, 6))
 fit = mslca.fit_mslca(mslca.Dataset(mslca.BlockStructure((2, 2, 2)), rows))
 mslca.chi2_test(fit, scale="plugin")
 mslca.general_test(fit)
+null_22 = mslca.CovarianceModel(mslca.BlockStructure((2, 2)), np.eye(4))
+for kind, methods in (("consistency", ("chi2",)), ("null-dist", ("chi2", "general"))):
+    plan = mslca.SimulationPlan(kind, null_22, (60,), replications=4, methods=methods)
+    mslca.run_experiment(plan)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 

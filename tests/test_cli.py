@@ -485,13 +485,15 @@ def test_small_sample_warning_is_one_stderr_line_per_message(tmp_path, capsys):
     assert len(json.loads(out.read_text())["records"]) == 4
 
 
-def test_test_command_flag_rules(gaussian_csv, tmp_path):
+def test_test_command_flag_rules(gaussian_csv, tmp_path, capsys):
     out = tmp_path / "report.json"
     base = ["test", "--data", str(gaussian_csv), "--blocks", "1,1,1", "--out", str(out)]
     assert main(base + ["--method", "chi2", "--scale", "0"]) == 2
     assert main(base + ["--scale", "nan"]) == 2
     assert main(base + ["--scale", "inf"]) == 2
+    capsys.readouterr()
     assert main(base + ["--method", "general", "--scale", "gaussian"]) == 2
+    assert capsys.readouterr().err == "error: --scale only applies to --method chi2\n"
     assert main(base + ["--scale", "bogus"]) == 2
     assert main(base + ["--alpha", "1.5"]) == 2
     assert main(base + ["--scale", "plugin"]) == 0
@@ -690,8 +692,15 @@ def test_simulate_plan_rejected_before_any_cell(tmp_path, capsys, overrides, cod
         ({"kind": "power", "dims": [1, 1], "covariance": [[1, 0], [0, 1]], "replications": 3,
           "sizes": [50], "size": [50]},
          "error: malformed config: plan config has unknown keys: ['size']\n"),
+        # an unhashable method is refused like any other unknown one
+        ({"kind": "power", "dims": [1, 1], "covariance": [[1, 0], [0, 1]], "replications": 3,
+          "sizes": [50], "methods": [["chi2"]]},
+         "error: malformed config: methods must be chi2/general and nonempty, got (['chi2'],)\n"),
+        ({"kind": "power", "dims": [1, 1], "covariance": [[1, 0], [0, 1]], "replications": 3,
+          "sizes": [50], "methods": [{"a": 1}]},
+         "error: malformed config: methods must be chi2/general and nonempty, got ({'a': 1},)\n"),
     ],
-    ids=["missing", "unknown"],
+    ids=["missing", "unknown", "list-method", "dict-method"],
 )
 def test_simulate_plan_with_missing_or_unknown_keys_is_one_plain_line(tmp_path, capsys, config, line):
     path = tmp_path / "plan.json"

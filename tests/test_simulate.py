@@ -334,6 +334,22 @@ def test_run_consistency_group_projectors_converge_for_degenerate_spectra():
     assert large[1] < 0.1
 
 
+@pytest.mark.parametrize("replications", [1, 4, 5])
+def test_consistency_medians_are_numpy_medians(replications):
+    # the summary reads the middle rows of the sorted records instead of
+    # calling np.median (which imports numpy.ma); odd and even counts give its bits
+    model = equicorrelation_model(3, 0.5)
+    plan = SimulationPlan(
+        kind="consistency", model=model, sizes=(60,), replications=replications, seed=8
+    )
+    result = run_experiment(plan)
+    summary = result.summaries["60"]
+    assert len(summary) == 4
+    for key, median in summary.items():
+        column = np.array([record[key.removeprefix("median_")] for record in result.records])
+        assert median == np.median(column, axis=0).tolist()
+
+
 def test_run_consistency_median_stability_in_replications():
     base = dict(kind="consistency", model=WHITENED_111, sizes=(400,), seed=3)
     med_30 = run_experiment(SimulationPlan(replications=30, **base)).summaries["400"][
@@ -551,22 +567,41 @@ def test_null_dist_and_power_record_the_same_route_p_values():
 
 
 def test_power_chi2_p_value_is_the_chi2_tests():
+    # each recorded p-value is its route's report's, bit for bit: p_{method}
+    # through the route table (p_chi2 at scale 1), p_chi2_scaled at the true scale
     from mslca import chi2_test, fit_mslca
+    from mslca.noncorr import _ROUTES
 
-    plan = SimulationPlan(
-        kind="power", model=WHITENED_111, sizes=(120, 300), replications=4, seed=5
-    )
-    records = run_experiment(plan).records
-    assert len(records) == 8
-    for record in records:
-        rng = rng_stream(plan.seed, plan.sizes.index(record["n"]), record["rep"])
-        fit = fit_mslca(plan.sample(record["n"], rng))
-        assert record["p_chi2"] == chi2_test(fit, scale="gaussian").p_value
+    plans = [
+        SimulationPlan(
+            kind="power", model=WHITENED_111, sizes=(120, 300), replications=4, seed=5,
+            methods=tuple(_ROUTES),
+        ),
+        SimulationPlan(
+            kind="null-dist", model=NULL_222, sizes=(150,), replications=3, seed=7,
+            sampler="student-t", nu=9.0, methods=tuple(_ROUTES),
+        ),
+    ]
+    for plan in plans:
+        records = run_experiment(plan).records
+        assert len(records) == len(plan.sizes) * plan.replications
+        for record in records:
+            rng = rng_stream(plan.seed, plan.sizes.index(record["n"]), record["rep"])
+            fit = fit_mslca(plan.sample(record["n"], rng))
+            for method, route in _ROUTES.items():
+                assert record[f"p_{method}"] == route(fit, plan.alphas[0]).p_value
+            if plan.kind == "null-dist":
+                scaled = chi2_test(fit, scale=plan.true_scale).p_value
+                assert plan.true_scale != 1.0 and record["p_chi2_scaled"] == scaled
 
 
-@pytest.mark.parametrize("methods", [("chi2",), ("chi2", "general"), ("general",)])
+@pytest.mark.parametrize(
+    "methods",
+    [("chi2",), ("chi2", "general"), ("general",), ("general", "general"), ("general", "chi2")],
+)
 def test_test_kinds_summarize_exactly_the_routes_they_record(methods):
-    # the chi-square route is always recorded; "general" in methods adds the general route
+    # the chi-square route is always recorded; "general" in methods adds the
+    # general route, once and after it, however the plan lists its methods
     general = ["general"] if "general" in methods else []
     expected = {
         "null-dist": (["chi2", "chi2_scaled", *general], "size", ["ns"],
@@ -579,6 +614,8 @@ def test_test_kinds_summarize_exactly_the_routes_they_record(methods):
             alphas=(0.05, 0.5), methods=methods,
         )
         result = run_experiment(plan)
+        listed_once = SimulationPlan(**{**vars(plan), "methods": ("chi2", *general)})
+        assert result.records == run_experiment(listed_once).records
         for record in result.records:
             assert list(record) == ["n", "rep", *own_records, *(f"p_{r}" for r in routes)]
         summary = result.summaries["150"]
