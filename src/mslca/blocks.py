@@ -108,6 +108,25 @@ class BlockStructure:
         return mask
 
     @cached_property
+    def _blocks_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only (rows, cols) index arrays, one pair per distinct block size p.
+
+        For the m blocks of size p, in order, ``rows`` has shape (m, p, 1)
+        and ``cols`` (m, 1, p), so ``a[..., rows, cols]`` gathers those
+        diagonal blocks of a (..., q, q) array into one (..., m, p, p) stack.
+        Sizes run in the order of their first block.
+        """
+        groups = []
+        for p in dict.fromkeys(self.dims):
+            starts = np.array([o for o, d in zip(self.offsets, self.dims) if d == p])
+            rows = starts[:, None, None] + np.arange(p)[:, None]
+            cols = starts[:, None, None] + np.arange(p)
+            for index in (rows, cols):
+                index.flags.writeable = False
+            groups.append((rows, cols))
+        return tuple(groups)
+
+    @cached_property
     def cross_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (rows, cols) index arrays of the lower off-diagonal block entries.
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .blocks import BlockStructure, require_symmetric
 from .exceptions import CovarianceOverflowError, InsufficientSampleError
-from .population import MslcaSolution, _off_block_mass, _solve
+from .population import MslcaSolution, _off_block_mass, _operator, _solve
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,23 @@ class Dataset:
         return self.rows.shape[0]
 
 
+class _StackedSolve:
+    """T's eigensolve for the fits of one stack, run over the whole stack on first read."""
+
+    def __init__(self, structure: BlockStructure, that: np.ndarray, inv_root: np.ndarray):
+        self.structure = structure
+        self.that = that
+        self.inv_root = inv_root
+
+    @cached_property
+    def solutions(self) -> list[MslcaSolution] | None:
+        """One solution per fit, in order, or None when the stacked solve raised."""
+        try:
+            return _solve(self.structure, self.that, self.inv_root)
+        except ValueError:  # LinAlgError too; each fit then solves alone
+            return None
+
+
 @dataclass(frozen=True)
 class MslcaFit:
     """Empirical analysis of one dataset, which it holds once, as a centred copy.
@@ -68,24 +85,40 @@ class MslcaFit:
     zero by construction, and ``s`` its non-correlation statistic, the summed
     squared entries of the lower off-diagonal blocks of ``that``. ``inv_root``
     is Phi^{-1/2}, the read-only block-diagonal matrix whose diagonal blocks
-    are the inverse square roots of those of ``vhat``. The fit holds its
-    sample only as ``_centred``, the read-only (q, n) copy its covariance
-    was computed from, not the fitted ``Dataset``; ``n`` is its column
-    count. The tests take only the fit and read its ``whitened`` sample.
+    are the inverse square roots of those of ``vhat``. ``solution``, the
+    canonical coefficients and directions, is solved from ``that`` on first
+    read and kept. The fit holds its sample only as ``_centred``, the
+    read-only (q, n) copy its covariance was computed from, not the fitted
+    ``Dataset``; ``n`` is its column count. The tests take only the fit and
+    read its ``whitened`` sample, not its ``solution``.
     """
 
     structure: BlockStructure
     means: np.ndarray
     vhat: np.ndarray
     that: np.ndarray
-    solution: MslcaSolution
     inv_root: np.ndarray
     s: float
     _centred: np.ndarray = field(repr=False)
+    _stack: _StackedSolve = field(repr=False)
+    _index: int = field(repr=False)
 
     @property
     def n(self) -> int:
         return self._centred.shape[1]
+
+    @cached_property
+    def solution(self) -> MslcaSolution:
+        """The spectral solution of ``that``, solved on first read and kept.
+
+        The first read of any fit of a stack solves T for every fit of that
+        stack in one eigensolve. If that solve raises, each fit solves alone
+        when read, so an error is the one this fit raises alone.
+        """
+        solutions = self._stack.solutions
+        if solutions is None:
+            return _solve(self.structure, self.that[None], self.inv_root[None])[0]
+        return solutions[self._index]
 
     @cached_property
     def whitened(self) -> Dataset:
@@ -146,16 +179,19 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
 
     The samples are copied transposed into one (R, q, n) array, so each
     column's pairwise mean runs along a contiguous row: one centering, one
-    matrix product for the R covariances and one eigensolve per block and for
-    T, each over the whole stack. The covariances, finite as
-    ``_means_and_covs`` returns them, are checked symmetric and symmetrized.
-    Every fit's arrays, its centred sample included, are read-only views into
-    the stacks, and each equals, bit for bit, the fit of its sample alone.
+    matrix product for the R covariances and one eigensolve per block size
+    for the inverse roots, each over the whole stack. T's eigensolve waits
+    until a fit's ``solution`` is first read, and then runs once over the
+    whole stack. The covariances, finite as ``_means_and_covs`` returns them,
+    are checked symmetric and symmetrized. Every fit's arrays, its centred
+    sample included, are read-only views into the stacks, and each equals,
+    bit for bit, the fit of its sample alone.
     """
     structure = datasets[0].structure
     means, covs, centred = _means_and_covs(datasets)
     covs = require_symmetric(covs)
-    that, solutions, inv_root = _solve(structure, covs)
+    that, inv_root = _operator(structure, covs)
+    stack = _StackedSolve(structure, that, inv_root)
     for arr in (means, covs, centred):
         arr.flags.writeable = False
     return [
@@ -164,10 +200,11 @@ def _fit_stack(datasets: list[Dataset]) -> list[MslcaFit]:
             means=means[i],
             vhat=covs[i],
             that=that[i],
-            solution=solutions[i],
             inv_root=inv_root[i],
             s=s,
             _centred=centred[i],
+            _stack=stack,
+            _index=i,
         )
         for i, s in enumerate(_off_block_mass(structure, that).tolist())
     ]
@@ -179,8 +216,9 @@ def fit_mslca(data: Dataset) -> MslcaFit:
     Deterministic given the data; it takes no tuning. Raises
     NearSingularError naming the block whose sample covariance is numerically
     singular (lambda_min <= 1e-10 * lambda_max, collinear columns), and
-    InsufficientSampleError for n < 2. The solution's eigenvalue groups use
-    the fixed tolerance of ``MslcaSolution``.
+    InsufficientSampleError for n < 2. T is solved on the first read of the
+    fit's ``solution``, whose eigenvalue groups use the fixed tolerance of
+    ``MslcaSolution``.
     """
     if data.n < 2:
         raise InsufficientSampleError(f"need at least 2 rows, got {data.n}")
@@ -205,6 +243,7 @@ def whiten(data: Dataset) -> Dataset:
     The output's empirical within-block covariances are the identity, which
     is the standing normalization of the asymptotic theory. Uses the
     symmetric inverse square root so the transform commutes with orthogonal
-    changes of block basis. This is ``fit_mslca(data).whitened``.
+    changes of block basis. This is ``fit_mslca(data).whitened``, which
+    solves no eigenproblem of T.
     """
     return fit_mslca(data).whitened

@@ -138,16 +138,23 @@ def build_phi(model: CovarianceModel) -> np.ndarray:
 def _block_inv_sqrt(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
     """Phi^{-1/2} of each covariance of ``v`` (..., q, q), as a stack of the same shape.
 
-    Each diagonal block is powered on its own, so a near-singular one is
-    named and the off-diagonal blocks stay exactly zero.
+    The diagonal blocks of one size are powered together, in one eigensolve
+    over their (..., m, p, p) stack, and the off-diagonal blocks stay exactly
+    zero. If a block is near-singular, the blocks are powered again one by
+    one, in order, so the error names the lowest such block.
     """
     root = np.zeros(v.shape)
-    for k in range(structure.n_blocks):
-        sl = structure.block_slice(k)
-        try:
-            root[..., sl, sl] = sym_power(v[..., sl, sl], -0.5)
-        except NearSingularError as err:
-            raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
+    try:
+        for rows, cols in structure._blocks_by_size:
+            root[..., rows, cols] = sym_power(v[..., rows, cols], -0.5)
+    except NearSingularError:
+        for k in range(structure.n_blocks):
+            sl = structure.block_slice(k)
+            try:
+                sym_power(v[..., sl, sl], -0.5)
+            except NearSingularError as err:
+                raise NearSingularError(err.lambda_min, err.lambda_max, block=k) from None
+        raise
     return root
 
 
@@ -175,31 +182,36 @@ def build_t(model: CovarianceModel) -> np.ndarray:
     return _assemble_t(model.structure, model.v, inv_root)
 
 
-def _solve(
-    structure: BlockStructure, v: np.ndarray
-) -> tuple[np.ndarray, list[MslcaSolution], np.ndarray]:
-    """Solve each covariance of a (R, q, q) stack at once.
+def _operator(structure: BlockStructure, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T and the block-diagonal Phi^{-1/2} of each covariance of a (R, q, q) stack.
 
-    Returns the stack of T, one solution per matrix and the stack of
-    block-diagonal Phi^{-1/2}, each computed once and read-only; every
-    eigensolve is one call over the whole stack.
+    Both stacks are read-only; the inverse roots take one eigensolve per
+    block size over the whole stack, and T none.
     """
     inv_root = _block_inv_sqrt(structure, v)
     t = _assemble_t(structure, v, inv_root)
-    eig = sym_eig(t)
-    beta = eig.eigenvectors
-    alpha = inv_root @ beta
-    for arr in (t, alpha, inv_root):
+    for arr in (t, inv_root):
         arr.flags.writeable = False
-    solutions = [
-        MslcaSolution(structure, eig.eigenvalues[i], beta[i], alpha[i]) for i in range(v.shape[0])
+    return t, inv_root
+
+
+def _solve(structure: BlockStructure, t: np.ndarray, inv_root: np.ndarray) -> list[MslcaSolution]:
+    """One solution per T of a (R, q, q) stack, from one ``sym_eig`` call over the stack.
+
+    ``inv_root`` is the stack of Phi^{-1/2} that ``_operator`` returned with T.
+    """
+    eig = sym_eig(t)
+    alpha = inv_root @ eig.eigenvectors
+    alpha.flags.writeable = False
+    return [
+        MslcaSolution(structure, eig.eigenvalues[i], eig.eigenvectors[i], alpha[i])
+        for i in range(t.shape[0])
     ]
-    return t, solutions, inv_root
 
 
 def solve_mslca(model: CovarianceModel) -> MslcaSolution:
     """Solve the population analysis by spectral decomposition of T."""
-    return _solve(model.structure, model.v[None])[1][0]
+    return _solve(model.structure, *_operator(model.structure, model.v[None]))[0]
 
 
 def _require_same_structure(model: CovarianceModel, solution: MslcaSolution) -> None:

@@ -105,12 +105,23 @@ def student_t_kurtosis_scale(nu: float) -> float:
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance sup |F_n - F| against a CDF."""
+    """One-sample Kolmogorov-Smirnov distance sup |F_n - F| against a CDF.
+
+    Raises ValueError for an empty or non-finite sample, for a CDF that does
+    not return one value per point and for a CDF value outside [0, 1] (NaN
+    included), each of which would make the distance NaN or meaningless.
+    """
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(x).all():
+        raise ValueError("sample must be finite")
     f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(f"cdf must return one value per point, got shape {f.shape}")
+    if not ((f >= 0.0) & (f <= 1.0)).all():
+        raise ValueError("cdf values must lie in [0, 1]")
     d_plus = float(np.max(np.arange(1, n + 1) / n - f))
     d_minus = float(np.max(f - np.arange(0, n) / n))
     return max(d_plus, d_minus)

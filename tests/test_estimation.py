@@ -1,5 +1,6 @@
 """Empirical covariance arithmetic, fitting, alignment and whitening."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -21,10 +22,12 @@ from mslca import (
     run_experiment,
     sample_gaussian,
     sample_student_t,
+    solve_mslca,
     sym_power,
     whiten,
 )
 from mslca.asymptotics import _require_whitened_data
+from mslca.blocks import require_symmetric
 from mslca.estimation import _fit_stack, _means_and_covs
 from mslca.exceptions import CovarianceOverflowError
 from conftest import (
@@ -166,6 +169,55 @@ def test_fit_collinear_block_raises_with_block_index():
     with pytest.raises(NearSingularError) as exc:
         fit_mslca(Dataset(s, rows))
     assert exc.value.block == 0
+
+
+@pytest.mark.parametrize(
+    "dims, copies, constant, block",
+    [
+        ((1, 2, 1), {}, 3, 2),
+        ((2, 1, 2), {1: 0, 4: 3}, None, 0),
+        ((2, 1, 2), {4: 3}, 2, 1),  # size 2 is powered first, yet block 1 is named
+    ],
+)
+def test_blocks_powered_together_name_the_lowest_singular_block(dims, copies, constant, block):
+    structure = BlockStructure(dims)
+    rows = np.random.default_rng(74).standard_normal((40, structure.total_dim))
+    for column, source in copies.items():
+        rows[:, column] = rows[:, source]
+    if constant is not None:
+        rows[:, constant] = 0.3
+    data = Dataset(structure, rows)
+    with pytest.raises(NearSingularError) as exc:
+        fit_mslca(data)
+    assert exc.value.block == block
+    sl = structure.block_slice(block)
+    with pytest.raises(NearSingularError) as alone:
+        sym_power(require_symmetric(_means_and_covs([data])[1][0])[sl, sl], -0.5)
+    assert (exc.value.lambda_min, exc.value.lambda_max) == (
+        alone.value.lambda_min,
+        alone.value.lambda_max,
+    )
+
+
+def test_fit_solution_is_read_only_and_equals_its_covariances_own():
+    structure = BlockStructure((2, 1, 2))
+    model = random_spd_model(np.random.default_rng(76), structure)
+    samples = [sample_gaussian(model, 200, seed) for seed in (76, 77)]
+    for fit in (fit_mslca(samples[1]), _fit_stack(samples)[1]):
+        # blocks 0 and 2 are powered together, each as it would be alone
+        for k in range(structure.n_blocks):
+            sl = structure.block_slice(k)
+            assert np.array_equal(fit.inv_root[sl, sl], sym_power(fit.vhat[sl, sl], -0.5))
+        solution = fit.solution
+        expected = solve_mslca(CovarianceModel(fit.structure, fit.vhat))
+        for name in ("rho", "beta", "alpha"):
+            assert np.array_equal(getattr(solution, name), getattr(expected, name))
+            assert not getattr(solution, name).flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.solution = expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fit.solution
+        assert fit.solution is solution
 
 
 def test_package_built_datasets_are_read_only_and_not_copied(monkeypatch):

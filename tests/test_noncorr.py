@@ -256,11 +256,12 @@ def test_power_grows_with_n():
     assert rejections[1] > 0.9
 
 
-def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
-    # K block inverse roots plus the eigensolve of T, counted at LAPACK's
-    # eigh; both test routes whiten with the fit's means and roots instead
-    # of decomposing again
-    model = CovarianceModel(BlockStructure((2, 1, 3)), np.eye(6))
+@pytest.mark.parametrize("dims, sizes", [((2, 1, 3), 3), ((2, 2, 2), 1)], ids=["213", "222"])
+def test_fit_powers_each_block_size_once_and_solves_t_only_when_read(monkeypatch, dims, sizes):
+    # one inverse root per block size, counted at LAPACK's eigh; both test
+    # routes whiten with the fit's means and roots instead of decomposing
+    # again, and T's eigensolve waits for the first read of the solution
+    model = CovarianceModel(BlockStructure(dims), np.eye(6))
     data = sample_student_t(model, 10, 400, 263)
     calls = []
     original = np.linalg.eigh
@@ -272,10 +273,14 @@ def test_fit_decomposes_each_block_once_and_tests_reuse_it(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
 
     fit = fit_mslca(data)
-    assert len(calls) == model.structure.n_blocks + 1
+    assert len(calls) == sizes
     general_test(fit)
     plugin = chi2_test(fit, scale="plugin")
-    assert len(calls) == model.structure.n_blocks + 1
+    assert len(calls) == sizes
+    solution = fit.solution
+    assert len(calls) == sizes + 1 and calls[-1] == (1, 6, 6)
+    assert fit.solution is solution
+    assert len(calls) == sizes + 1
 
     monkeypatch.undo()
     assert plugin.scale == _kurtosis_scale(whiten(data))

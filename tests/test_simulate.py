@@ -29,6 +29,9 @@ from conftest import (
 
 NULL_222 = CovarianceModel(BlockStructure((2, 2, 2)), np.eye(6))
 WHITENED_111 = correlation_model((1, 1, 1), {(1, 0): 0.3, (2, 0): 0.15, (2, 1): 0.1})
+WHITENED_212 = correlation_model(
+    (2, 1, 2), {(1, 0): [[0.3, -0.15]], (2, 0): [[0.1, 0.2], [-0.05, 0.0]], (2, 1): [[0.15], [-0.1]]}
+)
 
 
 def test_rng_streams_are_independent_and_deterministic():
@@ -149,6 +152,15 @@ def test_ks_distance_known_values():
     assert ks_distance(sample, stats.chi2(df=3).cdf) < 0.03
     with pytest.raises(ValueError, match="empty sample"):
         ks_distance([], lambda x: np.asarray(x))
+    for bad in ([0.1, float("nan")], [0.1, float("inf")], [-float("inf"), 0.5]):
+        with pytest.raises(ValueError, match="sample must be finite"):
+            ks_distance(bad, lambda u: u)
+    for cdf in (lambda u: np.where(u > 0.5, np.nan, u), lambda u: 4 * u, lambda u: -u):
+        with pytest.raises(ValueError, match=r"cdf values must lie in \[0, 1\]"):
+            ks_distance([0.1, 0.7], cdf)
+    for cdf in (lambda u: 0.5, lambda u: np.append(u, 0.5)):
+        with pytest.raises(ValueError, match="one value per point"):
+            ks_distance([0.1, 0.7], cdf)
 
 
 def test_plan_validation():
@@ -704,37 +716,62 @@ def test_records_do_not_depend_on_chunk_length(kind, monkeypatch):
     assert outputs[2] == outputs[0]
 
 
-def test_chunk_runs_one_eigensolve_per_block_and_one_for_t(monkeypatch):
+@pytest.mark.parametrize(
+    "kind, model, per_chunk",
+    [
+        # the statistic reads T, not its eigensolve
+        ("null-dist", NULL_222, lambda r: [("eigh", (r, 3, 2, 2))]),
+        # blocks of size 2, then of size 1, then T, read by the record
+        (
+            "coeff-clt",
+            WHITENED_212,
+            lambda r: [
+                ("eigh", (r, 2, 2, 2)),
+                ("eigh", (r, 1, 1, 1)),
+                ("sym_eig", (r, 5, 5)),
+                ("eigh", (r, 5, 5)),
+            ],
+        ),
+    ],
+    ids=["null-dist", "coeff-clt"],
+)
+def test_chunk_runs_one_eigensolve_per_block_size_and_solves_t_only_when_read(
+    monkeypatch, kind, model, per_chunk
+):
     import mslca.population
     import mslca.simulate
 
-    plan = SimulationPlan(
-        kind="null-dist", model=NULL_222, sizes=(130, 300), replications=7, seed=53
-    )
+    plan = SimulationPlan(kind=kind, model=model, sizes=(130, 300), replications=7, seed=53)
     monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", _chunk_budget(plan, 3))
-    calls, t_calls = [], []
+    events = []
     original_eigh = np.linalg.eigh
     original_sym_eig = mslca.population.sym_eig
+    original_chunk_fits = mslca.simulate._chunk_fits
 
     def counting_eigh(a):
-        calls.append(np.shape(a))
+        events.append(("eigh", np.shape(a)))
         return original_eigh(a)
 
     def counting_sym_eig(a):
-        t_calls.append(np.shape(a))
+        events.append(("sym_eig", np.shape(a)))
         return original_sym_eig(a)
+
+    def marked_chunk_fits(samples):
+        events.append(("chunk", len(samples)))
+        return original_chunk_fits(samples)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(mslca.population, "sym_eig", counting_sym_eig)
+    monkeypatch.setattr(mslca.simulate, "_chunk_fits", marked_chunk_fits)
     run_experiment(plan)
-    # K + 1 = 4 eigensolves per chunk, counted at LAPACK's eigh. At n=300 a
-    # chunk holds 3 cells, so 7 replications take 3 chunks; at n=130 it holds
-    # 3 * 300 // 130 = 6 cells, so they take 2. Only T's solve goes through
-    # sym_eig, once per chunk.
-    assert len(calls) == 4 * (3 + 2)
-    assert sorted({shape[0] for shape in calls}) == [1, 3, 6]
-    assert len(t_calls) == 3 + 2
-    assert all(shape[-1] == NULL_222.structure.total_dim for shape in t_calls)
+    # Counted at LAPACK's eigh from the first chunk on; the set-up and the
+    # sampler's root come before it. The budget holds 3 cells at n=300 and
+    # 3 * 300 // 130 = 6 at n=130, so 7 replications take 2 chunks, then 3.
+    first = next(i for i, event in enumerate(events) if event[0] == "chunk")
+    expected = []
+    for cells in (6, 1, 3, 3, 1):
+        expected += [("chunk", cells), *per_chunk(cells)]
+    assert events[first:] == expected
 
 
 def test_near_singular_cell_raises_its_own_error(monkeypatch):
@@ -770,6 +807,58 @@ def test_near_singular_cell_raises_its_own_error(monkeypatch):
         fit_mslca(bad_samples[2])
     assert alone.value.block == 1
     assert errors == [(1, alone.value.lambda_min, alone.value.lambda_max)] * 2
+
+
+def test_failed_stacked_t_solve_raises_its_cells_error_after_earlier_records(monkeypatch):
+    import mslca.population
+    import mslca.simulate
+    from mslca import fit_mslca
+
+    plan = SimulationPlan(kind="coeff-clt", model=WHITENED_212, sizes=(200,), replications=6, seed=61)
+    expected = run_experiment(plan).records[:3]
+    original_sampler = mslca.simulate.sample_gaussian
+    original_sym_eig = mslca.population.sym_eig
+    original_kind = mslca.simulate._KINDS["coeff-clt"]
+    drawn, recorded, solved = [], [], []
+    bad = {"that": None}
+
+    def marking_sampler(model, n, rng):
+        # T of cell 3 does not converge, whether solved in its chunk or alone
+        data = original_sampler(model, n, rng)
+        drawn.append(data)
+        if len(drawn) == 4:
+            bad["that"] = fit_mslca(data).that
+        return data
+
+    def failing_sym_eig(t):
+        solved.append(len(t))
+        if any(np.array_equal(matrix, bad["that"]) for matrix in t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original_sym_eig(t)
+
+    def recording_kind(plan):
+        record, summarize = original_kind(plan)
+
+        def recorded_record(rng, fit):
+            row = record(rng, fit)
+            recorded.append({"n": fit.n, "rep": len(recorded), **row})
+            return row
+
+        return recorded_record, summarize
+
+    monkeypatch.setattr(mslca.simulate, "sample_gaussian", marking_sampler)
+    monkeypatch.setattr(mslca.population, "sym_eig", failing_sym_eig)
+    monkeypatch.setitem(mslca.simulate._KINDS, "coeff-clt", recording_kind)
+    # the set-up solves the model; then each chunk, of one cell or of six, is
+    # solved as one stack, and after the failed stack each cell alone
+    for budget, solves in ((1, [1, 1, 1, 1, 1, 1]), (_chunk_budget(plan, 6), [1, 6, 1, 1, 1, 1])):
+        monkeypatch.setattr(mslca.simulate, "_CHUNK_BYTES", budget)
+        for log in (drawn, recorded, solved):
+            log.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            run_experiment(plan)
+        assert recorded == expected
+        assert solved == solves
 
 
 def test_chunk_with_a_constant_column_raises_that_cells_error():
